@@ -35,8 +35,8 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError, SolverError
-from .problem import PortfolioMop
-from .scalarization import SpParams, _objective_row, _simplex_constraint, minimize_objective
+from .problem import PortfolioMop, _simplex_constraint
+from .scalarization import SpParams, _objective_row, minimize_objective
 from .util import dirichlet_starts, equal_weights, parallel_map, simplex_vertices
 
 __all__ = [

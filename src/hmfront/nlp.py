@@ -126,6 +126,8 @@ class ScalarSolution:
     of the problem (inactive inequalities carry multiplier 0).  Fields
     ``weights``/``aux_value``/``objective_values`` are filled by the
     scalarization layer when the variable vector has portfolio structure.
+    ``n_iter`` totals the SQP iterations of the solve: when feasibility
+    restoration ran, it counts both SQP runs, not only the last.
     """
 
     x: np.ndarray
@@ -140,7 +142,6 @@ class ScalarSolution:
     comp_slackness: float
     n_iter: int
     message: str = ""
-    iterates: tuple = ()
     weights: Optional[np.ndarray] = None
     aux_value: Optional[float] = None
     objective_values: Optional[np.ndarray] = None
@@ -424,11 +425,6 @@ def _run_slsqp(problem: NlpProblem, x0: np.ndarray, opts: SolverOptions):
         cons.append({"type": "eq", "fun": c.fun, "jac": c.jac})
     for c in problem.ineq_constraints:
         cons.append({"type": "ineq", "fun": c.fun, "jac": c.jac})
-    iterates: list[np.ndarray] = []
-
-    def record(xk):
-        iterates.append(np.array(xk, dtype=float))
-
     with warnings.catch_warnings():
         # scipy warns when a trial step leaves the box and gets clipped;
         # expected backend behavior, and feasibility is measured afterwards
@@ -442,11 +438,10 @@ def _run_slsqp(problem: NlpProblem, x0: np.ndarray, opts: SolverOptions):
             method="SLSQP",
             bounds=list(zip(problem.lb, problem.ub)),
             constraints=cons,
-            callback=record,
             options={"maxiter": opts.max_iter, "ftol": 1e-12},
         )
     x = np.clip(np.asarray(res.x, dtype=float), problem.lb, problem.ub)
-    return x, res, iterates
+    return x, res
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSolution:
@@ -459,12 +454,14 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     """
     opts = options or SolverOptions()
     x0 = problem.x0.copy()
-    x, res, iterates = _run_slsqp(problem, problem.x0, opts)
+    x, res = _run_slsqp(problem, problem.x0, opts)
+    n_iter = int(res.nit)
     viol = _violation(problem, x)
     if viol > max(opts.infeasible_tol, 10.0 * opts.tol_feas) and opts.restore:
         restored = _restore_feasibility(problem, problem.x0, opts)
         if _violation(problem, restored) <= opts.infeasible_tol:
-            x, res, iterates = _run_slsqp(problem, restored, opts)
+            x, res = _run_slsqp(problem, restored, opts)
+            n_iter += int(res.nit)
             viol = _violation(problem, x)
         else:
             mu = np.zeros(len(problem.ineq_constraints))
@@ -481,9 +478,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
                 kkt_residual=float("nan"),
                 constraint_violation=_violation(problem, restored),
                 comp_slackness=float("nan"),
-                n_iter=int(res.nit),
+                n_iter=n_iter,
                 message="restoration could not reach feasibility",
-                iterates=tuple(iterates),
             )
 
     slsqp_x = x.copy()
@@ -557,9 +553,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
         kkt_residual=kkt,
         constraint_violation=viol,
         comp_slackness=comp,
-        n_iter=int(res.nit),
+        n_iter=n_iter,
         message=message,
-        iterates=tuple(iterates) + (x.copy(),),
         # accepted phase results: start -> SQP output -> polished point; the
         # merit guarantee of the solve covers these (the SQP code's internal
         # trial steps follow scipy's own penalty bookkeeping)

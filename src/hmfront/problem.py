@@ -15,13 +15,21 @@ function documents otherwise.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nlp
 from .errors import ParameterError
-from .moments import MomentSet, ObjectiveVector, portfolio_stats, stats_gradients
+from .moments import (
+    MomentPoint,
+    MomentSet,
+    ObjectiveVector,
+    _as_weight_vector,
+    portfolio_stats,
+    stats_gradients,
+)
 from .util import dirichlet_starts, equal_weights, lexicographic_less
 
 __all__ = [
@@ -48,6 +56,16 @@ class PortfolioMop:
 
     ``objectives`` is an ordered subset of mean/variance/skewness/kurtosis;
     ``short_bound`` relaxes the nonnegativity of weights to w >= -short_bound.
+
+    :meth:`objective_values`, :meth:`objective_jacobian` and
+    :meth:`objective_hessians` share one :class:`~hmfront.moments.MomentPoint`
+    per point through a single-slot memo.  There is one slot per thread, so
+    worker threads do not evict each other.  The slot is keyed on the exact
+    bytes of the weight vector and keeps its own copy of it, so a caller
+    that reuses its buffer never reads a stale result.  Each method builds
+    its array once per point and returns a copy, which the caller may
+    change freely.  The slot is not a dataclass field: equality, hashing
+    and ``replace`` ignore it, and a replaced problem starts empty.
     """
 
     moments: MomentSet
@@ -66,6 +84,7 @@ class PortfolioMop:
         if self.short_bound < 0:
             raise ParameterError("short_bound must be >= 0")
         object.__setattr__(self, "objectives", objs)
+        object.__setattr__(self, "_memo", threading.local())
 
     @property
     def m(self) -> int:
@@ -81,26 +100,35 @@ class PortfolioMop:
     def raw_stats(self, w) -> ObjectiveVector:
         return portfolio_stats(w, self.moments)
 
+    def _evaluate(self, w, kind: str) -> np.ndarray:
+        """``kind`` ("value", "gradient" or "hessian") of every objective at
+        w, in minimization form, from this thread's memo slot."""
+        vec = _as_weight_vector(w, self.n)
+        key = vec.tobytes()
+        slot = self._memo
+        if getattr(slot, "key", None) != key:
+            slot.point = MomentPoint(vec, self.moments)
+            slot.arrays = {}
+            slot.key = key
+        out = slot.arrays.get(kind)
+        if out is None:
+            fn = getattr(slot.point, kind)
+            out = slot.arrays[kind] = np.array(
+                [OBJECTIVE_SENSES[name] * fn(name) for name in self.objectives]
+            )
+        return out.copy()
+
     def objective_values(self, w) -> np.ndarray:
         """F(w): the selected objectives in minimization form."""
-        stats = portfolio_stats(w, self.moments)
-        return np.array(
-            [OBJECTIVE_SENSES[name] * getattr(stats, name) for name in self.objectives]
-        )
+        return self._evaluate(w, "value")
 
     def objective_jacobian(self, w) -> np.ndarray:
         """m x n Jacobian of F."""
-        deriv = stats_gradients(w, self.moments)
-        return np.array(
-            [OBJECTIVE_SENSES[name] * deriv.gradient(name) for name in self.objectives]
-        )
+        return self._evaluate(w, "gradient")
 
     def objective_hessians(self, w) -> np.ndarray:
         """m x n x n stack of Hessians of F."""
-        deriv = stats_gradients(w, self.moments)
-        return np.array(
-            [OBJECTIVE_SENSES[name] * deriv.hessian(name) for name in self.objectives]
-        )
+        return self._evaluate(w, "hessian")
 
     def min_form(self, stats: ObjectiveVector) -> np.ndarray:
         """Map an ObjectiveVector into this problem's minimization image."""
@@ -170,18 +198,20 @@ def utility_hessian(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
 
 
 def _simplex_constraint(n: int) -> nlp.ConstraintSpec:
-    ones = np.ones(n)
-
-    def fun(x):
-        return float(x.sum() - 1.0)
+    """The budget row sum(x[:n]) = 1 over a variable vector whose first n
+    entries are the weights (any trailing entries are auxiliary)."""
 
     def jac(x):
-        return ones.copy()
+        j = np.zeros(x.size)
+        j[:n] = 1.0
+        return j
 
-    def hess(x):
-        return np.zeros((n, n))
-
-    return nlp.ConstraintSpec(fun=fun, jac=jac, hess=hess, name="budget")
+    return nlp.ConstraintSpec(
+        fun=lambda x: float(x[:n].sum() - 1.0),
+        jac=jac,
+        hess=lambda x: np.zeros((x.size, x.size)),
+        name="budget",
+    )
 
 
 def utility_optimize(

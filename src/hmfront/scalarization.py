@@ -34,7 +34,7 @@ import numpy as np
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
 from .moments import ObjectiveVector
-from .problem import PortfolioMop
+from .problem import PortfolioMop, _simplex_constraint
 from .util import dirichlet_starts, equal_weights, lexicographic_less, simplex_vertices
 
 __all__ = [
@@ -197,16 +197,6 @@ class AnchorSet:
         return self.images.max(axis=0) - self.images.min(axis=0)
 
 
-def _simplex_constraint(n: int) -> nlp.ConstraintSpec:
-    ones = np.ones(n)
-    return nlp.ConstraintSpec(
-        fun=lambda x: float(x[:n].sum() - 1.0),
-        jac=lambda x, _n=n: _budget_jac(x, _n),
-        hess=lambda x: np.zeros((x.size, x.size)),
-        name="budget",
-    )
-
-
 @dataclass(frozen=True)
 class _AuxRow:
     """One image-space goal row ``base(w) + coef * aux`` of an aux-valued
@@ -297,12 +287,6 @@ def _finish_aux(
         aux_value=aux,
         objective_values=p.objective_values(w),
     )
-
-
-def _budget_jac(x: np.ndarray, n: int) -> np.ndarray:
-    j = np.zeros(x.size)
-    j[:n] = 1.0
-    return j
 
 
 def _objective_row(p: PortfolioMop, idx: int, n: int, total: int):

@@ -11,7 +11,8 @@ from hmfront import (
     solve,
     solve_multistart,
 )
-from hmfront.nlp import merit_values
+from hmfront import nlp
+from hmfront.nlp import SolverOptions, merit_values
 from oracles import qp_simplex_bruteforce
 
 
@@ -135,6 +136,37 @@ def test_infeasible_detection():
     )
     sol = solve(prob)
     assert sol.status is SolveStatus.INFEASIBLE
+
+
+def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
+    sqp_iters = []
+    minimize = nlp.minimize
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        if kwargs.get("constraints"):  # restoration passes bounds only
+            sqp_iters.append(int(res.nit))
+        return res
+
+    monkeypatch.setattr(nlp, "minimize", recording_minimize)
+    circle = ConstraintSpec(
+        fun=lambda x: float(x @ x - 1.0),
+        jac=lambda x: 2.0 * x,
+        hess=lambda x: 2.0 * np.eye(2),
+    )
+    prob = NlpProblem(
+        objective=lambda x: float(x[0] + 2.0 * x[1]),
+        gradient=lambda x: np.array([1.0, 2.0]),
+        hessian=lambda x: np.zeros((2, 2)),
+        x0=np.array([30.0, -20.0]),
+        eq_constraints=(circle,),
+    )
+    # five iterations cannot reach the circle from this start, so the solve
+    # restores feasibility and runs SQP a second time
+    sol = solve(prob, SolverOptions(max_iter=5))
+    assert len(sqp_iters) == 2
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
 
 
 def test_determinism_bit_identical():
