@@ -18,6 +18,16 @@ That sign convention is used everywhere in the package: inequality
 multipliers are reported nonnegative for constraints written ``g(x) >= 0``,
 and equality multipliers refer to the constraint exactly as written.
 
+A first SQP run from an infeasible start is watched: once its constraint
+violation has stagnated above the restoration threshold (from its eleventh
+iterate on, the last ten iterates all above it, within a 1% relative
+spread), the run is stopped and the solve goes straight to feasibility
+restoration.  A ray that misses a non-convex image set is thus detected
+within about twenty SQP iterations instead of at the iteration cap.
+Restoration starts from the problem's ``x0``, so where an infeasible first
+run stops cannot change the outcome of the solve, and the watch only reads
+iterates, so runs it does not stop follow the same path.
+
 Singular KKT systems during the polish are ridge-regularized with 1e-10
 (logged at debug level, never silently fatal).  Solves are pure functions
 of their inputs, so identical problems produce bit-identical solutions.
@@ -25,6 +35,7 @@ of their inputs, so identical problems produce bit-identical solutions.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass, field, replace
@@ -51,6 +62,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _RIDGE = 1e-10
+# stagnation watch on the first SQP run: after _STALL_SKIP unmeasured
+# iterations (most runs end within them), the last _STALL_WINDOW iterates all
+# above the restoration threshold, their violations within _STALL_SPREAD of
+# the largest
+_STALL_SKIP = 10
+_STALL_WINDOW = 10
+_STALL_SPREAD = 0.01
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,8 @@ class ScalarSolution:
     scalarization layer when the variable vector has portfolio structure.
     ``n_iter`` totals the SQP iterations of the solve: when feasibility
     restoration ran, it counts both SQP runs, not only the last.
+    ``info["sqp_stalled"]`` is the iteration at which the first SQP run was
+    stopped for a stagnated constraint violation, or ``None``.
     """
 
     x: np.ndarray
@@ -387,7 +407,22 @@ def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map, opts: Sol
     return xx, ll, mu_full, nu_lo, nu_hi
 
 
-def _restore_feasibility(problem: NlpProblem, x0: np.ndarray, opts: SolverOptions):
+def _stagnated(violations: Sequence[float], threshold: float) -> bool:
+    """Whether a violation history has stalled above ``threshold``.
+
+    True when the last ``_STALL_WINDOW`` violations all exceed the threshold
+    and lie within a ``_STALL_SPREAD`` relative spread of their maximum.  A
+    run that is still moving, even one that jumps far away and comes back,
+    does not stall.
+    """
+    if len(violations) < _STALL_WINDOW:
+        return False
+    window = violations[-_STALL_WINDOW:]
+    lo, hi = min(window), max(window)
+    return lo > threshold and hi - lo <= _STALL_SPREAD * hi
+
+
+def _restore_feasibility(problem: NlpProblem, x0: np.ndarray):
     """Minimize the squared constraint violation subject to bounds only."""
 
     def phi(x):
@@ -419,12 +454,42 @@ def _restore_feasibility(problem: NlpProblem, x0: np.ndarray, opts: SolverOption
     return np.clip(res.x, problem.lb, problem.ub)
 
 
-def _run_slsqp(problem: NlpProblem, x0: np.ndarray, opts: SolverOptions):
+def _run_slsqp(
+    problem: NlpProblem,
+    x0: np.ndarray,
+    opts: SolverOptions,
+    stall_above: Optional[float] = None,
+):
+    """SLSQP from ``x0``; returns the clipped endpoint, scipy's result and the
+    iteration at which a stagnated run was stopped (``None`` if it was not).
+
+    With ``stall_above`` set, the run is stopped once :func:`_stagnated`
+    holds for the violations of its iterates after the first
+    ``_STALL_SKIP``.  They are measured at the clipped points the solve
+    itself measures, so a stopped run always goes on to restoration.
+    """
     cons = []
     for c in problem.eq_constraints:
         cons.append({"type": "eq", "fun": c.fun, "jac": c.jac})
     for c in problem.ineq_constraints:
         cons.append({"type": "ineq", "fun": c.fun, "jac": c.jac})
+    callback = None
+    stalled = []
+    if stall_above is not None:
+        iterations = itertools.count(1)
+        violations: list[float] = []
+
+        # scipy passes this signature the iterate without copying it twice
+        def callback(intermediate_result):
+            k = next(iterations)
+            if k <= _STALL_SKIP:
+                return
+            x = np.clip(intermediate_result.x, problem.lb, problem.ub)
+            violations.append(_violation(problem, x))
+            if _stagnated(violations, stall_above):
+                stalled.append(k)
+                raise StopIteration
+
     with warnings.catch_warnings():
         # scipy warns when a trial step leaves the box and gets clipped;
         # expected backend behavior, and feasibility is measured afterwards
@@ -438,10 +503,11 @@ def _run_slsqp(problem: NlpProblem, x0: np.ndarray, opts: SolverOptions):
             method="SLSQP",
             bounds=list(zip(problem.lb, problem.ub)),
             constraints=cons,
+            callback=callback,
             options={"maxiter": opts.max_iter, "ftol": 1e-12},
         )
     x = np.clip(np.asarray(res.x, dtype=float), problem.lb, problem.ub)
-    return x, res
+    return x, res, (stalled[0] if stalled else None)
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSolution:
@@ -451,16 +517,35 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     measured residuals, not by the inner solver's exit flag: ``converged``
     requires stationarity <= tol_kkt and violation <= tol_feas;
     ``infeasible`` is declared only after a failed feasibility restoration.
+
+    When restoration is enabled and ``x0`` is infeasible, the first SQP run
+    is stopped as soon as its constraint violation stagnates above the
+    restoration threshold ``max(infeasible_tol, 10 * tol_feas)``;
+    restoration then follows as it does after a run that ends infeasible at
+    the iteration cap.  ``info["sqp_stalled"]`` records the iteration of
+    such a stop.
     """
     opts = options or SolverOptions()
     x0 = problem.x0.copy()
-    x, res = _run_slsqp(problem, problem.x0, opts)
+    restore_above = max(opts.infeasible_tol, 10.0 * opts.tol_feas)
+    # a run from a feasible start is not watched: restoration would return
+    # that start, so a second run would only repeat the first; most runs
+    # start feasible and end within a few iterations, and skipping the
+    # callback on them keeps the watch nearly free
+    watch = opts.restore and _violation(problem, problem.x0) > restore_above
+    x, res, stalled = _run_slsqp(
+        problem, problem.x0, opts, stall_above=restore_above if watch else None
+    )
     n_iter = int(res.nit)
     viol = _violation(problem, x)
-    if viol > max(opts.infeasible_tol, 10.0 * opts.tol_feas) and opts.restore:
-        restored = _restore_feasibility(problem, problem.x0, opts)
+    if viol > restore_above and opts.restore:
+        # restoration starts from problem.x0, not from where the first run
+        # ended, so stopping an infeasible first run early changes neither
+        # the restored point nor the outcome; only the infeasible point
+        # reported when restoration fails is the earlier iterate
+        restored = _restore_feasibility(problem, problem.x0)
         if _violation(problem, restored) <= opts.infeasible_tol:
-            x, res = _run_slsqp(problem, restored, opts)
+            x, res, _ = _run_slsqp(problem, restored, opts)
             n_iter += int(res.nit)
             viol = _violation(problem, x)
         else:
@@ -480,6 +565,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
                 comp_slackness=float("nan"),
                 n_iter=n_iter,
                 message="restoration could not reach feasibility",
+                info={"sqp_stalled": stalled},
             )
 
     slsqp_x = x.copy()
@@ -558,7 +644,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
         # accepted phase results: start -> SQP output -> polished point; the
         # merit guarantee of the solve covers these (the SQP code's internal
         # trial steps follow scipy's own penalty bookkeeping)
-        info={"phase_points": (x0, slsqp_x, x.copy())},
+        info={"phase_points": (x0, slsqp_x, x.copy()), "sqp_stalled": stalled},
     )
 
 

@@ -917,6 +917,7 @@ def solve_pgp(
         aux_value=None,
         objective_values=p.objective_values(w),
         info={
+            **sol.info,
             "z1_star": float(z1_star),
             "z3_star": float(z3_star),
             "d1": float(sol.x[n]),

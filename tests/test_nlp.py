@@ -12,8 +12,13 @@ from hmfront import (
     solve_multistart,
 )
 from hmfront import nlp
+from hmfront import scalarization as sc
 from hmfront.nlp import SolverOptions, merit_values
+from hmfront.util import equal_weights
 from oracles import qp_simplex_bruteforce
+
+# restoration threshold max(infeasible_tol, 10 * tol_feas) at default options
+_RESTORE_ABOVE = 1e-7
 
 
 def _simplex_eq(n):
@@ -138,7 +143,8 @@ def test_infeasible_detection():
     assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
+def _recording_minimize(monkeypatch):
+    """Record the iteration count of every SQP run (restoration excluded)."""
     sqp_iters = []
     minimize = nlp.minimize
 
@@ -149,6 +155,11 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
         return res
 
     monkeypatch.setattr(nlp, "minimize", recording_minimize)
+    return sqp_iters
+
+
+def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
+    sqp_iters = _recording_minimize(monkeypatch)
     circle = ConstraintSpec(
         fun=lambda x: float(x @ x - 1.0),
         jac=lambda x: 2.0 * x,
@@ -167,6 +178,73 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
     assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
+
+
+def test_stagnation_rule_stops_flat_trace():
+    # a missed NBI ray: the violation sits at 4.02e-3 from iteration 4 to
+    # the 300-iteration cap
+    flat = [4.02e-3] * nlp._STALL_WINDOW
+    assert not nlp._stagnated(flat[1:], _RESTORE_ABOVE)
+    assert nlp._stagnated(flat, _RESTORE_ABOVE)
+    # flat but below the restoration threshold is not a stall
+    assert not nlp._stagnated([1e-8] * 20, _RESTORE_ABOVE)
+
+
+def test_stagnation_rule_keeps_spike_and_recover_trace():
+    # an epsilon-grid solve that converges after leaving the feasible set:
+    # the violation jumps from 2e-16 to 11 and comes back within 12 iterations
+    trace = [
+        5.7e-2, 4.4e-3, 3.7e-5, 2.2e-16, 2.9e-6, 8.7e-4, 9.1e-2, 1.1e1, 5.9e-1,
+        1.4e-1, 2.4e-2, 1.2e-3, 2.2e-4, 6.4e-3, 1.4e-3, 4.1e-6, 0.0, 1.3e-16,
+    ]
+    for k in range(len(trace) + 1):
+        assert not nlp._stagnated(trace[:k], _RESTORE_ABOVE)
+
+
+def test_only_runs_from_infeasible_starts_are_watched(monkeypatch):
+    watched = []
+    minimize = nlp.minimize
+
+    def recording_minimize(*args, **kwargs):
+        if kwargs.get("constraints"):
+            watched.append(kwargs.get("callback") is not None)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(nlp, "minimize", recording_minimize)
+    Q = np.eye(4)
+    c = np.array([0.3, -0.1, 0.2, 0.0])
+    on_simplex = solve(_quadratic_problem(Q, c, np.full(4, 0.25)))
+    off_simplex = solve(_quadratic_problem(Q, c, np.array([0.7, 0.1, 0.1, 0.0])))
+    assert on_simplex.converged and off_simplex.converged
+    assert watched == [False, True]
+    assert on_simplex.info["sqp_stalled"] is off_simplex.info["sqp_stalled"] is None
+
+
+def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):
+    # a ray of the acceptance NBI lattice that misses the image set; both of
+    # its starts used to run to the 300-iteration cap before restoration
+    sqp_iters = _recording_minimize(monkeypatch)
+    solutions = []
+    solve = nlp.solve
+
+    def recording_solve(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(nlp, "solve", recording_solve)
+    anchors = sc.compute_anchors(convex_mop, seed=1)
+    rng = np.random.default_rng(5)
+    beta = [rng.dirichlet(np.ones(3)) for _ in range(2)][1]  # its 5th ray
+    starts = [beta @ anchors.weights, equal_weights(3)]
+    sqp_iters.clear()  # the anchors' own solves
+    solutions.clear()
+    sol = sc.solve_nbi(convex_mop, sc.nbi_params(anchors, beta), starts=starts)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert len(solutions) == len(sqp_iters) == 2  # restoration failed: no re-run
+    for run, start_sol in zip(sqp_iters, solutions):
+        assert start_sol.status is SolveStatus.INFEASIBLE
+        assert start_sol.info["sqp_stalled"] == start_sol.n_iter == run
+        assert run <= 30 < SolverOptions().max_iter
 
 
 def test_determinism_bit_identical():
