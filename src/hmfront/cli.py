@@ -4,13 +4,19 @@ Commands::
 
     hmfront moments  --input returns.csv [--out DIR] [--full-tensors]
     hmfront front    --method M (--input CSV | --synthetic n T seed level)
-                     [--config cfg.json] [--seed K] [--out DIR] [--workers W]
-                     [--objectives mean,variance,skewness[,kurtosis]] [--gnuplot]
+                     [--param KEY=VALUE ...] [--config cfg.json] [--seed K]
+                     [--out DIR] [--workers W] [--gnuplot]
+                     [--objectives mean,variance,skewness[,kurtosis]]
     hmfront verify   (--input CSV | --synthetic ...) [--samples N] ...
     hmfront quality  --front front.csv (--input CSV | --synthetic ...) ...
 
 A JSON config document may carry any of the flag values; explicit flags
 override config fields.  All outputs are deterministic for a fixed seed.
+
+The ``front`` methods are listed once, in :data:`METHODS`, each with the
+types of its parameters and a runner.  A parameter value must be of its
+type without loss: an int takes no fraction and no boolean, a float no
+boolean, and a bool only a boolean or "true"/"false".
 
 Exit codes: 0 success, 2 input error, 3 solve failure, 4 verification
 failure, 5 measure undefined.
@@ -23,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -62,30 +69,6 @@ EXIT_SOLVE = 3
 EXIT_VERIFY = 4
 EXIT_MEASURE = 5
 
-METHODS = (
-    "sf",
-    "msf",
-    "nbi",
-    "sp",
-    "epsilon",
-    "pgp",
-    "tracer",
-    "utility",
-    "utility_iterative",
-)
-
-METHOD_PARAM_SCHEMAS: dict[str, dict[str, type]] = {
-    "sf": {"n_references": int},
-    "msf": {"n_references": int},
-    "nbi": {"divisions": int},
-    "sp": {"divisions": int, "modified": bool},
-    "epsilon": {"n1": int, "n2": int, "alpha": float, "k": int, "rounds": int},
-    "pgp": {"alpha": float, "beta": float},
-    "tracer": {"tau": float, "n_starts": int, "max_points": int, "corrector_tol": float},
-    "utility": {"lam": float, "n_starts": int},
-    "utility_iterative": {"lambda_start": float, "lambda_stop": float, "lambda_step": float},
-}
-
 
 @dataclass
 class RunConfig:
@@ -106,7 +89,7 @@ class RunConfig:
     def validate_method(self) -> None:
         if self.method not in METHODS:
             raise ConfigError("unknown method %r" % self.method)
-        schema = METHOD_PARAM_SCHEMAS[self.method]
+        schema = METHODS[self.method].params
         for key, val in self.method_params.items():
             if key not in schema:
                 raise ConfigError(
@@ -115,10 +98,11 @@ class RunConfig:
                 )
             want = schema[key]
             try:
-                self.method_params[key] = want(val)
+                self.method_params[key] = _coerce(want, val)
             except (TypeError, ValueError):
                 raise ConfigError(
-                    "parameter %r for method %s must be %s" % (key, self.method, want.__name__)
+                    "parameter %r for method %s must be %s, got %r"
+                    % (key, self.method, want.__name__, val)
                 ) from None
 
 
@@ -211,6 +195,13 @@ def _build_mop(cfg: RunConfig) -> PortfolioMop:
     return PortfolioMop(moments=compute_moments(returns), objectives=cfg.objectives)
 
 
+def _scaled_mop(cfg: RunConfig, mop: PortfolioMop, scale: float) -> PortfolioMop:
+    """``mop`` rebuilt from the input returns multiplied by ``scale``."""
+    returns = _load_returns(cfg)
+    scaled = ReturnsMatrix(assets=returns.assets, observations=returns.observations * scale)
+    return PortfolioMop(moments=compute_moments(scaled), objectives=mop.objectives)
+
+
 def _beta_lattice(m: int, divisions: int) -> list[np.ndarray]:
     """Deterministic simplex lattice of hull weights (vertices included)."""
     out = []
@@ -230,209 +221,236 @@ def _mult_dict(prefix: str, values) -> dict:
     return {"%s_%d" % (prefix, i + 1) : float(v) for i, v in enumerate(values)}
 
 
-def _point_from_solution(mop, sol, params, mult_prefix="lambda") -> FrontPoint:
-    stats = mop.raw_stats(sol.weights)
-    return FrontPoint(
-        weights=np.asarray(sol.weights, dtype=float),
-        mean=stats.mean,
-        variance=stats.variance,
-        skewness=stats.skewness,
-        kurtosis=stats.kurtosis if "kurtosis" in mop.objectives else None,
-        params=params,
-        multipliers=_mult_dict(mult_prefix, sol.eq_multipliers[1:])
-        if len(sol.eq_multipliers) > 1
-        else _mult_dict("mu", sol.ineq_multipliers),
-        status=sol.status.value,
+def _solution_multipliers(sol: nlp.ScalarSolution) -> dict:
+    """Goal-row multipliers of a solve: the equality rows after the budget
+    row when there are any, else the inequality rows."""
+    if len(sol.eq_multipliers) > 1:
+        return _mult_dict("lambda", sol.eq_multipliers[1:])
+    return _mult_dict("mu", sol.ineq_multipliers)
+
+
+def _run_tracer(cfg: RunConfig, mop: PortfolioMop):
+    params = cfg.method_params
+    tcfg = tracer.TracerConfig(
+        tau=params.get("tau"),
+        n_starts=params.get("n_starts", 8),
+        max_points=params.get("max_points", 150),
+        corrector_tol=params.get("corrector_tol", 1e-8),
     )
+    front = tracer.trace(mop, tcfg, seed=cfg.seed, workers=cfg.workers)
+    return front.points, front.metadata, []
+
+
+def _run_epsilon(cfg: RunConfig, mop: PortfolioMop):
+    params = cfg.method_params
+    archive = eps_mod.run_adaptive_epsilon(
+        mop,
+        (params.get("n1", 50), params.get("n2", 50)),
+        alpha=params.get("alpha"),
+        k=params.get("k", 1),
+        rounds=params.get("rounds", 5),
+        seed=cfg.seed,
+        workers=cfg.workers,
+    )
+    points = [
+        FrontPoint.at(
+            mop,
+            entry.x,
+            {"eps_1": float(entry.eps[0]), "eps_2": float(entry.eps[1])},
+            _mult_dict("mu", entry.multipliers),
+        )
+        for entry in archive.entries
+    ]
+    metadata = {
+        "attempted": archive.attempted,
+        "infeasible": archive.infeasible_count,
+        "failed": archive.failed_count,
+        "seed": cfg.seed,
+    }
+    failures = []
+    if archive.failed_count:
+        failures.append("%d grid cells failed to converge" % archive.failed_count)
+    return points, metadata, failures
+
+
+def _run_rays(cfg: RunConfig, mop: PortfolioMop):
+    """NBI or Pascoletti-Serafini rays from a lattice on the anchor hull."""
+    params = cfg.method_params
+    method = cfg.method
+    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
+    divisions = params.get("divisions", 10)
+    points = []
+    failures = []
+    missed_rays = 0
+    for beta in _beta_lattice(mop.m, divisions):
+        nbi = scalarization.nbi_params(anchors, beta)
+        starts = [beta @ anchors.weights, np.full(mop.n, 1.0 / mop.n)]
+        if method == "nbi":
+            sol = scalarization.solve_nbi(mop, nbi, starts=starts)
+            aux_name = "s"
+        else:
+            sp = scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar)
+            sol = scalarization.solve_sp(
+                mop, sp, modified=params.get("modified", True), starts=starts
+            )
+            aux_name = "t"
+        if sol.status is nlp.SolveStatus.INFEASIBLE:
+            # the ray from this hull point misses the attainable image
+            # set; an expected outcome, not a solver failure
+            missed_rays += 1
+            continue
+        if not sol.converged:
+            failures.append(
+                "%s at beta=%s: %s" % (method, np.round(beta, 4).tolist(), sol.status.value)
+            )
+            continue
+        pt_params = {"beta_%d" % (i + 1): float(b) for i, b in enumerate(beta)}
+        pt_params[aux_name] = float(sol.aux_value)
+        points.append(FrontPoint.at(mop, sol.weights, pt_params, _solution_multipliers(sol)))
+    metadata = {"divisions": divisions, "seed": cfg.seed, "missed_rays": missed_rays}
+    return points, metadata, failures
+
+
+def _run_shortage(cfg: RunConfig, mop: PortfolioMop):
+    """Shortage-function (SF or MSF) solves from random reference portfolios."""
+    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
+    g = anchors.objective_ranges()
+    g = np.where(g > 0, g, 1.0)
+    rng = np.random.default_rng(cfg.seed)
+    n_refs = cfg.method_params.get("n_references", 20)
+    solver = scalarization.solve_sf if cfg.method == "sf" else scalarization.solve_msf
+    points = []
+    failures = []
+    for i in range(n_refs):
+        ref = rng.dirichlet(np.ones(mop.n))
+        sol = solver(mop, scalarization.SfParams(g=g, reference_weights=ref))
+        if not sol.converged:
+            failures.append("%s reference %d: %s" % (cfg.method, i, sol.status.value))
+            continue
+        pt_params = {"reference_%d" % (j + 1): float(r) for j, r in enumerate(ref)}
+        pt_params["delta"] = float(sol.aux_value)
+        points.append(FrontPoint.at(mop, sol.weights, pt_params, _solution_multipliers(sol)))
+    return points, {"n_references": n_refs, "seed": cfg.seed}, failures
+
+
+def _run_pgp(cfg: RunConfig, mop: PortfolioMop):
+    params = cfg.method_params
+    scale = scalarization.pgp_scale_factor(mop)
+    scaled_mop = _scaled_mop(cfg, mop, scale)
+    print(
+        "note: returns rescaled by %.6g so the unit-variance slice is attainable" % scale,
+        file=sys.stderr,
+    )
+    pgp = scalarization.PgpParams(alpha=params.get("alpha", 1.0), beta=params.get("beta", 1.0))
+    sol = scalarization.solve_pgp(scaled_mop, pgp, seed=cfg.seed)
+    metadata = {"scale": scale, "seed": cfg.seed}
+    if sol.info:
+        metadata["z_stars"] = [sol.info["z1_star"], sol.info["z3_star"]]
+    if not sol.converged:
+        return [], metadata, ["pgp: %s (%s)" % (sol.status.value, sol.message)]
+    pt_params = {
+        "alpha": pgp.alpha,
+        "beta": pgp.beta,
+        "d1": sol.info["d1"],
+        "d3": sol.info["d3"],
+        "scale": scale,
+    }
+    point = FrontPoint.at(scaled_mop, sol.weights, pt_params, _solution_multipliers(sol))
+    return [point], metadata, []
+
+
+def _run_utility(cfg: RunConfig, mop: PortfolioMop):
+    params = cfg.method_params
+    u = UtilityParams(lam=params.get("lam", 2.0))
+    sol = utility_optimize(mop, u, n_starts=params.get("n_starts", 16), seed=cfg.seed)
+    metadata = {"lambda": u.lam, "seed": cfg.seed}
+    if not sol.converged:
+        return [], metadata, ["utility: %s" % sol.status.value]
+    pt_params = {"lambda": u.lam, "value": float(sol.value)}
+    return [FrontPoint.at(mop, sol.weights, pt_params, _solution_multipliers(sol))], metadata, []
+
+
+def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
+    params = cfg.method_params
+    lam = params.get("lambda_start", 20.0)
+    stop = params.get("lambda_stop", 2.0)
+    step = params.get("lambda_step", 2.0)
+    schedule = []
+    while lam >= stop - 1e-12:
+        schedule.append(lam)
+        lam -= step
+    path = dict(iterative_utility_optimize(mop, schedule))
+    points = [
+        FrontPoint.at(mop, path[lam], {"lambda": float(lam)}, {})
+        for lam in schedule
+        if lam in path
+    ]
+    failures = [
+        "utility_iterative at lambda=%r: QP did not converge" % lam
+        for lam in schedule
+        if lam not in path
+    ]
+    return points, {"schedule": schedule, "seed": cfg.seed}, failures
+
+
+@dataclass(frozen=True)
+class Method:
+    """One ``front`` method: its parameter types and its runner.
+
+    ``run(cfg, mop)`` returns the front's points, its metadata and the
+    failure summaries.
+    """
+
+    params: dict[str, type]
+    run: Callable[[RunConfig, PortfolioMop], tuple[list[FrontPoint], dict, list[str]]]
+
+
+METHODS: dict[str, Method] = {
+    "sf": Method({"n_references": int}, _run_shortage),
+    "msf": Method({"n_references": int}, _run_shortage),
+    "nbi": Method({"divisions": int}, _run_rays),
+    "sp": Method({"divisions": int, "modified": bool}, _run_rays),
+    "epsilon": Method(
+        {"n1": int, "n2": int, "alpha": float, "k": int, "rounds": int}, _run_epsilon
+    ),
+    "pgp": Method({"alpha": float, "beta": float}, _run_pgp),
+    "tracer": Method(
+        {"tau": float, "n_starts": int, "max_points": int, "corrector_tol": float},
+        _run_tracer,
+    ),
+    "utility": Method({"lam": float, "n_starts": int}, _run_utility),
+    "utility_iterative": Method(
+        {"lambda_start": float, "lambda_stop": float, "lambda_step": float},
+        _run_utility_iterative,
+    ),
+}
+
+
+def _coerce(want: type, val):
+    """Cast a method parameter to ``want`` without losing information.
+
+    Raises ValueError for a bool where a number is wanted, a number where
+    a bool is wanted, and a non-integral value where an int is wanted.
+    """
+    if want is bool:
+        if isinstance(val, bool):
+            return val
+        if isinstance(val, str) and val.lower() in ("true", "false"):
+            return val.lower() == "true"
+        raise ValueError(val)
+    if isinstance(val, bool):
+        raise ValueError(val)
+    if want is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError(val)
+    return want(val)
 
 
 def _run_front(cfg: RunConfig, mop: PortfolioMop) -> tuple[FrontApproximation, list[str]]:
-    """Dispatch the chosen method; returns the front and failure summaries."""
-    params = cfg.method_params
-    failures: list[str] = []
-    method = cfg.method
-    if method == "tracer":
-        tcfg = tracer.TracerConfig(
-            tau=params.get("tau"),
-            n_starts=params.get("n_starts", 8),
-            max_points=params.get("max_points", 150),
-            corrector_tol=params.get("corrector_tol", 1e-8),
-        )
-        front = tracer.trace(mop, tcfg, seed=cfg.seed, workers=cfg.workers)
-    elif method == "epsilon":
-        archive = eps_mod.run_adaptive_epsilon(
-            mop,
-            (params.get("n1", 50), params.get("n2", 50)),
-            alpha=params.get("alpha"),
-            k=params.get("k", 1),
-            rounds=params.get("rounds", 5),
-            seed=cfg.seed,
-            workers=cfg.workers,
-        )
-        points = []
-        for entry in archive.entries:
-            stats = mop.raw_stats(entry.x)
-            points.append(
-                FrontPoint(
-                    weights=entry.x.copy(),
-                    mean=stats.mean,
-                    variance=stats.variance,
-                    skewness=stats.skewness,
-                    kurtosis=stats.kurtosis if "kurtosis" in mop.objectives else None,
-                    params={"eps_1": float(entry.eps[0]), "eps_2": float(entry.eps[1])},
-                    multipliers=_mult_dict("mu", entry.multipliers),
-                )
-            )
-        front = FrontApproximation(
-            method="epsilon",
-            objectives=mop.objectives,
-            points=points,
-            metadata={
-                "attempted": archive.attempted,
-                "infeasible": archive.infeasible_count,
-                "failed": archive.failed_count,
-                "seed": cfg.seed,
-            },
-        )
-        if archive.failed_count:
-            failures.append("%d grid cells failed to converge" % archive.failed_count)
-    elif method in ("nbi", "sp"):
-        anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
-        divisions = params.get("divisions", 10)
-        betas = _beta_lattice(mop.m, divisions)
-        points = []
-        missed_rays = 0
-        for beta in betas:
-            nbi = scalarization.nbi_params(anchors, beta)
-            starts = [beta @ anchors.weights, np.full(mop.n, 1.0 / mop.n)]
-            if method == "nbi":
-                sol = scalarization.solve_nbi(mop, nbi, starts=starts)
-                aux_name = "s"
-            else:
-                sp = scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar)
-                sol = scalarization.solve_sp(
-                    mop, sp, modified=bool(params.get("modified", True)), starts=starts
-                )
-                aux_name = "t"
-            if sol.status is nlp.SolveStatus.INFEASIBLE:
-                # the ray from this hull point misses the attainable image
-                # set; an expected outcome, not a solver failure
-                missed_rays += 1
-                continue
-            if not sol.converged:
-                failures.append(
-                    "%s at beta=%s: %s" % (method, np.round(beta, 4).tolist(), sol.status.value)
-                )
-                continue
-            pt_params = {"beta_%d" % (i + 1): float(b) for i, b in enumerate(beta)}
-            pt_params[aux_name] = float(sol.aux_value)
-            points.append(_point_from_solution(mop, sol, pt_params))
-        front = FrontApproximation(
-            method=method, objectives=mop.objectives, points=points,
-            metadata={"divisions": divisions, "seed": cfg.seed, "missed_rays": missed_rays},
-        )
-    elif method in ("sf", "msf"):
-        anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
-        g = anchors.objective_ranges()
-        g = np.where(g > 0, g, 1.0)
-        rng = np.random.default_rng(cfg.seed)
-        n_refs = params.get("n_references", 20)
-        solver = scalarization.solve_sf if method == "sf" else scalarization.solve_msf
-        points = []
-        for i in range(n_refs):
-            ref = rng.dirichlet(np.ones(mop.n))
-            sf = scalarization.SfParams(g=g, reference_weights=ref)
-            sol = solver(mop, sf)
-            if not sol.converged:
-                failures.append("%s reference %d: %s" % (method, i, sol.status.value))
-                continue
-            pt_params = {"reference_%d" % (j + 1): float(r) for j, r in enumerate(ref)}
-            pt_params["delta"] = float(sol.aux_value)
-            points.append(_point_from_solution(mop, sol, pt_params))
-        front = FrontApproximation(
-            method=method, objectives=mop.objectives, points=points,
-            metadata={"n_references": n_refs, "seed": cfg.seed},
-        )
-    elif method == "pgp":
-        scale = scalarization.pgp_scale_factor(mop)
-        returns = _load_returns(cfg)
-        scaled = ReturnsMatrix(
-            assets=returns.assets, observations=returns.observations * scale
-        )
-        scaled_mop = PortfolioMop(
-            moments=compute_moments(scaled), objectives=mop.objectives
-        )
-        print(
-            "note: returns rescaled by %.6g so the unit-variance slice is attainable"
-            % scale,
-            file=sys.stderr,
-        )
-        pgp = scalarization.PgpParams(
-            alpha=params.get("alpha", 1.0), beta=params.get("beta", 1.0)
-        )
-        sol = scalarization.solve_pgp(scaled_mop, pgp, seed=cfg.seed)
-        points = []
-        if sol.converged:
-            pt_params = {
-                "alpha": pgp.alpha,
-                "beta": pgp.beta,
-                "d1": sol.info["d1"],
-                "d3": sol.info["d3"],
-                "scale": scale,
-            }
-            points.append(_point_from_solution(scaled_mop, sol, pt_params))
-        else:
-            failures.append("pgp: %s (%s)" % (sol.status.value, sol.message))
-        metadata = {"scale": scale, "seed": cfg.seed}
-        if sol.info:
-            metadata["z_stars"] = [sol.info["z1_star"], sol.info["z3_star"]]
-        front = FrontApproximation(
-            method="pgp", objectives=mop.objectives, points=points, metadata=metadata
-        )
-    elif method == "utility":
-        u = UtilityParams(lam=params.get("lam", 2.0))
-        sol = utility_optimize(mop, u, n_starts=params.get("n_starts", 16), seed=cfg.seed)
-        points = []
-        if sol.converged:
-            points.append(
-                _point_from_solution(mop, sol, {"lambda": u.lam, "value": float(sol.value)})
-            )
-        else:
-            failures.append("utility: %s" % sol.status.value)
-        front = FrontApproximation(
-            method="utility", objectives=mop.objectives, points=points,
-            metadata={"lambda": u.lam, "seed": cfg.seed},
-        )
-    elif method == "utility_iterative":
-        start = params.get("lambda_start", 20.0)
-        stop = params.get("lambda_stop", 2.0)
-        step = params.get("lambda_step", 2.0)
-        schedule = []
-        lam = start
-        while lam >= stop - 1e-12:
-            schedule.append(lam)
-            lam -= step
-        path = iterative_utility_optimize(mop, schedule, seed=cfg.seed)
-        points = []
-        for lam, w in path:
-            stats = mop.raw_stats(w)
-            points.append(
-                FrontPoint(
-                    weights=w,
-                    mean=stats.mean,
-                    variance=stats.variance,
-                    skewness=stats.skewness,
-                    kurtosis=stats.kurtosis if "kurtosis" in mop.objectives else None,
-                    params={"lambda": float(lam)},
-                    multipliers={},
-                )
-            )
-        front = FrontApproximation(
-            method="utility_iterative", objectives=mop.objectives, points=points,
-            metadata={"schedule": schedule, "seed": cfg.seed},
-        )
-    else:  # pragma: no cover - guarded by validate_method
-        raise ConfigError("unknown method %r" % method)
+    """Run the chosen method; returns the front and failure summaries."""
+    points, metadata, failures = METHODS[cfg.method].run(cfg, mop)
+    front = FrontApproximation(
+        method=cfg.method, objectives=mop.objectives, points=points, metadata=metadata
+    )
     front.sort_by_mean_descending()
     return front, failures
 
@@ -608,14 +626,7 @@ def _verify_cases(cfg: RunConfig, mop: PortfolioMop) -> tuple[list[dict], list[d
     # is placed inside the efficient variance range so the shortfalls can be
     # positive at interior front points
     pgp_rows: list[dict] = []
-    scale = scalarization.pgp_efficient_scale(anchors)
-    returns = _load_returns(cfg)
-    scaled_mop = PortfolioMop(
-        moments=compute_moments(
-            ReturnsMatrix(assets=returns.assets, observations=returns.observations * scale)
-        ),
-        objectives=mop.objectives,
-    )
+    scaled_mop = _scaled_mop(cfg, mop, scalarization.pgp_efficient_scale(anchors))
     pgp_sol = scalarization.solve_pgp(
         scaled_mop, scalarization.PgpParams(alpha=1.0, beta=1.0), seed=cfg.seed
     )
@@ -759,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--full-tensors", action="store_true", dest="full_tensors")
     p_f = subs.add_parser("front", help="compute a front approximation")
     _add_common(p_f)
-    p_f.add_argument("--method", choices=METHODS)
+    p_f.add_argument("--method", choices=tuple(METHODS))
     p_f.add_argument(
         "--param",
         action="append",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .problem import OBJECTIVE_SENSES
+from .problem import OBJECTIVE_SENSES, PortfolioMop
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -37,6 +37,21 @@ class FrontPoint:
     params: dict = field(default_factory=dict)
     multipliers: dict = field(default_factory=dict)
     status: str = "converged"
+
+    @classmethod
+    def at(cls, problem: PortfolioMop, w, params: dict, multipliers: dict) -> FrontPoint:
+        """The point at weights ``w`` with its raw statistics under
+        ``problem``; kurtosis is kept only when it is one of the objectives."""
+        stats = problem.raw_stats(w)
+        return cls(
+            weights=np.array(w, dtype=float),
+            mean=stats.mean,
+            variance=stats.variance,
+            skewness=stats.skewness,
+            kurtosis=stats.kurtosis if "kurtosis" in problem.objectives else None,
+            params=params,
+            multipliers=multipliers,
+        )
 
     def stat(self, name: str) -> float:
         return float(getattr(self, name))

@@ -55,6 +55,7 @@ __all__ = [
     "SolveStatus",
     "ScalarSolution",
     "MultistartResult",
+    "best_converged",
     "solve",
     "solve_multistart",
 ]
@@ -665,30 +666,48 @@ def merit_values(
     return np.array(out)
 
 
+def best_converged(solutions: Sequence[ScalarSolution]) -> Optional[ScalarSolution]:
+    """The deterministic multistart merge: the converged solution of lowest
+    value, or ``None`` when no solution converged.
+
+    Values within 1e-15 of each other tie, and a tie goes to the
+    lexicographically smaller ``weights`` (``x`` when ``weights`` is unset).
+    Aux-valued scalarizations carry ``aux / c_aux`` at the end of ``x`` with
+    a scale ``c_aux`` that differs per start, so their ties are decided on
+    the portfolio alone.
+    """
+
+    def tie_key(sol):
+        return sol.x if sol.weights is None else sol.weights
+
+    best = None
+    for sol in solutions:
+        if not sol.converged:
+            continue
+        if best is None or sol.value < best.value - 1e-15:
+            best = sol
+        elif abs(sol.value - best.value) <= 1e-15 and lexicographic_less(
+            tie_key(sol), tie_key(best)
+        ):
+            best = sol
+    return best
+
+
 def solve_multistart(
     problem: NlpProblem,
     starts: Sequence[np.ndarray],
     options: SolverOptions | None = None,
 ) -> MultistartResult:
-    """Independent local solves from each start; best converged value wins.
-
-    Ties on the objective are broken lexicographically on x so the merge is
-    deterministic regardless of evaluation order.
-    """
+    """Independent local solves from each start, merged by
+    :func:`best_converged`; raises :class:`MultistartError` when no start
+    converged."""
     starts = list(starts)
     if not starts:
         raise ParameterError("need at least one start")
     solutions = tuple(
         solve(replace(problem, x0=np.asarray(s, dtype=float)), options) for s in starts
     )
-    best = None
-    for sol in solutions:
-        if sol.status is not SolveStatus.CONVERGED:
-            continue
-        if best is None or sol.value < best.value - 1e-15:
-            best = sol
-        elif abs(sol.value - best.value) <= 1e-15 and lexicographic_less(sol.x, best.x):
-            best = sol
+    best = best_converged(solutions)
     if best is None:
         raise MultistartError([s.status.value for s in solutions])
     return MultistartResult(best=best, solutions=solutions)

@@ -10,6 +10,15 @@ kurtosis.  Internally every solver works on the fixed minimization form
 restricted to the chosen objective subset.  All scalarization parameters
 expressed "in image space" refer to this minimization form unless a
 function documents otherwise.
+
+Utility scalarizations
+----------------------
+:func:`utility_optimize` multistarts the full quartic Taylor utility at one
+risk preference.  :func:`iterative_utility_optimize` sweeps a decreasing
+schedule of risk preferences with one warm-started mean-variance QP per
+step.  That QP, ``min -mu'w + lambda1 w'Sigma w`` over the simplex, is the
+package's one convex QP; the minimum-variance problem is its ``mu = 0``,
+``lambda1 = 1`` case.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .moments import (
     portfolio_stats,
     stats_gradients,
 )
-from .util import dirichlet_starts, equal_weights, lexicographic_less
+from .util import dirichlet_starts, equal_weights
 
 __all__ = [
     "OBJECTIVE_NAMES",
@@ -242,9 +251,18 @@ def utility_optimize(
 
 
 def _mean_variance_qp(
-    p: PortfolioMop, lambda1: float, x0: np.ndarray, options: nlp.SolverOptions | None
+    p: PortfolioMop,
+    lambda1: float,
+    x0: np.ndarray,
+    options: nlp.SolverOptions | None,
+    mu: np.ndarray | None = None,
 ) -> nlp.ScalarSolution:
-    mu = p.moments.mu
+    """The convex QP ``min -mu'w + lambda1 w'Sigma w`` over the simplex.
+
+    ``mu`` defaults to the problem's mean vector; ``mu = 0`` with
+    ``lambda1 = 1`` is the minimum-variance QP.
+    """
+    mu = p.moments.mu if mu is None else mu
     sigma = p.moments.sigma
 
     def fun(x):
@@ -271,24 +289,19 @@ def iterative_utility_optimize(
     p: PortfolioMop,
     schedule,
     *,
-    n_starts: int = 16,
-    seed: int = 0,
-    inner_repeats: int = 20,
     options: nlp.SolverOptions | None = None,
 ) -> list[tuple[float, np.ndarray]]:
     """Decreasing-lambda sweep with skewness/kurtosis frozen per step.
 
     At each lambda the skewness and kurtosis terms are evaluated at the
-    previous solution and held fixed as constants, leaving a convex
-    mean-variance QP over the simplex that is warm-started from the previous
-    weights.  The first step freezes at the equal-weight portfolio.  Freezing
-    the higher-order terms as constants means they shift the recorded
-    objective value but never the minimizer, so the inner re-freeze loop is
-    a fixed point after the first repeat; the repeat cap exists as a guard.
+    previous solution and held fixed as constants.  Constants shift the
+    objective value but never the minimizer, so each step is one convex
+    mean-variance QP over the simplex, warm-started from the previous
+    lambda's weights (the first from equal weights).
 
-    The sweep is multi-started from flat-Dirichlet samples; the trajectory
-    whose final portfolio has the best full quartic utility is returned,
-    with lexicographically smallest weights breaking ties.
+    Returns ``(lambda, weights)`` for every lambda whose QP converged; a
+    lambda whose QP did not converge is left out, and the next QP starts
+    from the last converged weights.
     """
     schedule = [float(s) for s in schedule]
     if not schedule:
@@ -297,39 +310,11 @@ def iterative_utility_optimize(
         raise ParameterError("all lambda values must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ParameterError("schedule must be strictly decreasing")
-    n = p.n
-    rng = np.random.default_rng(seed)
-    starts = [equal_weights(n)] + dirichlet_starts(n, max(n_starts - 1, 0), rng)
-
-    best_path: list[tuple[float, np.ndarray]] | None = None
-    best_key: tuple[float, np.ndarray] | None = None
-    for start in starts:
-        w_current = np.asarray(start, dtype=float)
-        freeze_point = equal_weights(n)
-        path: list[tuple[float, np.ndarray]] = []
-        for lam in schedule:
-            u = UtilityParams(lam=lam)
-            for _ in range(inner_repeats):
-                sol = _mean_variance_qp(p, u.lambda1, w_current, options)
-                w_new = sol.x
-                if float(np.max(np.abs(w_new - freeze_point))) < 1e-12:
-                    freeze_point = w_new
-                    w_current = w_new
-                    break
-                freeze_point = w_new
-                w_current = w_new
-            path.append((lam, w_current.copy()))
-        final_u = UtilityParams(lam=schedule[-1])
-        final_value = utility_objective(w_current, p, final_u)
-        if (
-            best_key is None
-            or final_value < best_key[0] - 1e-15
-            or (
-                abs(final_value - best_key[0]) <= 1e-15
-                and lexicographic_less(w_current, best_key[1])
-            )
-        ):
-            best_key = (final_value, w_current.copy())
-            best_path = path
-    assert best_path is not None
-    return best_path
+    w = equal_weights(p.n)
+    path: list[tuple[float, np.ndarray]] = []
+    for lam in schedule:
+        sol = _mean_variance_qp(p, UtilityParams(lam=lam).lambda1, w, options)
+        if sol.converged:
+            w = sol.x
+            path.append((lam, w.copy()))
+    return path

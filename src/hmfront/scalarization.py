@@ -30,12 +30,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import null_space
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .moments import ObjectiveVector
-from .problem import PortfolioMop, _simplex_constraint
-from .util import dirichlet_starts, equal_weights, lexicographic_less, simplex_vertices
+from .moments import ObjectiveVector, stats_gradients
+from .problem import OBJECTIVE_SENSES, PortfolioMop, _mean_variance_qp, _simplex_constraint
+from .util import dirichlet_starts, equal_weights, simplex_vertices
 
 __all__ = [
     "SfParams",
@@ -315,8 +316,10 @@ def minimize_objective(
     sign: float = 1.0,
     starts,
     options: nlp.SolverOptions | None = None,
+    extra_eq: tuple[nlp.ConstraintSpec, ...] = (),
 ) -> nlp.ScalarSolution:
-    """Multistart minimize ``sign * F_index`` over the simplex.
+    """Multistart minimize ``sign * F_index`` over the simplex, subject also
+    to the equality rows ``extra_eq``.
 
     The objective is normalized by its gradient magnitude at equal weights
     (the minimizer is unchanged); the reported value is the raw objective.
@@ -334,7 +337,7 @@ def minimize_objective(
         gradient=lambda w: sign * p.objective_jacobian(w)[index] / scale,
         hessian=lambda w: sign * p.objective_hessians(w)[index] / scale,
         x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n),),
+        eq_constraints=(_simplex_constraint(n),) + tuple(extra_eq),
         lb=p.lower_bounds(),
     )
     best = nlp.solve_multistart(problem, starts, options).best
@@ -382,8 +385,6 @@ def _hull_normal(images: np.ndarray) -> np.ndarray:
     svals = np.linalg.svd(scaled, compute_uv=False)
     if svals.min() < 1e-8:
         raise SolverError("anchor images are affinely dependent; hull normal undefined")
-    from scipy.linalg import null_space
-
     basis = null_space(scaled)
     if basis.shape[1] != 1:
         raise SolverError("anchor images are affinely dependent; hull normal undefined")
@@ -437,21 +438,12 @@ def _sf_rows(p: PortfolioMop, sf: SfParams) -> list[_AuxRow]:
     return rows
 
 
-def _best_of_starts(solve_one, starts, maximize_aux: bool):
-    """Deterministic multistart merge for aux-valued scalar solves."""
+def _best_of_starts(solve_one, starts):
+    """Multistart an aux-valued solve: the :func:`nlp.best_converged` merge
+    of the starts (value = sense * aux, so every method minimizes it), or
+    the first start's solution when none converged."""
     solutions = [solve_one(np.asarray(s, dtype=float)) for s in starts]
-    best = None
-    sign = -1.0 if maximize_aux else 1.0
-    for sol in solutions:
-        if not sol.converged:
-            continue
-        if best is None or sign * sol.aux_value < sign * best.aux_value - 1e-15:
-            best = sol
-        elif (
-            abs(sol.aux_value - best.aux_value) <= 1e-15
-            and lexicographic_less(sol.weights, best.weights)
-        ):
-            best = sol
+    best = nlp.best_converged(solutions)
     return best if best is not None else solutions[0]
 
 
@@ -491,7 +483,7 @@ def solve_sf(
 
     if starts is None:
         return solve_one()
-    return _best_of_starts(solve_one, starts, maximize_aux=True)
+    return _best_of_starts(solve_one, starts)
 
 
 def solve_msf(
@@ -524,7 +516,7 @@ def solve_msf(
 
     if starts is None:
         return solve_one()
-    return _best_of_starts(solve_one, starts, maximize_aux=True)
+    return _best_of_starts(solve_one, starts)
 
 
 def solve_nbi(
@@ -570,7 +562,7 @@ def solve_nbi(
 
     if starts is None:
         return solve_one()
-    return _best_of_starts(solve_one, starts, maximize_aux=True)
+    return _best_of_starts(solve_one, starts)
 
 
 def solve_sp(
@@ -620,7 +612,7 @@ def solve_sp(
 
     if starts is None:
         return solve_one()
-    return _best_of_starts(solve_one, starts, maximize_aux=False)
+    return _best_of_starts(solve_one, starts)
 
 
 def map_nbi_to_msf(nbi: NbiParams) -> SfParams:
@@ -654,8 +646,6 @@ def map_sf_to_sp(sf: SfParams, at, objectives=None, p: PortfolioMop | None = Non
             objectives = p.objectives
         if objectives is None:
             objectives = ("mean", "variance", "skewness")
-        from .problem import OBJECTIVE_SENSES
-
         at_vec = np.array(
             [OBJECTIVE_SENSES[name] * getattr(at, name) for name in objectives]
         )
@@ -676,28 +666,7 @@ def map_sf_to_sp(sf: SfParams, at, objectives=None, p: PortfolioMop | None = Non
 def pgp_scale_factor(p: PortfolioMop, options: nlp.SolverOptions | None = None) -> float:
     """Return scale kappa such that returns scaled by kappa make the unit
     variance slice attainable (variance scales by kappa^2)."""
-    n = p.n
-    sigma = p.moments.sigma
-
-    def fun(x):
-        return float(x @ sigma @ x)
-
-    def jac(x):
-        return 2.0 * (sigma @ x)
-
-    def hess(x):
-        return 2.0 * sigma
-
-    problem = nlp.NlpProblem(
-        objective=fun,
-        gradient=jac,
-        hessian=hess,
-        x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n),),
-        lb=p.lower_bounds(),
-    )
-    min_var = nlp.solve(problem, options).value
-    max_var = max(float(v @ sigma @ v) for v in simplex_vertices(n))
+    min_var, max_var = _variance_slice_bounds(p, options)
     if min_var <= 0 or max_var <= 0:
         raise SolverError("degenerate covariance; variance normalization impossible")
     return float((min_var * max_var) ** -0.25)
@@ -720,17 +689,11 @@ def pgp_efficient_scale(anchors: AnchorSet, variance_index: int = 1) -> float:
 
 
 def _variance_slice_bounds(p: PortfolioMop, options) -> tuple[float, float]:
+    """Attainable variance range on the simplex: the minimum-variance QP and
+    the largest vertex variance."""
     n = p.n
     sigma = p.moments.sigma
-    problem = nlp.NlpProblem(
-        objective=lambda x: float(x @ sigma @ x),
-        gradient=lambda x: 2.0 * (sigma @ x),
-        hessian=lambda x: 2.0 * sigma,
-        x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n),),
-        lb=p.lower_bounds(),
-    )
-    min_var = nlp.solve(problem, options).value
+    min_var = _mean_variance_qp(p, 1.0, equal_weights(n), options, mu=np.zeros(n)).value
     max_var = max(float(v @ sigma @ v) for v in simplex_vertices(n))
     return float(min_var), float(max_var)
 
@@ -750,20 +713,6 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
     """
     n = p.n
     sigma = p.moments.sigma
-    idx = _stat_index(p, name)
-    scale = max(
-        float(np.max(np.abs(p.objective_jacobian(equal_weights(n))[idx]))), 1e-10
-    )
-
-    def fun(x):
-        return float(p.objective_values(x)[idx]) / scale
-
-    def jac(x):
-        return p.objective_jacobian(x)[idx] / scale
-
-    def hess(x):
-        return p.objective_hessians(x)[idx] / scale
-
     var_row = nlp.ConstraintSpec(
         fun=lambda x: float(x @ sigma @ x) - 1.0,
         jac=lambda x: 2.0 * (sigma @ x),
@@ -774,19 +723,11 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
     starts = [equal_weights(n)] + simplex_vertices(n) + dirichlet_starts(
         n, max(n_starts - 1 - n, 0), rng
     )
-    problem = nlp.NlpProblem(
-        objective=fun,
-        gradient=jac,
-        hessian=hess,
-        x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n), var_row),
-        lb=p.lower_bounds(),
+    best = minimize_objective(
+        p, _stat_index(p, name), starts=starts, options=options, extra_eq=(var_row,)
     )
-    best = nlp.solve_multistart(problem, starts, options).best
     # convert back to the raw (maximized) statistic
-    from .problem import OBJECTIVE_SENSES
-
-    return float(OBJECTIVE_SENSES[name] * scale * best.value), best.x
+    return float(OBJECTIVE_SENSES[name] * best.value), best.x
 
 
 def solve_pgp(
@@ -890,8 +831,6 @@ def solve_pgp(
         hess=lambda z: _embed_hess(2.0 * sigma, total, n),
         name="unit_variance",
     )
-    from .problem import OBJECTIVE_SENSES
-
     # OBJECTIVE_SENSES is involutive, so it also maps minimization values
     # back to raw statistics inside the goal rows.
     mean_row = goal_row(mean_idx, n, float(z1_star), OBJECTIVE_SENSES["mean"])
@@ -1033,8 +972,6 @@ def check_pgp_kkt(
     alpha = _power_root(abs(nhat_dot), d1)
     if alpha is None:
         return replace(na("no exponent alpha solves the fixed point"), d1=d1, d3=d3)
-    from .problem import OBJECTIVE_SENSES
-
     idx = {name: i for i, name in enumerate(p.objectives)}
     lam_mean = float(lam[idx["mean"]])
     lam_var = float(lam[idx["variance"]]) if "variance" in idx else 0.0
@@ -1053,8 +990,6 @@ def check_pgp_kkt(
         return replace(
             na("no exponent beta solves the fixed point (mu3=%.3g)" % mu3), d1=d1, d3=d3
         )
-    from .moments import stats_gradients
-
     deriv = stats_gradients(w, p.moments)
     stat_comb = (
         mu1 * deriv.grad_mean + mu2 * deriv.grad_variance + mu3 * deriv.grad_skewness

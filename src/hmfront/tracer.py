@@ -35,7 +35,7 @@ so a fixed seed reproduces the archive exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -507,13 +507,7 @@ def trace(
         tau = 0.01 * anchors.image_diameter
         if not tau > 0:
             raise SolverError("anchor images coincide; cannot scale tau")
-        cfg = TracerConfig(
-            tau=tau,
-            n_starts=cfg.n_starts,
-            max_points=cfg.max_points,
-            corrector_tol=cfg.corrector_tol,
-            max_corrector_iter=cfg.max_corrector_iter,
-        )
+        cfg = replace(cfg, tau=tau)
     rng = np.random.default_rng(seed)
     # bundle seeds: anchor-pair midpoints reach front components that hang
     # off the hull edges (the corrector's descent flow rarely enters them
@@ -586,22 +580,15 @@ def trace(
             thin_images.append(pt.image)
     archive = thinned
     archive.sort(key=lambda pt: float(pt.image[0]))
-    points = []
-    for pt in archive:
-        stats = problem.raw_stats(pt.x)
-        points.append(
-            FrontPoint(
-                weights=pt.x.copy(),
-                mean=stats.mean,
-                variance=stats.variance,
-                skewness=stats.skewness,
-                kurtosis=stats.kurtosis if "kurtosis" in problem.objectives else None,
-                params={"t_star": pt.t_star, "kkt_residual": pt.kkt_residual},
-                multipliers={
-                    "alpha_%d" % (i + 1): float(a) for i, a in enumerate(pt.alpha)
-                },
-            )
+    points = [
+        FrontPoint.at(
+            problem,
+            pt.x,
+            {"t_star": pt.t_star, "kkt_residual": pt.kkt_residual},
+            {"alpha_%d" % (i + 1): float(a) for i, a in enumerate(pt.alpha)},
         )
+        for pt in archive
+    ]
     return FrontApproximation(
         method="tracer",
         objectives=problem.objectives,

@@ -1,11 +1,23 @@
 """CLI exit codes, file outputs and determinism."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from hmfront.cli import EXIT_INPUT, EXIT_MEASURE, EXIT_OK, main
+from hmfront import nlp, problem
+from hmfront.cli import (
+    EXIT_INPUT,
+    EXIT_MEASURE,
+    EXIT_OK,
+    EXIT_SOLVE,
+    METHODS,
+    _build_config,
+    build_parser,
+    main,
+)
+from hmfront.errors import ConfigError
 from hmfront.fronts import read_front_csv
 
 SYN = ["--synthetic", "3", "400", "28", "0.4"]
@@ -65,6 +77,112 @@ def test_unknown_method_param_exits_2(tmp_path):
         ["front", *SYN, "--method", "tracer", "--param", "bogus=3", "--out", str(tmp_path)]
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv, method_params, expected",
+    [
+        (["--method", "nbi", "--param", "divisions=2.9"], None, ConfigError),
+        (["--method", "sp"], {"modified": "false"}, {"modified": False}),
+        (["--method", "nbi"], {"divisions": True}, ConfigError),
+    ],
+    ids=["int-from-fraction", "bool-from-string", "int-from-bool"],
+)
+def test_method_params_are_coerced_strictly(tmp_path, argv, method_params, expected):
+    argv = ["front", *SYN, *argv, "--out", str(tmp_path / "f")]
+    if method_params is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"method_params": method_params}), encoding="utf-8")
+        argv += ["--config", str(cfg_file)]
+    cfg = _build_config(build_parser().parse_args(argv))
+    if expected is ConfigError:
+        with pytest.raises(ConfigError):
+            cfg.validate_method()
+        assert run(argv) == EXIT_INPUT
+    else:
+        cfg.validate_method()
+        assert cfg.method_params == expected
+
+
+# per method: small parameters, the CSV columns after the statistics, and the
+# metadata keys of front.json
+METHOD_CASES = {
+    "sf": (
+        ["n_references=3"],
+        ["reference_1", "reference_2", "reference_3", "delta", "mu_1", "mu_2", "mu_3"],
+        {"n_references", "seed"},
+    ),
+    "msf": (
+        ["n_references=3"],
+        ["reference_1", "reference_2", "reference_3", "delta"]
+        + ["lambda_1", "lambda_2", "lambda_3"],
+        {"n_references", "seed"},
+    ),
+    "nbi": (
+        ["divisions=2"],
+        ["beta_1", "beta_2", "beta_3", "s", "lambda_1", "lambda_2", "lambda_3"],
+        {"divisions", "missed_rays", "seed"},
+    ),
+    "sp": (
+        ["divisions=2"],
+        ["beta_1", "beta_2", "beta_3", "t", "lambda_1", "lambda_2", "lambda_3"],
+        {"divisions", "missed_rays", "seed"},
+    ),
+    "epsilon": (
+        ["n1=3", "n2=3", "rounds=0"],
+        ["eps_1", "eps_2", "mu_1", "mu_2"],
+        {"attempted", "failed", "infeasible", "seed"},
+    ),
+    "pgp": (
+        [],
+        ["alpha", "beta", "d1", "d3", "scale", "lambda_1", "lambda_2", "lambda_3"],
+        {"scale", "seed", "z_stars"},
+    ),
+    "tracer": (
+        ["max_points=6", "n_starts=2"],
+        ["t_star", "kkt_residual", "alpha_1", "alpha_2", "alpha_3"],
+        {"max_points", "n_starts", "seed", "tau"},
+    ),
+    "utility": (["n_starts=2"], ["lambda", "value"], {"lambda", "seed"}),
+    "utility_iterative": (["lambda_start=6"], ["lambda"], {"schedule", "seed"}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_every_method_writes_its_columns_and_reruns_identically(tmp_path, method):
+    params, columns, metadata_keys = METHOD_CASES[method]
+    args = ["front", *SYN, "--method", method]
+    for item in params:
+        args += ["--param", item]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run([*args, "--out", str(a)]) == EXIT_OK
+    header = (a / "front.csv").read_text().splitlines()[0].split(",")
+    assert header == ["w_1", "w_2", "w_3", "mean", "variance", "skewness"] + columns
+    doc = json.loads((a / "front.json").read_text())
+    assert doc["method"] == method
+    assert len(doc["points"]) >= 1
+    assert set(doc["metadata"]) == metadata_keys
+    assert run([*args, "--out", str(b)]) == EXIT_OK
+    assert _hash_tree(a) == _hash_tree(b)
+
+
+def test_utility_iterative_reports_a_failed_qp(tmp_path, monkeypatch):
+    real_qp = problem._mean_variance_qp
+
+    def qp(p, lambda1, x0, options, mu=None):
+        sol = real_qp(p, lambda1, x0, options, mu)
+        if lambda1 == 4.0 ** 2 / 2.0:
+            return dataclasses.replace(sol, status=nlp.SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(problem, "_mean_variance_qp", qp)
+    out = tmp_path / "f"
+    args = ["front", *SYN, "--method", "utility_iterative", "--param", "lambda_start=6"]
+    assert run([*args, "--out", str(out)]) == EXIT_SOLVE
+    doc = json.loads((out / "front.json").read_text())
+    assert doc["partial"] is True
+    assert doc["failures"] == ["utility_iterative at lambda=4.0: QP did not converge"]
+    assert [pt["params"]["lambda"] for pt in doc["points"]] == [2.0, 6.0]
 
 
 def test_front_tracer_outputs(tmp_path):

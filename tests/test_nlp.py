@@ -311,3 +311,45 @@ def test_multistart_all_fail_raises():
     )
     with pytest.raises(MultistartError):
         solve_multistart(prob, [np.array([0.0]), np.array([5.0])])
+
+
+def _merge_candidate(value, weights, aux_tail, status=SolveStatus.CONVERGED):
+    zeros = np.zeros(0)
+    return nlp.ScalarSolution(
+        x=np.append(weights, aux_tail),
+        value=value,
+        eq_multipliers=zeros,
+        ineq_multipliers=zeros,
+        lb_multipliers=zeros,
+        ub_multipliers=zeros,
+        status=status,
+        kkt_residual=0.0,
+        constraint_violation=0.0,
+        comp_slackness=0.0,
+        n_iter=0,
+        weights=np.asarray(weights, dtype=float),
+    )
+
+
+def test_merge_breaks_an_exact_tie_on_weights():
+    first = _merge_candidate(-0.5, [0.6, 0.4], 3.0)
+    second = _merge_candidate(-0.5, [0.4, 0.6], 5.0)
+    assert nlp.best_converged([first, second]) is second
+    assert nlp.best_converged([second, first]) is second
+    # the same portfolio reached from two starts: the scaled aux entries at
+    # the end of x differ, and the first start keeps it
+    again = _merge_candidate(-0.5, [0.4, 0.6], 2.0)
+    assert nlp.best_converged([second, again]) is second
+    third = _merge_candidate(-0.5 - 1e-12, [0.9, 0.1], 9.0)
+    assert nlp.best_converged([first, second, third]) is third
+
+
+def test_aux_merge_falls_back_to_the_first_solution():
+    failed = [
+        _merge_candidate(-1.0, [0.5, 0.5], 1.0, SolveStatus.MAX_ITER),
+        _merge_candidate(-2.0, [0.2, 0.8], 1.0, SolveStatus.INFEASIBLE),
+    ]
+    assert nlp.best_converged(failed) is None
+    by_start = {0.5: failed[0], 0.2: failed[1]}
+    starts = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+    assert sc._best_of_starts(lambda w0: by_start[w0[0]], starts) is failed[0]

@@ -130,7 +130,7 @@ def test_iterative_schedule_validation(convex_mop):
 
 def test_iterative_schedule_endpoints(convex_mop):
     schedule = [20.0 - 2.0 * k for k in range(10)]
-    path = iterative_utility_optimize(convex_mop, schedule, n_starts=2, seed=0)
+    path = iterative_utility_optimize(convex_mop, schedule)
     assert len(path) == 10
     assert path[0][0] == pytest.approx(20.0)
     assert path[-1][0] == pytest.approx(2.0)
@@ -141,7 +141,7 @@ def test_iterative_on_symmetric_data_equals_plain_mv_qp():
     m = compute_moments(r)
     p = PortfolioMop(moments=m)
     schedule = [8.0, 4.0]
-    path = iterative_utility_optimize(p, schedule, n_starts=2, seed=0)
+    path = iterative_utility_optimize(p, schedule)
     for lam, w in path:
         u = UtilityParams(lam=lam)
         val, w_star = qp_simplex_bruteforce(u.lambda1 * m.sigma, -m.mu)
@@ -150,7 +150,7 @@ def test_iterative_on_symmetric_data_equals_plain_mv_qp():
 
 def test_iterative_inner_fixed_point_stagnates(convex_mop):
     # re-freezing at the solution and re-solving must not move the weights
-    path = iterative_utility_optimize(convex_mop, [6.0], n_starts=1, seed=0)
+    path = iterative_utility_optimize(convex_mop, [6.0])
     lam, w = path[0]
     u = UtilityParams(lam=lam)
     from hmfront.problem import _mean_variance_qp
