@@ -117,37 +117,61 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
+# config field -> (RunConfig attribute, type of its value): a tuple of types
+# is a list of exactly that many values, [str] a list of names
+_CONFIG_FIELDS = {
+    "input": ("input_path", str),
+    "input_path": ("input_path", str),
+    "method": ("method", str),
+    "method_params": ("method_params", dict),
+    "objectives": ("objectives", [str]),
+    "seed": ("seed", int),
+    "output_dir": ("output_dir", str),
+    "out": ("output_dir", str),
+    "workers": ("workers", int),
+    "gnuplot": ("gnuplot", bool),
+    "synthetic": ("synthetic", (int, int, int, float)),
+    "samples": ("samples", int),
+    "front": ("front_path", str),
+    "reference_n": ("reference_n", (int, int)),
+}
+# attributes whose default is None, which a config field may set to null
+_NULLABLE = ("input_path", "synthetic", "front_path")
+
+
+def _config_value(want, val):
+    """Check a config value against its field's type; raises ValueError."""
+    if isinstance(want, tuple):
+        if not isinstance(val, list) or len(val) != len(want):
+            raise ValueError(val)
+        return tuple(_coerce(t, v) for t, v in zip(want, val))
+    if isinstance(want, list):
+        if not isinstance(val, list):
+            raise ValueError(val)
+        return tuple(_config_value(want[0], v) for v in val)
+    if want in (str, dict):
+        if not isinstance(val, want):
+            raise ValueError(val)
+        return val
+    return _coerce(want, val)
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         doc = _load_config_file(args.config)
-        known = {
-            "input": "input_path",
-            "input_path": "input_path",
-            "method": "method",
-            "method_params": "method_params",
-            "objectives": "objectives",
-            "seed": "seed",
-            "output_dir": "output_dir",
-            "out": "output_dir",
-            "workers": "workers",
-            "gnuplot": "gnuplot",
-            "synthetic": "synthetic",
-            "samples": "samples",
-            "front": "front_path",
-            "reference_n": "reference_n",
-        }
         for key, val in doc.items():
-            if key not in known:
+            if key not in _CONFIG_FIELDS:
                 raise ConfigError("unknown config field %r" % key)
-            attr = known[key]
-            if attr == "objectives":
-                val = tuple(val)
-            if attr == "synthetic" and val is not None:
-                val = (int(val[0]), int(val[1]), int(val[2]), float(val[3]))
-            if attr == "reference_n":
-                val = (int(val[0]), int(val[1]))
-            setattr(cfg, attr, val)
+            attr, want = _CONFIG_FIELDS[key]
+            try:
+                if val is not None or attr not in _NULLABLE:
+                    val = _config_value(want, val)
+                setattr(cfg, attr, val)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "config field %r has the wrong type or length: %r" % (key, val)
+                ) from None
     if getattr(args, "input", None):
         cfg.input_path = args.input
     if getattr(args, "synthetic", None):

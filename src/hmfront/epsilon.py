@@ -28,15 +28,15 @@ views.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import nlp
 from .errors import ParameterError, SolverError
-from .problem import PortfolioMop, _simplex_constraint
-from .scalarization import SpParams, _objective_row, minimize_objective
+from .problem import PortfolioMop
+from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
 from .util import dirichlet_starts, equal_weights, parallel_map, simplex_vertices
 
 __all__ = [
@@ -107,6 +107,26 @@ class FrontArchive:
         self._keys.add(key)
         self.entries.append(entry)
         return True
+
+    def record(self, eps: np.ndarray, sol: nlp.ScalarSolution) -> bool:
+        """Count one solved cell and archive it if it converged; returns
+        whether a new entry was added."""
+        self.attempted += 1
+        if sol.status is nlp.SolveStatus.INFEASIBLE:
+            self.infeasible_count += 1
+            return False
+        if not sol.converged:
+            self.failed_count += 1
+            return False
+        return self.add(
+            ArchiveEntry(
+                eps=eps.copy(),
+                x=sol.x.copy(),
+                multipliers=sol.ineq_multipliers.copy(),
+                image=self.problem.objective_values(sol.x),
+                solution=sol,
+            )
+        )
 
     def sort(self) -> None:
         self.entries.sort(key=lambda e: (float(e.eps[0]), float(e.eps[1])))
@@ -200,45 +220,15 @@ def _solve_cell(
     x0: np.ndarray,
     options,
 ) -> nlp.ScalarSolution:
-    """Solve one cell.  Rows and objective are normalized to unit gradient
-    scale internally; the reported value and multipliers refer to the raw
-    objectives."""
-    n = p.n
-    fun, jac, hess = _objective_row(p, minimized, n, n)
-    obj_scale = max(float(np.max(np.abs(jac(x0)))), 1e-10)
-    rows = []
-    row_scales = []
-    for pos, idx in enumerate(constrained):
-        cfun, cjac, chess = _objective_row(p, idx, n, n)
-        bound = float(eps[pos])
-        scale = max(float(np.max(np.abs(cjac(x0)))), 1e-10)
-        row_scales.append(scale)
-
-        def gfun(z, cfun=cfun, bound=bound, s=scale):
-            return (bound - cfun(z)) / s
-
-        def gjac(z, cjac=cjac, s=scale):
-            return -cjac(z) / s
-
-        def ghess(z, chess=chess, s=scale):
-            return -chess(z) / s
-
-        rows.append(nlp.ConstraintSpec(fun=gfun, jac=gjac, hess=ghess, name="eps_%d" % pos))
-    problem = nlp.NlpProblem(
-        objective=lambda z: fun(z) / obj_scale,
-        gradient=lambda z: jac(z) / obj_scale,
-        hessian=lambda z: hess(z) / obj_scale,
-        x0=x0,
-        eq_constraints=(_simplex_constraint(n),),
-        ineq_constraints=tuple(rows),
-        lb=p.lower_bounds(),
-    )
-    sol = nlp.solve(problem, options)
-    ineq = sol.ineq_multipliers.copy()
-    for i, s in enumerate(row_scales):
-        # multiplier of the raw row eps - f_i(x) >= 0 under the raw objective
-        ineq[i] = ineq[i] * obj_scale / s
-    return replace(sol, value=fun(sol.x), ineq_multipliers=ineq)
+    """Solve one cell from ``x0``.  Rows and objective are normalized to
+    unit gradient scale at ``x0`` internally; the reported value is the raw
+    minimized objective and every multiplier is in raw units."""
+    goals = [
+        _Goal(idx, -1.0, float(eps[pos]), name="eps_%d" % pos)
+        for pos, idx in enumerate(constrained)
+    ]
+    problem, finish = _scaled_problem(p, x0, goals, objective=(minimized, 1.0))
+    return finish(nlp.solve(problem, options))
 
 
 def solve_grid(
@@ -268,24 +258,9 @@ def solve_grid(
                 x0 = sol.x
         return out
 
-    rows = parallel_map(solve_row, range(n1), workers)
-    for row in rows:
+    for row in parallel_map(solve_row, range(n1), workers):
         for eps, sol in row:
-            archive.attempted += 1
-            if sol.status is nlp.SolveStatus.INFEASIBLE:
-                archive.infeasible_count += 1
-            elif not sol.converged:
-                archive.failed_count += 1
-            else:
-                archive.add(
-                    ArchiveEntry(
-                        eps=eps.copy(),
-                        x=sol.x.copy(),
-                        multipliers=sol.ineq_multipliers.copy(),
-                        image=p.objective_values(sol.x),
-                        solution=sol,
-                    )
-                )
+            archive.record(eps, sol)
     archive.sort()
     return archive
 
@@ -329,37 +304,25 @@ def refine(
         return eps, sol
 
     results = parallel_map(solve_offset, refinement_lattice(entry, req.alpha, req.k), workers)
-    added = 0
-    for eps, sol in results:
-        archive.attempted += 1
-        if sol.status is nlp.SolveStatus.INFEASIBLE:
-            archive.infeasible_count += 1
-        elif not sol.converged:
-            archive.failed_count += 1
-        else:
-            added += archive.add(
-                ArchiveEntry(
-                    eps=eps,
-                    x=sol.x.copy(),
-                    multipliers=sol.ineq_multipliers.copy(),
-                    image=p.objective_values(sol.x),
-                    solution=sol,
-                )
-            )
+    added = sum(archive.record(eps, sol) for eps, sol in results)
     if added == 0:
         warnings.warn("refinement produced no new feasible points", stacklevel=2)
     archive.sort()
     return archive
 
 
+def _nearest_gaps(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each image point to its nearest other point."""
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
 def _widest_gap_entry(archive: FrontArchive) -> Optional[ArchiveEntry]:
     pts = archive.image()
     if len(pts) < 2:
         return archive.entries[0] if archive.entries else None
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    nearest = d.min(axis=1)
-    return archive.entries[int(np.argmax(nearest))]
+    return archive.entries[int(np.argmax(_nearest_gaps(pts)))]
 
 
 def run_adaptive_epsilon(
@@ -386,9 +349,7 @@ def run_adaptive_epsilon(
     if alpha is None:
         pts = archive.image()
         if len(pts) >= 2:
-            d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            np.fill_diagonal(d, np.inf)
-            alpha = float(np.median(d.min(axis=1)))
+            alpha = float(np.median(_nearest_gaps(pts)))
         else:
             alpha = float(np.linalg.norm(grid.L))
         alpha = max(alpha, 1e-12)

@@ -22,6 +22,16 @@ The parameter maps (:func:`map_nbi_to_msf`, :func:`map_sf_to_sp`) implement
 the substitutions that make these programs coincide; the dual-solve
 agreement they promise is exercised end to end by the verification command
 and the test suite.
+
+SF, MSF, NBI, SP, the epsilon cell and the single-objective solves are one
+program: goal rows ``sign * (F_i(w) - target_i)`` over the simplex, plus
+either an objective ``sign * F_j`` or an aux column (delta, s or t) to
+optimize.  Each method builds its own goal rows (:class:`_Goal`), so its
+parameter map stays what is tested, and :func:`_scaled_problem` is the one
+assembler: it scales every row and the objective to unit gradient size and
+maps the solve back to raw units, multipliers included.  The aux methods
+share one multistart path, :func:`_solve_aux`.  PGP's main solve is
+assembled separately and is not scaled.
 """
 
 from __future__ import annotations
@@ -199,114 +209,142 @@ class AnchorSet:
 
 
 @dataclass(frozen=True)
-class _AuxRow:
-    """One image-space goal row ``base(w) + coef * aux`` of an aux-valued
-    scalarization (aux is delta, s or t depending on the method)."""
+class _Goal:
+    """One image-space goal row ``sign * (F_index(w) - target) + coef * aux``.
 
-    base: object
-    grad: object
-    hess: object
-    coef: float
+    Each scalarization builds its own goal rows (its parameter map is the
+    thing under test); :func:`_scaled_problem` assembles them.  ``coef`` is
+    the row's aux-column coefficient and is unused by subproblems without
+    an aux variable.
+    """
+
+    index: int
+    sign: float
+    target: float
+    coef: float = 0.0
     name: str = ""
 
 
-def _aux_problem(p: PortfolioMop, rows, *, sense: float, w0, aux0: float, equality: bool):
-    """Assemble a well-scaled (w, aux) problem from raw goal rows.
+def _grad_scale(grad_row: np.ndarray) -> float:
+    return max(float(np.max(np.abs(grad_row))), 1e-10)
+
+
+def _scaled_problem(
+    p: PortfolioMop,
+    w0,
+    goals,
+    *,
+    objective: tuple[int, float] | None = None,
+    aux: tuple[float, float] | None = None,
+    equality: bool = False,
+    extra_eq: tuple[nlp.ConstraintSpec, ...] = (),
+):
+    """Assemble a well-scaled subproblem over the simplex from goal rows.
+
+    Exactly one of ``objective`` and ``aux`` is given.  ``objective=(index,
+    sign)`` minimizes ``sign * F_index(w)`` over the weights alone.
+    ``aux=(sense, aux0)`` appends an aux variable (delta, s or t) starting
+    at ``aux0`` and minimizes ``sense * aux``.  The goal rows are
+    inequalities ``>= 0``, or equalities with ``equality=True``; the rows of
+    ``extra_eq`` are further equalities, left unscaled.
 
     Moment objectives span several orders of magnitude (mean ~1e-2,
-    skewness ~1e-6 on typical data), so each row is divided by its
-    weight-gradient magnitude and the aux variable is reparameterized as
-    aux = c * aux' with c chosen so the most sensitive row sees an O(1)
-    aux column.  The reparameterization is exact; reported values and
-    multipliers are mapped back to raw units by :func:`_finish_aux`.
+    skewness ~1e-6 on typical data), so each goal row is divided by its
+    weight-gradient magnitude ``s_i`` at ``w0`` and the objective by a scale
+    ``k``: the objective's gradient magnitude at ``w0``, or for the aux
+    methods the aux reparameterization ``aux = k * aux'``, with ``k`` chosen
+    so the most sensitive row sees an O(1) aux column.  Neither scaling
+    moves the optimum.
+
+    Returns the problem and ``finish(sol)``, which maps a solve back to raw
+    units: value, weights, aux and every multiplier (budget row,
+    ``extra_eq`` rows and bounds times ``k``, goal row ``i`` times
+    ``k / s_i``).
     """
     n = p.n
-    total = n + 1
     w0 = np.asarray(w0, dtype=float)
-    s_rows = np.array(
-        [max(float(np.max(np.abs(row.grad(w0)))), 1e-10) for row in rows]
-    )
-    coefs = np.array([row.coef for row in rows])
-    cands = [s_rows[i] / abs(coefs[i]) for i in range(len(rows)) if abs(coefs[i]) > 1e-14]
-    c_aux = min(cands) if cands else 1.0
-    specs = []
-    for i, row in enumerate(rows):
-        s_i, co = float(s_rows[i]), float(coefs[i])
-
-        def fun(z, row=row, s_i=s_i, co=co):
-            return (row.base(z[:n]) + co * c_aux * z[-1]) / s_i
-
-        def jac(z, row=row, s_i=s_i, co=co):
-            out = np.empty(total)
-            out[:n] = row.grad(z[:n]) / s_i
-            out[-1] = co * c_aux / s_i
-            return out
-
-        def hess(z, row=row, s_i=s_i):
-            out = np.zeros((total, total))
-            out[:n, :n] = row.hess(z[:n]) / s_i
-            return out
-
-        specs.append(nlp.ConstraintSpec(fun=fun, jac=jac, hess=hess, name=row.name))
-    obj_grad = np.zeros(total)
-    obj_grad[-1] = float(sense)
-    problem = nlp.NlpProblem(
-        objective=lambda z: float(sense) * float(z[-1]),
-        gradient=lambda z: obj_grad.copy(),
-        hessian=lambda z: np.zeros((total, total)),
-        x0=np.concatenate([w0, [aux0 / c_aux]]),
-        eq_constraints=(_simplex_constraint(n),) + (tuple(specs) if equality else ()),
-        ineq_constraints=() if equality else tuple(specs),
-        lb=np.concatenate([p.lower_bounds(), [-np.inf]]),
-    )
-    return problem, s_rows, c_aux
-
-
-def _finish_aux(
-    p: PortfolioMop, sol: nlp.ScalarSolution, s_rows, c_aux: float, sense: float, equality: bool
-) -> nlp.ScalarSolution:
-    """Map a scaled aux solve back to raw units (aux, value, multipliers)."""
-    aux = c_aux * float(sol.x[-1])
-    eq = sol.eq_multipliers.copy()
-    ineq = sol.ineq_multipliers.copy()
-    if equality:
-        eq[0] *= c_aux  # budget row
-        for i, s_i in enumerate(s_rows):
-            eq[i + 1] *= c_aux / s_i
+    jac0 = p.objective_jacobian(w0)
+    scales = [_grad_scale(jac0[g.index]) for g in goals]
+    if aux is None:
+        index, sign = objective
+        k = _grad_scale(jac0[index])
+        total = n
+        problem_objective = lambda z: sign * float(p.objective_values(z)[index]) / k
+        problem_gradient = lambda z: sign * p.objective_jacobian(z)[index] / k
+        problem_hessian = lambda z: sign * p.objective_hessians(z)[index] / k
+        x0 = w0
+        lb = p.lower_bounds()
     else:
-        if eq.size:
-            eq[0] *= c_aux
-        for i, s_i in enumerate(s_rows):
-            ineq[i] *= c_aux / s_i
-    w = sol.x[: p.n]
-    return replace(
-        sol,
-        value=float(sense) * aux,
-        eq_multipliers=eq,
-        ineq_multipliers=ineq,
-        weights=w.copy(),
-        aux_value=aux,
-        objective_values=p.objective_values(w),
+        sense, aux0 = float(aux[0]), float(aux[1])
+        cands = [s / abs(g.coef) for g, s in zip(goals, scales) if abs(g.coef) > 1e-14]
+        k = min(cands) if cands else 1.0
+        total = n + 1
+        obj_grad = np.zeros(total)
+        obj_grad[-1] = sense
+        problem_objective = lambda z: sense * float(z[-1])
+        problem_gradient = lambda z: obj_grad.copy()
+        problem_hessian = lambda z: np.zeros((total, total))
+        x0 = np.concatenate([w0, [aux0 / k]])
+        lb = np.concatenate([p.lower_bounds(), [-np.inf]])
+
+    def goal_row(g: _Goal, s: float) -> nlp.ConstraintSpec:
+        col = g.coef * k  # the aux column in scaled units, times s
+
+        def fun(z):
+            val = g.sign * (float(p.objective_values(z[:n])[g.index]) - g.target)
+            if total > n:
+                val = val + col * z[-1]
+            return val / s
+
+        def jac(z):
+            out = np.empty(total)
+            out[:n] = g.sign * p.objective_jacobian(z[:n])[g.index] / s
+            if total > n:
+                out[-1] = col / s
+            return out
+
+        def hess(z):
+            out = np.zeros((total, total))
+            out[:n, :n] = g.sign * p.objective_hessians(z[:n])[g.index] / s
+            return out
+
+        return nlp.ConstraintSpec(fun=fun, jac=jac, hess=hess, name=g.name)
+
+    rows = tuple(goal_row(g, s) for g, s in zip(goals, scales))
+    problem = nlp.NlpProblem(
+        objective=problem_objective,
+        gradient=problem_gradient,
+        hessian=problem_hessian,
+        x0=x0,
+        eq_constraints=(_simplex_constraint(n),) + (rows if equality else ()) + tuple(extra_eq),
+        ineq_constraints=() if equality else rows,
+        lb=lb,
     )
+    row_factors = [k / s for s in scales]
+    eq_factors = np.array([k] + (row_factors if equality else []) + [k] * len(extra_eq))
+    ineq_factors = np.array([] if equality else row_factors)
 
+    def finish(sol: nlp.ScalarSolution) -> nlp.ScalarSolution:
+        w = sol.x[:n]
+        values = p.objective_values(w)
+        if aux is None:
+            value, aux_value = sign * float(values[index]), None
+        else:
+            aux_value = k * float(sol.x[-1])
+            value = sense * aux_value
+        return replace(
+            sol,
+            value=value,
+            eq_multipliers=sol.eq_multipliers * eq_factors,
+            ineq_multipliers=sol.ineq_multipliers * ineq_factors,
+            lb_multipliers=sol.lb_multipliers * k,
+            ub_multipliers=sol.ub_multipliers * k,
+            weights=w.copy(),
+            aux_value=aux_value,
+            objective_values=values,
+        )
 
-def _objective_row(p: PortfolioMop, idx: int, n: int, total: int):
-    """Value/grad/hess of F_idx as functions of the stacked variable vector."""
-
-    def fun(z):
-        return float(p.objective_values(z[:n])[idx])
-
-    def jac(z):
-        out = np.zeros(total)
-        out[:n] = p.objective_jacobian(z[:n])[idx]
-        return out
-
-    def hess(z):
-        out = np.zeros((total, total))
-        out[:n, :n] = p.objective_hessians(z[:n])[idx]
-        return out
-
-    return fun, jac, hess
+    return problem, finish
 
 
 def minimize_objective(
@@ -322,26 +360,13 @@ def minimize_objective(
     to the equality rows ``extra_eq``.
 
     The objective is normalized by its gradient magnitude at equal weights
-    (the minimizer is unchanged); the reported value is the raw objective.
+    (the minimizer is unchanged).  The reported value is the raw objective
+    ``sign * F_index`` and every multiplier is in raw units.
     """
-    n = p.n
-
-    def raw(w):
-        return sign * float(p.objective_values(w)[index])
-
-    scale = max(
-        float(np.max(np.abs(p.objective_jacobian(equal_weights(n))[index]))), 1e-10
+    problem, finish = _scaled_problem(
+        p, equal_weights(p.n), (), objective=(index, sign), extra_eq=extra_eq
     )
-    problem = nlp.NlpProblem(
-        objective=lambda w: raw(w) / scale,
-        gradient=lambda w: sign * p.objective_jacobian(w)[index] / scale,
-        hessian=lambda w: sign * p.objective_hessians(w)[index] / scale,
-        x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n),) + tuple(extra_eq),
-        lb=p.lower_bounds(),
-    )
-    best = nlp.solve_multistart(problem, starts, options).best
-    return replace(best, value=raw(best.x), weights=best.x.copy())
+    return finish(nlp.solve_multistart(problem, starts, options).best)
 
 
 def compute_anchors(
@@ -417,25 +442,21 @@ def _resolve_reference(p: PortfolioMop, sf: SfParams) -> np.ndarray:
     return p.objective_values(sf.reference_weights)
 
 
-def _sf_rows(p: PortfolioMop, sf: SfParams) -> list[_AuxRow]:
+def _sf_goals(p: PortfolioMop, sf: SfParams) -> list[_Goal]:
     """Goal rows c_i - F_i(w) - delta g_i, one per objective."""
     m = p.m
     if sf.g.shape != (m,):
         raise ShapeError("direction g must have length %d" % m)
     c = _resolve_reference(p, sf)
-    rows = []
-    for i in range(m):
-        ci, gi = float(c[i]), float(sf.g[i])
-        rows.append(
-            _AuxRow(
-                base=lambda w, i=i, ci=ci: ci - float(p.objective_values(w)[i]),
-                grad=lambda w, i=i: -p.objective_jacobian(w)[i],
-                hess=lambda w, i=i: -p.objective_hessians(w)[i],
-                coef=-gi,
-                name="goal_%d" % i,
-            )
-        )
-    return rows
+    return [
+        _Goal(i, -1.0, float(c[i]), coef=-float(sf.g[i]), name="goal_%d" % i) for i in range(m)
+    ]
+
+
+def _sf_start(p: PortfolioMop, sf: SfParams) -> np.ndarray:
+    if sf.reference_weights is not None:
+        return np.asarray(sf.reference_weights, dtype=float)
+    return equal_weights(p.n)
 
 
 def _best_of_starts(solve_one, starts):
@@ -445,6 +466,38 @@ def _best_of_starts(solve_one, starts):
     solutions = [solve_one(np.asarray(s, dtype=float)) for s in starts]
     best = nlp.best_converged(solutions)
     return best if best is not None else solutions[0]
+
+
+def _solve_aux(
+    p: PortfolioMop,
+    goals,
+    *,
+    sense: float,
+    equality: bool,
+    start: np.ndarray,
+    starts,
+    options: nlp.SolverOptions | None,
+    aux0=lambda w0: 0.0,
+    check=None,
+) -> nlp.ScalarSolution:
+    """The one multistart path of the aux-valued scalarizations.
+
+    Solves the scaled problem of ``goals`` from each of ``starts``, or from
+    the method's default ``start`` alone when ``starts`` is None, and
+    merges them with :func:`_best_of_starts`.  ``aux0(w0)`` is the aux
+    start for weights ``w0``; ``check(sol)`` may reject a raw solve.
+    """
+
+    def solve_one(w0):
+        problem, finish = _scaled_problem(
+            p, w0, goals, aux=(sense, aux0(w0)), equality=equality
+        )
+        sol = nlp.solve(problem, options)
+        if check is not None:
+            check(sol)
+        return finish(sol)
+
+    return _best_of_starts(solve_one, [start] if starts is None else starts)
 
 
 def solve_sf(
@@ -461,29 +514,18 @@ def solve_sf(
     in ``ineq_multipliers`` in objective order.  ``starts`` optionally
     multistarts the solve from the given weight vectors (best delta kept).
     """
-    rows = _sf_rows(p, sf)
 
-    def solve_one(w0=None):
-        if w0 is None:
-            w0 = (
-                np.asarray(sf.reference_weights, dtype=float)
-                if sf.reference_weights is not None
-                else equal_weights(p.n)
-            )
-        problem, s_rows, c_aux = _aux_problem(
-            p, rows, sense=-1.0, w0=w0, aux0=0.0, equality=False
-        )
-        sol = nlp.solve(problem, options)
+    def check(sol):
         if sol.status is nlp.SolveStatus.INFEASIBLE and sf.reference_weights is not None:
             # with a feasible reference portfolio delta=0 is always attainable
             raise SolverError(
                 "shortage solve reported infeasible despite feasible reference"
             )
-        return _finish_aux(p, sol, s_rows, c_aux, sense=-1.0, equality=False)
 
-    if starts is None:
-        return solve_one()
-    return _best_of_starts(solve_one, starts)
+    return _solve_aux(
+        p, _sf_goals(p, sf), sense=-1.0, equality=False, start=_sf_start(p, sf),
+        starts=starts, options=options, check=check,
+    )
 
 
 def solve_msf(
@@ -499,24 +541,10 @@ def solve_msf(
     and direction; that outcome is reported as status ``infeasible`` and the
     caller may fall back to :func:`solve_sf`.
     """
-    rows = _sf_rows(p, sf)
-
-    def solve_one(w0=None):
-        if w0 is None:
-            w0 = (
-                np.asarray(sf.reference_weights, dtype=float)
-                if sf.reference_weights is not None
-                else equal_weights(p.n)
-            )
-        problem, s_rows, c_aux = _aux_problem(
-            p, rows, sense=-1.0, w0=w0, aux0=0.0, equality=True
-        )
-        sol = nlp.solve(problem, options)
-        return _finish_aux(p, sol, s_rows, c_aux, sense=-1.0, equality=True)
-
-    if starts is None:
-        return solve_one()
-    return _best_of_starts(solve_one, starts)
+    return _solve_aux(
+        p, _sf_goals(p, sf), sense=-1.0, equality=True, start=_sf_start(p, sf),
+        starts=starts, options=options,
+    )
 
 
 def solve_nbi(
@@ -531,38 +559,21 @@ def solve_nbi(
     ``eq_multipliers[1:]`` holds the m goal-row multipliers (index 0 is the
     budget row), which the PGP diagnostic consumes.
     """
-    n, m = p.n, p.m
+    m = p.m
     if nbi.beta.shape != (m,):
         raise ShapeError("beta must have length %d" % m)
     hull = nbi.hull_point
-    rows = []
-    for i in range(m):
-        hi, ni = float(hull[i]), float(nbi.nbar[i])
-        rows.append(
-            _AuxRow(
-                base=lambda w, i=i, hi=hi: float(p.objective_values(w)[i]) - hi,
-                grad=lambda w, i=i: p.objective_jacobian(w)[i],
-                hess=lambda w, i=i: p.objective_hessians(w)[i],
-                coef=-ni,
-                name="ray_%d" % i,
-            )
-        )
-
-    def solve_one(w0=None):
-        if w0 is None:
-            if nbi.anchor_weights is not None:
-                w0 = nbi.beta @ nbi.anchor_weights
-            else:
-                w0 = equal_weights(n)
-        problem, s_rows, c_aux = _aux_problem(
-            p, rows, sense=-1.0, w0=w0, aux0=0.0, equality=True
-        )
-        sol = nlp.solve(problem, options)
-        return _finish_aux(p, sol, s_rows, c_aux, sense=-1.0, equality=True)
-
-    if starts is None:
-        return solve_one()
-    return _best_of_starts(solve_one, starts)
+    goals = [
+        _Goal(i, 1.0, float(hull[i]), coef=-float(nbi.nbar[i]), name="ray_%d" % i)
+        for i in range(m)
+    ]
+    if nbi.anchor_weights is not None:
+        start = nbi.beta @ nbi.anchor_weights
+    else:
+        start = equal_weights(p.n)
+    return _solve_aux(
+        p, goals, sense=-1.0, equality=True, start=start, starts=starts, options=options
+    )
 
 
 def solve_sp(
@@ -578,41 +589,27 @@ def solve_sp(
     With ``modified=True`` the cone inclusion becomes the equality
     ``a + t r - F(x) = 0``.
     """
-    n, m = p.n, p.m
+    m = p.m
     if sp.a.shape != (m,):
         raise ShapeError("reference a must have length %d" % m)
-    rows = []
-    for i in range(m):
-        ai, ri = float(sp.a[i]), float(sp.r[i])
-        rows.append(
-            _AuxRow(
-                base=lambda w, i=i, ai=ai: ai - float(p.objective_values(w)[i]),
-                grad=lambda w, i=i: -p.objective_jacobian(w)[i],
-                hess=lambda w, i=i: -p.objective_hessians(w)[i],
-                coef=ri,
-                name="cone_%d" % i,
-            )
-        )
+    goals = [
+        _Goal(i, -1.0, float(sp.a[i]), coef=float(sp.r[i]), name="cone_%d" % i)
+        for i in range(m)
+    ]
 
-    def solve_one(w0=None):
-        if w0 is None:
-            w0 = equal_weights(n)
+    def t_start(w0):
         f0 = p.objective_values(w0)
-        t_candidates = [
+        cands = [
             (float(f0[i]) - float(sp.a[i])) / float(sp.r[i])
             for i in range(m)
             if abs(float(sp.r[i])) > 1e-12
         ]
-        t0 = max(t_candidates) if t_candidates else 0.0
-        problem, s_rows, c_aux = _aux_problem(
-            p, rows, sense=1.0, w0=w0, aux0=t0, equality=modified
-        )
-        sol = nlp.solve(problem, options)
-        return _finish_aux(p, sol, s_rows, c_aux, sense=1.0, equality=modified)
+        return max(cands) if cands else 0.0
 
-    if starts is None:
-        return solve_one()
-    return _best_of_starts(solve_one, starts)
+    return _solve_aux(
+        p, goals, sense=1.0, equality=modified, start=equal_weights(p.n), starts=starts,
+        options=options, aux0=t_start,
+    )
 
 
 def map_nbi_to_msf(nbi: NbiParams) -> SfParams:
@@ -705,6 +702,28 @@ def _stat_index(p: PortfolioMop, name: str) -> int:
         raise ParameterError("PGP needs objective %r in the problem" % name) from None
 
 
+def _unit_variance_constraint(sigma: np.ndarray, n: int) -> nlp.ConstraintSpec:
+    """The row w'Sigma w = 1 over a variable vector whose first n entries
+    are the weights (any trailing entries are auxiliary)."""
+
+    def jac(x):
+        j = np.zeros(x.size)
+        j[:n] = 2.0 * (sigma @ x[:n])
+        return j
+
+    def hess(x):
+        h = np.zeros((x.size, x.size))
+        h[:n, :n] = 2.0 * sigma
+        return h
+
+    return nlp.ConstraintSpec(
+        fun=lambda x: float(x[:n] @ sigma @ x[:n]) - 1.0,
+        jac=jac,
+        hess=hess,
+        name="unit_variance",
+    )
+
+
 def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
     """max statistic subject to variance(w) = 1 over the simplex.
 
@@ -712,19 +731,16 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
     skewness, so minimizing the selected component maximizes the raw value.
     """
     n = p.n
-    sigma = p.moments.sigma
-    var_row = nlp.ConstraintSpec(
-        fun=lambda x: float(x @ sigma @ x) - 1.0,
-        jac=lambda x: 2.0 * (sigma @ x),
-        hess=lambda x: 2.0 * sigma,
-        name="unit_variance",
-    )
     rng = np.random.default_rng(seed)
     starts = [equal_weights(n)] + simplex_vertices(n) + dirichlet_starts(
         n, max(n_starts - 1 - n, 0), rng
     )
     best = minimize_objective(
-        p, _stat_index(p, name), starts=starts, options=options, extra_eq=(var_row,)
+        p,
+        _stat_index(p, name),
+        starts=starts,
+        options=options,
+        extra_eq=(_unit_variance_constraint(p.moments.sigma, n),),
     )
     # convert back to the raw (maximized) statistic
     return float(OBJECTIVE_SENSES[name] * best.value), best.x
@@ -746,7 +762,6 @@ def solve_pgp(
     variance pinned to 1, over the simplex.
     """
     n = p.n
-    sigma = p.moments.sigma
     min_var, max_var = _variance_slice_bounds(p, options)
     if min_var > 1.0 + 1e-9 or max_var < 1.0 - 1e-9:
         sol = nlp.ScalarSolution(
@@ -825,12 +840,6 @@ def solve_pgp(
 
         return nlp.ConstraintSpec(fun=cfun, jac=cjac, hess=chess, name="goal")
 
-    var_row = nlp.ConstraintSpec(
-        fun=lambda z: float(z[:n] @ sigma @ z[:n]) - 1.0,
-        jac=lambda z: np.concatenate([2.0 * (sigma @ z[:n]), [0.0, 0.0]]),
-        hess=lambda z: _embed_hess(2.0 * sigma, total, n),
-        name="unit_variance",
-    )
     # OBJECTIVE_SENSES is involutive, so it also maps minimization values
     # back to raw statistics inside the goal rows.
     mean_row = goal_row(mean_idx, n, float(z1_star), OBJECTIVE_SENSES["mean"])
@@ -845,7 +854,12 @@ def solve_pgp(
         gradient=jac,
         hessian=hess,
         x0=x0,
-        eq_constraints=(_simplex_constraint(n), mean_row, var_row, skew_row),
+        eq_constraints=(
+            _simplex_constraint(n),
+            mean_row,
+            _unit_variance_constraint(p.moments.sigma, n),
+            skew_row,
+        ),
         lb=lb,
     )
     sol = nlp.solve(problem, options)
@@ -863,12 +877,6 @@ def solve_pgp(
             "d3": float(sol.x[n + 1]),
         },
     )
-    return out
-
-
-def _embed_hess(h: np.ndarray, total: int, n: int) -> np.ndarray:
-    out = np.zeros((total, total))
-    out[:n, :n] = h
     return out
 
 

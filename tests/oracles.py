@@ -140,3 +140,12 @@ def brute_nondominated_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 def strictly_dominates_any(candidate: np.ndarray, point: np.ndarray) -> bool:
     return bool(np.all(candidate < point))
+
+
+def relative_stationarity(terms) -> float:
+    """Max-norm of the sum of the Lagrangian-gradient terms, relative to the
+    largest term: near machine precision only when every multiplier is
+    expressed in the units of the objective its terms are summed with."""
+    terms = [np.asarray(t, dtype=float) for t in terms]
+    total = np.sum(terms, axis=0)
+    return float(np.max(np.abs(total)) / max(float(np.max(np.abs(t))) for t in terms))

@@ -335,6 +335,26 @@ def test_unknown_config_field_exits_2(tmp_path):
     assert run(["front", "--config", str(cfg)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"method_params": [1]},
+        {"synthetic": [3, 400]},
+        {"objectives": 5},
+        {"seed": "x"},
+        {"workers": [2]},
+        {"reference_n": [5]},
+    ],
+    ids=["method_params", "synthetic", "objectives", "seed", "workers", "reference_n"],
+)
+def test_mistyped_config_field_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["front", *SYN, "--method", "sf", "--param", "n_references=1"]
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "f")]) == EXIT_INPUT
+    assert "config field %r" % next(iter(doc)) in capsys.readouterr().err
+
+
 def _hash_tree(root):
     out = {}
     for name in sorted(os.listdir(root)):

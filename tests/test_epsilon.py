@@ -7,7 +7,7 @@ from hmfront import ParameterError, SolveStatus
 from hmfront import epsilon as em
 from hmfront import scalarization as sc
 from hmfront.util import equal_weights
-from oracles import brute_nondominated_mask, simplex_sweep
+from oracles import brute_nondominated_mask, relative_stationarity, simplex_sweep
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,25 @@ def test_corner_cell_with_slack_constraints_hits_unconstrained_min(convex_mop, g
         convex_mop, grid.minimized, starts=[equal_weights(3)]
     )
     assert sol.value == pytest.approx(best.value, abs=1e-10)
+
+
+def test_cell_multipliers_are_in_raw_units(convex_mop, grid):
+    # grad F_min + lambda 1 + sum_i mu_i grad F_i - nu = 0 in raw units; on
+    # this grid most cells end on a face of the simplex, so the bound
+    # multipliers are exercised too
+    with_bound = 0
+    for eps in grid.centers:
+        sol = em._solve_cell(
+            convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+        )
+        if not sol.converged:
+            continue
+        jac = convex_mop.objective_jacobian(sol.x)
+        terms = [jac[grid.minimized], np.full(3, sol.eq_multipliers[0]), -sol.lb_multipliers]
+        terms += [mu * jac[idx] for mu, idx in zip(sol.ineq_multipliers, grid.constrained)]
+        assert relative_stationarity(terms) < 1e-8
+        with_bound += bool(np.any(sol.lb_multipliers > 0))
+    assert with_bound > 0
 
 
 def test_cell_below_ideal_is_infeasible(convex_mop, grid):

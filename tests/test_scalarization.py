@@ -12,7 +12,7 @@ from hmfront import (
 )
 from hmfront import scalarization as sc
 from hmfront.util import equal_weights
-from oracles import brute_nondominated_mask, simplex_sweep
+from oracles import brute_nondominated_mask, relative_stationarity, simplex_sweep
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,27 @@ def test_sf_sp_duality(convex_mop, direction, rng):
         sp_sol = sc.solve_sp(convex_mop, sp, starts=[ref, equal_weights(3)])
         assert sf_sol.converged and sp_sol.converged
         assert abs(sf_sol.aux_value + sp_sol.aux_value) < 1e-8
+
+
+def test_sp_multipliers_are_in_raw_units(convex_mop, direction):
+    # L = t - sum_i mu_i (a_i + t r_i - F_i(w)) + lambda (sum w - 1) - nu w:
+    # stationary in w and in t, with every multiplier in raw units
+    rng = np.random.default_rng(0)
+    with_bound = 0
+    for _ in range(8):
+        ref = rng.dirichlet(np.ones(3))
+        sf = sc.SfParams(g=direction, reference_weights=ref)
+        sp = sc.map_sf_to_sp(sf, convex_mop.objective_values(ref), p=convex_mop)
+        sol = sc.solve_sp(convex_mop, sp)
+        assert sol.converged
+        mu = sol.ineq_multipliers
+        jac = convex_mop.objective_jacobian(sol.weights)
+        terms = [np.full(3, sol.eq_multipliers[0]), -sol.lb_multipliers[:3]]
+        terms += [mu[i] * jac[i] for i in range(3)]
+        assert relative_stationarity(terms) < 1e-8
+        assert abs(1.0 - mu @ sp.r) < 1e-8
+        with_bound += bool(np.any(sol.lb_multipliers > 0))
+    assert with_bound > 0
 
 
 def test_scalarization_outputs_feasible_and_mutually_nondominated(
