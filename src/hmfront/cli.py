@@ -11,7 +11,9 @@ Commands::
     hmfront quality  --front front.csv (--input CSV | --synthetic ...) ...
 
 A JSON config document may carry any of the flag values; explicit flags
-override config fields.  All outputs are deterministic for a fixed seed.
+override config fields.  Flag values and config fields pass one type check,
+and seeds must be nonnegative.  All outputs are deterministic for a fixed
+seed.
 
 The ``front`` methods are listed once, in :data:`METHODS`, each with the
 types of its parameters and a runner.  A parameter value must be of its
@@ -156,50 +158,49 @@ def _config_value(want, val):
     return _coerce(want, val)
 
 
+def _set_field(cfg: RunConfig, key: str, val, source: str) -> None:
+    """Set config field ``key`` from a config document or a flag, checked
+    against its type in :data:`_CONFIG_FIELDS`."""
+    attr, want = _CONFIG_FIELDS[key]
+    try:
+        if val is not None or attr not in _NULLABLE:
+            val = _config_value(want, val)
+    except (TypeError, ValueError):
+        raise ConfigError("%s has the wrong type or length: %r" % (source, val)) from None
+    setattr(cfg, attr, val)
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration: config document fields, then flags over them.
+
+    Flags and document fields pass the same type check.  Seeds, including
+    the seed of ``synthetic``, must be nonnegative, as numpy's generator
+    requires.
+    """
     cfg = RunConfig()
     if getattr(args, "config", None):
         doc = _load_config_file(args.config)
         for key, val in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError("unknown config field %r" % key)
-            attr, want = _CONFIG_FIELDS[key]
-            try:
-                if val is not None or attr not in _NULLABLE:
-                    val = _config_value(want, val)
-                setattr(cfg, attr, val)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "config field %r has the wrong type or length: %r" % (key, val)
-                ) from None
-    if getattr(args, "input", None):
-        cfg.input_path = args.input
-    if getattr(args, "synthetic", None):
-        raw = args.synthetic
-        cfg.synthetic = (int(raw[0]), int(raw[1]), int(raw[2]), float(raw[3]))
-    if getattr(args, "method", None):
-        cfg.method = args.method
+            _set_field(cfg, key, val, "config field %r" % key)
+    # a flag sets the config field of its own name
+    for key in _CONFIG_FIELDS:
+        val = getattr(args, key, None)
+        if val is None or val is False or val == "":
+            continue  # flag not given
+        if key == "objectives":
+            val = [name.strip() for name in val.split(",")]
+        _set_field(cfg, key, val, "flag --%s" % key.replace("_", "-"))
     if getattr(args, "param", None):
         for key, val in args.param:
             cfg.method_params[key] = val
-    if getattr(args, "objectives", None):
-        cfg.objectives = tuple(s.strip() for s in args.objectives.split(","))
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = int(args.seed)
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = int(args.workers)
-    if getattr(args, "gnuplot", False):
-        cfg.gnuplot = True
     if getattr(args, "full_tensors", False):
         cfg.full_tensors = True
-    if getattr(args, "front", None):
-        cfg.front_path = args.front
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = int(args.samples)
-    if getattr(args, "reference_n", None):
-        cfg.reference_n = (int(args.reference_n[0]), int(args.reference_n[1]))
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
+    if cfg.synthetic is not None and cfg.synthetic[2] < 0:
+        raise ConfigError("the synthetic seed must be >= 0, got %d" % cfg.synthetic[2])
     return cfg
 
 
@@ -609,7 +610,7 @@ def _verify_cases(cfg: RunConfig, mop: PortfolioMop) -> tuple[list[dict], list[d
     for row in range(grid.size):
         eps = grid.centers[row]
         cell = eps_mod._solve_cell(
-            mop, eps, grid.constrained, grid.minimized, np.full(mop.n, 1.0 / mop.n), None
+            mop, eps, grid.constrained, grid.minimized, np.full(mop.n, 1.0 / mop.n)
         )
         sp = eps_mod.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
         sp_starts = [cell.x, equal] if cell.converged else [equal]

@@ -1,10 +1,10 @@
 """Adaptive epsilon-constraint driver with multiplier-scaled refinement.
 
 The driver covers three-objective problems: two objectives are bounded by a
-grid of epsilon values and the third is minimized (by default skewness is
-the minimized objective, in minimization form -skewness, with mean and
-variance constrained; this assignment is configurable).  Grid ranges come
-from per-objective min/max solves, cells are laid out at
+grid of epsilon values and the third is minimized (skewness is always the
+minimized objective, in minimization form -skewness, with the other two
+constrained).  Grid ranges come from per-objective min/max solves, cells
+are laid out at
 
     eps_i = eps_min_i + L_i/2 + l_i * L_i,   L_i = (eps_max_i - eps_min_i)/N_i
 
@@ -148,7 +148,7 @@ class RefinementRequest:
             raise ParameterError("k must be >= 1")
 
 
-def _range_solves(p: PortfolioMop, idx: int, seed: int, options) -> tuple[float, float]:
+def _range_solves(p: PortfolioMop, idx: int, seed: int) -> tuple[float, float]:
     """Exact objective range over the simplex via multistart min and max.
 
     Vertices are included among the starts so the concave max solves reach
@@ -159,7 +159,7 @@ def _range_solves(p: PortfolioMop, idx: int, seed: int, options) -> tuple[float,
     starts = [equal_weights(n)] + simplex_vertices(n) + dirichlet_starts(n, 2, rng)
     out = []
     for sign in (1.0, -1.0):
-        best = minimize_objective(p, idx, sign=sign, starts=starts, options=options)
+        best = minimize_objective(p, idx, sign=sign, starts=starts)
         out.append(sign * best.value)
     lo, hi = out
     if not np.isfinite(lo) or not np.isfinite(hi):
@@ -169,28 +169,22 @@ def _range_solves(p: PortfolioMop, idx: int, seed: int, options) -> tuple[float,
     return float(lo), float(hi)
 
 
-def build_grid(
-    p: PortfolioMop,
-    N: tuple[int, int],
-    *,
-    minimized: str = "skewness",
-    seed: int = 0,
-    options: nlp.SolverOptions | None = None,
-) -> EpsilonGrid:
-    """Lay out the epsilon grid from per-objective range solves."""
+def build_grid(p: PortfolioMop, N: tuple[int, int], *, seed: int = 0) -> EpsilonGrid:
+    """Lay out the epsilon grid from per-objective range solves; skewness is
+    the minimized objective."""
     if p.m != 3:
         raise ParameterError("the epsilon grid driver needs exactly 3 objectives")
     n1, n2 = int(N[0]), int(N[1])
     if n1 < 1 or n2 < 1:
         raise ParameterError("grid counts must be >= 1")
-    if minimized not in p.objectives:
-        raise ParameterError("minimized objective %r not in problem" % minimized)
-    min_idx = p.objectives.index(minimized)
+    if "skewness" not in p.objectives:
+        raise ParameterError("minimized objective 'skewness' not in problem")
+    min_idx = p.objectives.index("skewness")
     constrained = tuple(i for i in range(3) if i != min_idx)
     eps_min = np.zeros(2)
     eps_max = np.zeros(2)
     for pos, idx in enumerate(constrained):
-        eps_min[pos], eps_max[pos] = _range_solves(p, idx, seed + pos, options)
+        eps_min[pos], eps_max[pos] = _range_solves(p, idx, seed + pos)
     counts = (n1, n2)
     L = np.array([(eps_max[i] - eps_min[i]) / counts[i] for i in range(2)])
     centers = np.empty((n1 * n2, 2))
@@ -218,7 +212,6 @@ def _solve_cell(
     constrained: tuple[int, int],
     minimized: int,
     x0: np.ndarray,
-    options,
 ) -> nlp.ScalarSolution:
     """Solve one cell from ``x0``.  Rows and objective are normalized to
     unit gradient scale at ``x0`` internally; the reported value is the raw
@@ -228,14 +221,13 @@ def _solve_cell(
         for pos, idx in enumerate(constrained)
     ]
     problem, finish = _scaled_problem(p, x0, goals, objective=(minimized, 1.0))
-    return finish(nlp.solve(problem, options))
+    return finish(nlp.solve(problem))
 
 
 def solve_grid(
     p: PortfolioMop,
     grid: EpsilonGrid,
     *,
-    options: nlp.SolverOptions | None = None,
     workers: int = 1,
 ) -> FrontArchive:
     """Solve every grid cell; archive converged entries with multipliers.
@@ -252,7 +244,7 @@ def solve_grid(
         x0 = equal_weights(p.n)
         for l2 in range(n2):
             eps = grid.centers[l1 * n2 + l2]
-            sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0, options)
+            sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0)
             out.append((eps, sol))
             if sol.converged:
                 x0 = sol.x
@@ -284,7 +276,6 @@ def refine(
     archive: FrontArchive,
     req: RefinementRequest,
     *,
-    options: nlp.SolverOptions | None = None,
     workers: int = 1,
 ) -> FrontArchive:
     """Augment the archive around one entry.
@@ -300,7 +291,7 @@ def refine(
     grid = archive.grid
 
     def solve_offset(eps):
-        sol = _solve_cell(p, eps, grid.constrained, grid.minimized, entry.x, options)
+        sol = _solve_cell(p, eps, grid.constrained, grid.minimized, entry.x)
         return eps, sol
 
     results = parallel_map(solve_offset, refinement_lattice(entry, req.alpha, req.k), workers)
@@ -332,9 +323,7 @@ def run_adaptive_epsilon(
     alpha: float | None = None,
     k: int = 1,
     rounds: int = 5,
-    minimized: str = "skewness",
     seed: int = 0,
-    options: nlp.SolverOptions | None = None,
     workers: int = 1,
 ) -> FrontArchive:
     """Grid sweep plus ``rounds`` batch refinements at the widest image gap.
@@ -342,8 +331,8 @@ def run_adaptive_epsilon(
     When ``alpha`` is not given it defaults to the median nearest-neighbour
     image gap of the initial archive.
     """
-    grid = build_grid(p, N, minimized=minimized, seed=seed, options=options)
-    archive = solve_grid(p, grid, options=options, workers=workers)
+    grid = build_grid(p, N, seed=seed)
+    archive = solve_grid(p, grid, workers=workers)
     if not archive.entries:
         return archive
     if alpha is None:
@@ -359,8 +348,7 @@ def run_adaptive_epsilon(
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            refine(archive, RefinementRequest(center=entry, alpha=alpha, k=k),
-                   options=options, workers=workers)
+            refine(archive, RefinementRequest(center=entry, alpha=alpha, k=k), workers=workers)
     return archive
 
 

@@ -28,6 +28,14 @@ Restoration starts from the problem's ``x0``, so where an infeasible first
 run stops cannot change the outcome of the solve, and the watch only reads
 iterates, so runs it does not stop follow the same path.
 
+Each SQP run stops after ``_MAX_ITER`` (300) iterations; constraints within
+``_ACTIVE_TOL`` (1e-7) of their bound enter the polish's active set; the
+polish takes at most ``_POLISH_STEPS`` (10) Newton steps; and a point still
+violating the constraints by more than ``_INFEASIBLE_TOL`` (1e-7) after
+restoration is infeasible.  Only the two convergence tolerances of
+:class:`SolverOptions` can be set, because the tracer's corrector subproblem
+needs tighter ones.
+
 Singular KKT systems during the polish are ridge-regularized with 1e-10
 (logged at debug level, never silently fatal).  Solves are pure functions
 of their inputs, so identical problems produce bit-identical solutions.
@@ -63,6 +71,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _RIDGE = 1e-10
+_MAX_ITER = 300  # SQP iterations per run
+_ACTIVE_TOL = 1e-7  # slack below which a constraint is active in the polish
+_POLISH_STEPS = 10  # Newton steps of the polish
+# violation above which a point is declared infeasible after restoration
+_INFEASIBLE_TOL = 1e-7
 # stagnation watch on the first SQP run: after _STALL_SKIP unmeasured
 # iterations (most runs end within them), the last _STALL_WINDOW iterates all
 # above the restoration threshold, their violations within _STALL_SPREAD of
@@ -121,14 +134,16 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Convergence tolerances of :func:`solve`: stationarity ``tol_kkt`` and
+    constraint violation ``tol_feas``.
+
+    They are the only settings, because the tracer's corrector subproblem
+    tightens both; the iteration cap, active-set tolerance, polish steps
+    and infeasibility threshold are module constants.
+    """
+
     tol_kkt: float = 1e-8
     tol_feas: float = 1e-9
-    max_iter: int = 300
-    active_tol: float = 1e-7
-    polish_steps: int = 10
-    restore: bool = True
-    # violation above which a point is declared infeasible after restoration
-    infeasible_tol: float = 1e-7
 
 
 class SolveStatus(str, Enum):
@@ -299,7 +314,7 @@ def _hess_or_fd(spec_hess, grad, x):
     return _fd_hessian(grad, x)
 
 
-def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map, opts: SolverOptions):
+def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map):
     """Newton iteration on the active-set KKT equality system."""
     n = problem.n
     act_ineq = sorted(mu_map)
@@ -373,7 +388,7 @@ def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map, opts: Sol
     )
     res = residual(z)
     best_z, best_norm = z.copy(), float(np.max(np.abs(res)))
-    for _ in range(opts.polish_steps):
+    for _ in range(_POLISH_STEPS):
         if best_norm <= 1e-14:
             break
         jac = kkt_jacobian(z)
@@ -455,12 +470,7 @@ def _restore_feasibility(problem: NlpProblem, x0: np.ndarray):
     return np.clip(res.x, problem.lb, problem.ub)
 
 
-def _run_slsqp(
-    problem: NlpProblem,
-    x0: np.ndarray,
-    opts: SolverOptions,
-    stall_above: Optional[float] = None,
-):
+def _run_slsqp(problem: NlpProblem, x0: np.ndarray, stall_above: Optional[float] = None):
     """SLSQP from ``x0``; returns the clipped endpoint, scipy's result and the
     iteration at which a stagnated run was stopped (``None`` if it was not).
 
@@ -505,7 +515,7 @@ def _run_slsqp(
             bounds=list(zip(problem.lb, problem.ub)),
             constraints=cons,
             callback=callback,
-            options={"maxiter": opts.max_iter, "ftol": 1e-12},
+            options={"maxiter": _MAX_ITER, "ftol": 1e-12},
         )
     x = np.clip(np.asarray(res.x, dtype=float), problem.lb, problem.ub)
     return x, res, (stalled[0] if stalled else None)
@@ -519,34 +529,34 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     requires stationarity <= tol_kkt and violation <= tol_feas;
     ``infeasible`` is declared only after a failed feasibility restoration.
 
-    When restoration is enabled and ``x0`` is infeasible, the first SQP run
-    is stopped as soon as its constraint violation stagnates above the
-    restoration threshold ``max(infeasible_tol, 10 * tol_feas)``;
+    When ``x0`` is infeasible, the first SQP run is stopped as soon as its
+    constraint violation stagnates above the restoration threshold
+    ``max(_INFEASIBLE_TOL, 10 * tol_feas)``;
     restoration then follows as it does after a run that ends infeasible at
     the iteration cap.  ``info["sqp_stalled"]`` records the iteration of
     such a stop.
     """
     opts = options or SolverOptions()
     x0 = problem.x0.copy()
-    restore_above = max(opts.infeasible_tol, 10.0 * opts.tol_feas)
+    restore_above = max(_INFEASIBLE_TOL, 10.0 * opts.tol_feas)
     # a run from a feasible start is not watched: restoration would return
     # that start, so a second run would only repeat the first; most runs
     # start feasible and end within a few iterations, and skipping the
     # callback on them keeps the watch nearly free
-    watch = opts.restore and _violation(problem, problem.x0) > restore_above
+    watch = _violation(problem, problem.x0) > restore_above
     x, res, stalled = _run_slsqp(
-        problem, problem.x0, opts, stall_above=restore_above if watch else None
+        problem, problem.x0, stall_above=restore_above if watch else None
     )
     n_iter = int(res.nit)
     viol = _violation(problem, x)
-    if viol > restore_above and opts.restore:
+    if viol > restore_above:
         # restoration starts from problem.x0, not from where the first run
         # ended, so stopping an infeasible first run early changes neither
         # the restored point nor the outcome; only the infeasible point
         # reported when restoration fails is the earlier iterate
         restored = _restore_feasibility(problem, problem.x0)
-        if _violation(problem, restored) <= opts.infeasible_tol:
-            x, res, _ = _run_slsqp(problem, restored, opts)
+        if _violation(problem, restored) <= _INFEASIBLE_TOL:
+            x, res, _ = _run_slsqp(problem, restored)
             n_iter += int(res.nit)
             viol = _violation(problem, x)
         else:
@@ -570,14 +580,14 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
             )
 
     slsqp_x = x.copy()
-    act_ineq, act_lo, act_hi = _active_sets(problem, x, opts.active_tol)
+    act_ineq, act_lo, act_hi = _active_sets(problem, x, _ACTIVE_TOL)
     lam, mu_map, nu_lo_map, nu_hi_map = _ls_multipliers(
         problem, x, act_ineq, act_lo, act_hi
     )
     if np.size(lam) == 0:
         lam = np.zeros(len(problem.eq_constraints))
     px, plam, pmu, pnu_lo, pnu_hi = _polish(
-        problem, x, np.asarray(lam, dtype=float), mu_map, nu_lo_map, nu_hi_map, opts
+        problem, x, np.asarray(lam, dtype=float), mu_map, nu_lo_map, nu_hi_map
     )
     # accept the polished point only if it stays feasible and properly signed
     pviol = _violation(problem, px)
@@ -619,7 +629,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     if viol <= opts.tol_feas and kkt <= opts.tol_kkt:
         status = SolveStatus.CONVERGED
         message = "converged"
-    elif viol > opts.infeasible_tol:
+    elif viol > _INFEASIBLE_TOL:
         status = SolveStatus.INFEASIBLE
         message = "final point violates constraints: %.3e" % viol
     else:
@@ -693,11 +703,7 @@ def best_converged(solutions: Sequence[ScalarSolution]) -> Optional[ScalarSoluti
     return best
 
 
-def solve_multistart(
-    problem: NlpProblem,
-    starts: Sequence[np.ndarray],
-    options: SolverOptions | None = None,
-) -> MultistartResult:
+def solve_multistart(problem: NlpProblem, starts: Sequence[np.ndarray]) -> MultistartResult:
     """Independent local solves from each start, merged by
     :func:`best_converged`; raises :class:`MultistartError` when no start
     converged."""
@@ -705,7 +711,7 @@ def solve_multistart(
     if not starts:
         raise ParameterError("need at least one start")
     solutions = tuple(
-        solve(replace(problem, x0=np.asarray(s, dtype=float)), options) for s in starts
+        solve(replace(problem, x0=np.asarray(s, dtype=float))) for s in starts
     )
     best = best_converged(solutions)
     if best is None:

@@ -37,7 +37,6 @@ from .moments import (
     ObjectiveVector,
     _as_weight_vector,
     portfolio_stats,
-    stats_gradients,
 )
 from .util import dirichlet_starts, equal_weights
 
@@ -178,31 +177,31 @@ def utility_objective(w, p: PortfolioMop, u: UtilityParams) -> float:
 
         -w'mu + lambda1 var - lambda2 skew + lambda3 kurt
     """
-    stats = portfolio_stats(w, p.moments)
+    pt = MomentPoint(w, p.moments)
     return (
-        -stats.mean
-        + u.lambda1 * stats.variance
-        - u.lambda2 * stats.skewness
-        + u.lambda3 * stats.kurtosis
+        -pt.value("mean")
+        + u.lambda1 * pt.value("variance")
+        - u.lambda2 * pt.value("skewness")
+        + u.lambda3 * pt.value("kurtosis")
     )
 
 
 def utility_gradient(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
-    d = stats_gradients(w, p.moments)
+    pt = MomentPoint(w, p.moments)
     return (
-        -d.grad_mean
-        + u.lambda1 * d.grad_variance
-        - u.lambda2 * d.grad_skewness
-        + u.lambda3 * d.grad_kurtosis
+        -pt.gradient("mean")
+        + u.lambda1 * pt.gradient("variance")
+        - u.lambda2 * pt.gradient("skewness")
+        + u.lambda3 * pt.gradient("kurtosis")
     )
 
 
 def utility_hessian(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
-    d = stats_gradients(w, p.moments)
+    pt = MomentPoint(w, p.moments)
     return (
-        u.lambda1 * d.hess_variance
-        - u.lambda2 * d.hess_skewness
-        + u.lambda3 * d.hess_kurtosis
+        u.lambda1 * pt.hessian("variance")
+        - u.lambda2 * pt.hessian("skewness")
+        + u.lambda3 * pt.hessian("kurtosis")
     )
 
 
@@ -229,7 +228,6 @@ def utility_optimize(
     *,
     n_starts: int = 16,
     seed: int = 0,
-    options: nlp.SolverOptions | None = None,
 ) -> nlp.ScalarSolution:
     """Local multistart minimization of the full quartic utility objective."""
     n = p.n
@@ -243,7 +241,7 @@ def utility_optimize(
         eq_constraints=(_simplex_constraint(n),),
         lb=p.lower_bounds(),
     )
-    result = nlp.solve_multistart(problem, starts, options)
+    result = nlp.solve_multistart(problem, starts)
     best = result.best
     return replace(
         best, weights=best.x.copy(), objective_values=p.objective_values(best.x)
@@ -254,7 +252,6 @@ def _mean_variance_qp(
     p: PortfolioMop,
     lambda1: float,
     x0: np.ndarray,
-    options: nlp.SolverOptions | None,
     mu: np.ndarray | None = None,
 ) -> nlp.ScalarSolution:
     """The convex QP ``min -mu'w + lambda1 w'Sigma w`` over the simplex.
@@ -282,15 +279,10 @@ def _mean_variance_qp(
         eq_constraints=(_simplex_constraint(p.n),),
         lb=p.lower_bounds(),
     )
-    return nlp.solve(problem, options)
+    return nlp.solve(problem)
 
 
-def iterative_utility_optimize(
-    p: PortfolioMop,
-    schedule,
-    *,
-    options: nlp.SolverOptions | None = None,
-) -> list[tuple[float, np.ndarray]]:
+def iterative_utility_optimize(p: PortfolioMop, schedule) -> list[tuple[float, np.ndarray]]:
     """Decreasing-lambda sweep with skewness/kurtosis frozen per step.
 
     At each lambda the skewness and kurtosis terms are evaluated at the
@@ -313,7 +305,7 @@ def iterative_utility_optimize(
     w = equal_weights(p.n)
     path: list[tuple[float, np.ndarray]] = []
     for lam in schedule:
-        sol = _mean_variance_qp(p, UtilityParams(lam=lam).lambda1, w, options)
+        sol = _mean_variance_qp(p, UtilityParams(lam=lam).lambda1, w)
         if sol.converged:
             w = sol.x
             path.append((lam, w.copy()))

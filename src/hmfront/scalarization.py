@@ -44,7 +44,7 @@ from scipy.linalg import null_space
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .moments import ObjectiveVector, stats_gradients
+from .moments import MomentPoint, ObjectiveVector
 from .problem import OBJECTIVE_SENSES, PortfolioMop, _mean_variance_qp, _simplex_constraint
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
@@ -69,6 +69,12 @@ __all__ = [
     "map_sf_to_sp",
     "check_pgp_kkt",
 ]
+
+# multistart sizes: equal weights plus Dirichlet draws for each anchor; equal
+# weights, the simplex vertices and Dirichlet draws up to this total for each
+# PGP bound problem
+_ANCHOR_STARTS = 4
+_PGP_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -353,7 +359,6 @@ def minimize_objective(
     *,
     sign: float = 1.0,
     starts,
-    options: nlp.SolverOptions | None = None,
     extra_eq: tuple[nlp.ConstraintSpec, ...] = (),
 ) -> nlp.ScalarSolution:
     """Multistart minimize ``sign * F_index`` over the simplex, subject also
@@ -366,31 +371,25 @@ def minimize_objective(
     problem, finish = _scaled_problem(
         p, equal_weights(p.n), (), objective=(index, sign), extra_eq=extra_eq
     )
-    return finish(nlp.solve_multistart(problem, starts, options).best)
+    return finish(nlp.solve_multistart(problem, starts).best)
 
 
-def compute_anchors(
-    p: PortfolioMop,
-    *,
-    n_starts: int = 4,
-    seed: int = 0,
-    options: nlp.SolverOptions | None = None,
-    hull: bool = True,
-) -> AnchorSet:
+def compute_anchors(p: PortfolioMop, *, seed: int = 0, hull: bool = True) -> AnchorSet:
     """Solve the m individual minimizations and build the hull geometry.
 
-    Each anchor solve is multistarted (equal weights plus Dirichlet draws)
-    to reduce the local-minimum risk of the skewness objective; this is a
-    heuristic, not a global guarantee.  With ``hull=False`` the normal is
-    skipped (and set to None), which avoids failing on instances whose
-    anchors are affinely dependent when only the images are needed.
+    Each anchor solve is multistarted (equal weights plus
+    ``_ANCHOR_STARTS - 1`` Dirichlet draws) to reduce the local-minimum risk
+    of the skewness objective; this is a heuristic, not a global guarantee.
+    With ``hull=False`` the normal is skipped (and set to None), which
+    avoids failing on instances whose anchors are affinely dependent when
+    only the images are needed.
     """
     n, m = p.n, p.m
     rng = np.random.default_rng(seed)
-    starts = [equal_weights(n)] + dirichlet_starts(n, max(n_starts - 1, 0), rng)
+    starts = [equal_weights(n)] + dirichlet_starts(n, _ANCHOR_STARTS - 1, rng)
     anchors = np.zeros((m, n))
     for i in range(m):
-        anchors[i] = minimize_objective(p, i, starts=starts, options=options).x
+        anchors[i] = minimize_objective(p, i, starts=starts).x
     images = np.array([p.objective_values(anchors[i]) for i in range(m)])
     ideal = images.min(axis=0)
     phi = (images - ideal).T  # columns are F(x^i) - f*
@@ -476,7 +475,6 @@ def _solve_aux(
     equality: bool,
     start: np.ndarray,
     starts,
-    options: nlp.SolverOptions | None,
     aux0=lambda w0: 0.0,
     check=None,
 ) -> nlp.ScalarSolution:
@@ -492,7 +490,7 @@ def _solve_aux(
         problem, finish = _scaled_problem(
             p, w0, goals, aux=(sense, aux0(w0)), equality=equality
         )
-        sol = nlp.solve(problem, options)
+        sol = nlp.solve(problem)
         if check is not None:
             check(sol)
         return finish(sol)
@@ -500,13 +498,7 @@ def _solve_aux(
     return _best_of_starts(solve_one, [start] if starts is None else starts)
 
 
-def solve_sf(
-    p: PortfolioMop,
-    sf: SfParams,
-    options: nlp.SolverOptions | None = None,
-    *,
-    starts=None,
-) -> nlp.ScalarSolution:
+def solve_sf(p: PortfolioMop, sf: SfParams, *, starts=None) -> nlp.ScalarSolution:
     """Shortage function: maximal delta with F(x) + delta g <= F(reference).
 
     delta* is 0 exactly when the reference is efficient and positive when it
@@ -524,17 +516,11 @@ def solve_sf(
 
     return _solve_aux(
         p, _sf_goals(p, sf), sense=-1.0, equality=False, start=_sf_start(p, sf),
-        starts=starts, options=options, check=check,
+        starts=starts, check=check,
     )
 
 
-def solve_msf(
-    p: PortfolioMop,
-    sf: SfParams,
-    options: nlp.SolverOptions | None = None,
-    *,
-    starts=None,
-) -> nlp.ScalarSolution:
+def solve_msf(p: PortfolioMop, sf: SfParams, *, starts=None) -> nlp.ScalarSolution:
     """Modified shortage function: the three goal rows hold with equality.
 
     The equality system can be genuinely infeasible for a given reference
@@ -543,17 +529,11 @@ def solve_msf(
     """
     return _solve_aux(
         p, _sf_goals(p, sf), sense=-1.0, equality=True, start=_sf_start(p, sf),
-        starts=starts, options=options,
+        starts=starts,
     )
 
 
-def solve_nbi(
-    p: PortfolioMop,
-    nbi: NbiParams,
-    options: nlp.SolverOptions | None = None,
-    *,
-    starts=None,
-) -> nlp.ScalarSolution:
+def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolution:
     """NBI subproblem: maximize s with F(x) = f* + Phi beta + s nbar.
 
     ``eq_multipliers[1:]`` holds the m goal-row multipliers (index 0 is the
@@ -571,16 +551,13 @@ def solve_nbi(
         start = nbi.beta @ nbi.anchor_weights
     else:
         start = equal_weights(p.n)
-    return _solve_aux(
-        p, goals, sense=-1.0, equality=True, start=start, starts=starts, options=options
-    )
+    return _solve_aux(p, goals, sense=-1.0, equality=True, start=start, starts=starts)
 
 
 def solve_sp(
     p: PortfolioMop,
     sp: SpParams,
     modified: bool = False,
-    options: nlp.SolverOptions | None = None,
     *,
     starts=None,
 ) -> nlp.ScalarSolution:
@@ -608,7 +585,7 @@ def solve_sp(
 
     return _solve_aux(
         p, goals, sense=1.0, equality=modified, start=equal_weights(p.n), starts=starts,
-        options=options, aux0=t_start,
+        aux0=t_start,
     )
 
 
@@ -660,10 +637,10 @@ def map_sf_to_sp(sf: SfParams, at, objectives=None, p: PortfolioMop | None = Non
     return SpParams(a=a, r=sf.g.copy())
 
 
-def pgp_scale_factor(p: PortfolioMop, options: nlp.SolverOptions | None = None) -> float:
+def pgp_scale_factor(p: PortfolioMop) -> float:
     """Return scale kappa such that returns scaled by kappa make the unit
     variance slice attainable (variance scales by kappa^2)."""
-    min_var, max_var = _variance_slice_bounds(p, options)
+    min_var, max_var = _variance_slice_bounds(p)
     if min_var <= 0 or max_var <= 0:
         raise SolverError("degenerate covariance; variance normalization impossible")
     return float((min_var * max_var) ** -0.25)
@@ -685,12 +662,12 @@ def pgp_efficient_scale(anchors: AnchorSet, variance_index: int = 1) -> float:
     return float((lo * hi) ** -0.25)
 
 
-def _variance_slice_bounds(p: PortfolioMop, options) -> tuple[float, float]:
+def _variance_slice_bounds(p: PortfolioMop) -> tuple[float, float]:
     """Attainable variance range on the simplex: the minimum-variance QP and
     the largest vertex variance."""
     n = p.n
     sigma = p.moments.sigma
-    min_var = _mean_variance_qp(p, 1.0, equal_weights(n), options, mu=np.zeros(n)).value
+    min_var = _mean_variance_qp(p, 1.0, equal_weights(n), mu=np.zeros(n)).value
     max_var = max(float(v @ sigma @ v) for v in simplex_vertices(n))
     return float(min_var), float(max_var)
 
@@ -724,7 +701,7 @@ def _unit_variance_constraint(sigma: np.ndarray, n: int) -> nlp.ConstraintSpec:
     )
 
 
-def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
+def _pgp_bound_problem(p: PortfolioMop, name: str, seed: int):
     """max statistic subject to variance(w) = 1 over the simplex.
 
     objective_values already carries the minimization sense for mean and
@@ -733,27 +710,19 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, n_starts, seed, options):
     n = p.n
     rng = np.random.default_rng(seed)
     starts = [equal_weights(n)] + simplex_vertices(n) + dirichlet_starts(
-        n, max(n_starts - 1 - n, 0), rng
+        n, max(_PGP_STARTS - 1 - n, 0), rng
     )
     best = minimize_objective(
         p,
         _stat_index(p, name),
         starts=starts,
-        options=options,
         extra_eq=(_unit_variance_constraint(p.moments.sigma, n),),
     )
     # convert back to the raw (maximized) statistic
     return float(OBJECTIVE_SENSES[name] * best.value), best.x
 
 
-def solve_pgp(
-    p: PortfolioMop,
-    g: PgpParams,
-    *,
-    n_starts: int = 8,
-    seed: int = 0,
-    options: nlp.SolverOptions | None = None,
-) -> nlp.ScalarSolution:
+def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolution:
     """Two-phase polynomial goal program on the unit variance slice.
 
     Phase 1 computes z1* = max mean and z3* = max skewness subject to
@@ -762,7 +731,7 @@ def solve_pgp(
     variance pinned to 1, over the simplex.
     """
     n = p.n
-    min_var, max_var = _variance_slice_bounds(p, options)
+    min_var, max_var = _variance_slice_bounds(p)
     if min_var > 1.0 + 1e-9 or max_var < 1.0 - 1e-9:
         sol = nlp.ScalarSolution(
             x=np.concatenate([equal_weights(n), [0.0, 0.0]]),
@@ -786,8 +755,8 @@ def solve_pgp(
         z1_star, z3_star = g.z_stars
         w_mean = equal_weights(n)
     else:
-        z1_star, w_mean = _pgp_bound_problem(p, "mean", n_starts, seed, options)
-        z3_star, _ = _pgp_bound_problem(p, "skewness", n_starts, seed + 1, options)
+        z1_star, w_mean = _pgp_bound_problem(p, "mean", seed)
+        z3_star, _ = _pgp_bound_problem(p, "skewness", seed + 1)
     g = replace(g, z_stars=(float(z1_star), float(z3_star)))
 
     mean_idx = _stat_index(p, "mean")
@@ -862,7 +831,7 @@ def solve_pgp(
         ),
         lb=lb,
     )
-    sol = nlp.solve(problem, options)
+    sol = nlp.solve(problem)
     w = sol.x[:n]
     out = replace(
         sol,
@@ -998,9 +967,11 @@ def check_pgp_kkt(
         return replace(
             na("no exponent beta solves the fixed point (mu3=%.3g)" % mu3), d1=d1, d3=d3
         )
-    deriv = stats_gradients(w, p.moments)
+    pt = MomentPoint(w, p.moments)
     stat_comb = (
-        mu1 * deriv.grad_mean + mu2 * deriv.grad_variance + mu3 * deriv.grad_skewness
+        mu1 * pt.gradient("mean")
+        + mu2 * pt.gradient("variance")
+        + mu3 * pt.gradient("skewness")
     )
     # project onto the tangent of the active simplex facet
     free = np.ones(p.n, dtype=bool)

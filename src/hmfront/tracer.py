@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 _RIDGE = 1e-8
+_CORRECTOR_MAX_ITER = 60
+# the corrector's certificate t* is read off the subproblem solution, so the
+# subproblem is solved tighter than the solver's defaults
+_SUBPROBLEM_OPTIONS = nlp.SolverOptions(tol_kkt=1e-10, tol_feas=1e-11)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,6 @@ class TracerConfig:
     n_starts: int = 8
     max_points: int = 200
     corrector_tol: float = 1e-8
-    max_corrector_iter: int = 60
 
     def __post_init__(self) -> None:
         if self.tau is not None and not self.tau > 0:
@@ -183,33 +186,26 @@ def _project_feasible(mop: SmoothMop, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def corrector(
-    point: np.ndarray,
-    problem,
-    tol: float = 1e-8,
-    *,
-    max_iter: int = 60,
-    options: nlp.SolverOptions | None = None,
-) -> KktPoint:
+def corrector(point: np.ndarray, problem, tol: float = 1e-8) -> KktPoint:
     """Descend from ``point`` to a Pareto-critical point.
 
     Each iteration solves the min-max quadratic model subproblem; steps are
     accepted by backtracking until every objective decreases in proportion
     to the certificate t*.  Terminates when t* >= -tol with the trust region
     inactive.  Raises :class:`CorrectorStallError` when a negative
-    certificate persists but no acceptable step exists.
+    certificate persists but no acceptable step exists, or after
+    ``_CORRECTOR_MAX_ITER`` iterations.
     """
     mop = _coerce_mop(problem)
     n, m = mop.n, mop.m
     x = _project_feasible(mop, np.asarray(point, dtype=float))
-    sub_options = options or nlp.SolverOptions(tol_kkt=1e-10, tol_feas=1e-11)
     delta = 0.25
     sigma_armijo = 1e-4
-    for _ in range(max_iter):
+    for _ in range(_CORRECTOR_MAX_ITER):
         grads = mop.jacobian(x)
         hessians = mop.hessians(x)
         s, t_raw, t_scaled, alphas, tr_active = _corrector_subproblem(
-            mop, x, grads, hessians, delta, sub_options
+            mop, x, grads, hessians, delta
         )
         if t_scaled >= -tol and not tr_active:
             return _make_kkt_point(mop, x, alphas, t_raw)
@@ -240,7 +236,7 @@ def corrector(
     raise CorrectorStallError("corrector iteration cap reached")
 
 
-def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta, options):
+def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
     """min t over (s, t) with quadratic model rows and feasibility of x + s.
 
     The rows are normalized by their gradient magnitudes and t is solved in
@@ -309,7 +305,7 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta, options):
         lb=lb,
         ub=ub,
     )
-    sol = nlp.solve(problem, options)
+    sol = nlp.solve(problem, _SUBPROBLEM_OPTIONS)
     s = sol.x[:n]
     t_scaled = float(sol.x[-1])
     t_raw = c_t * t_scaled
@@ -421,7 +417,7 @@ def predictor(
     point: KktPoint,
     frame: TangentFrame,
     cfg: TracerConfig,
-    problem=None,
+    problem,
 ) -> list[PredictorStep]:
     """Predictor points x + t nu in both signs of every tangent direction.
 
@@ -430,7 +426,7 @@ def predictor(
     """
     if cfg.tau is None:
         raise ParameterError("predictor needs an explicit tau")
-    mop = _coerce_mop(problem) if problem is not None else None
+    mop = _coerce_mop(problem)
     steps: list[PredictorStep] = []
     for idx, nu in enumerate(frame.nu_vectors):
         jnu = point.J @ nu
@@ -440,12 +436,7 @@ def predictor(
         t = cfg.tau / norm
         for sign in (1.0, -1.0):
             raw = point.x + sign * t * nu
-            if mop is not None:
-                proj = _project_feasible(mop, raw)
-            elif point.sum_constraint:
-                proj = project_to_simplex(raw)
-            else:
-                proj = raw
+            proj = _project_feasible(mop, raw)
             clipped = bool(np.max(np.abs(proj - raw)) > 1e-14)
             steps.append(
                 PredictorStep(
@@ -486,7 +477,6 @@ def trace(
     *,
     seed: int = 0,
     workers: int = 1,
-    options: nlp.SolverOptions | None = None,
 ) -> FrontApproximation:
     """Multi-start continuation producing an approximately equidistant front.
 
@@ -521,9 +511,7 @@ def trace(
 
     def correct_seed(w):
         try:
-            return corrector(
-                w, mop, cfg.corrector_tol, max_iter=cfg.max_corrector_iter, options=options
-            )
+            return corrector(w, mop, cfg.corrector_tol)
         except (CorrectorStallError, SolverError):
             return None
 
@@ -548,15 +536,7 @@ def trace(
                 return out
             for step in predictor(pt, frame, cfg, mop):
                 try:
-                    out.append(
-                        corrector(
-                            step.point,
-                            mop,
-                            cfg.corrector_tol,
-                            max_iter=cfg.max_corrector_iter,
-                            options=options,
-                        )
-                    )
+                    out.append(corrector(step.point, mop, cfg.corrector_tol))
                 except (CorrectorStallError, SolverError):
                     continue
             return out

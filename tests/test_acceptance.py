@@ -138,7 +138,7 @@ def test_criterion_05_epsilon_equals_sp(convex_mop):
         for row in range(grid.size):
             eps = grid.centers[row]
             cell = em._solve_cell(
-                convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+                convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
             )
             sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
             if cell.status is hf.SolveStatus.INFEASIBLE:

@@ -169,8 +169,8 @@ def test_every_method_writes_its_columns_and_reruns_identically(tmp_path, method
 def test_utility_iterative_reports_a_failed_qp(tmp_path, monkeypatch):
     real_qp = problem._mean_variance_qp
 
-    def qp(p, lambda1, x0, options, mu=None):
-        sol = real_qp(p, lambda1, x0, options, mu)
+    def qp(p, lambda1, x0, mu=None):
+        sol = real_qp(p, lambda1, x0, mu)
         if lambda1 == 4.0 ** 2 / 2.0:
             return dataclasses.replace(sol, status=nlp.SolveStatus.MAX_ITER)
         return sol
@@ -353,6 +353,59 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys, doc):
     argv = ["front", *SYN, "--method", "sf", "--param", "n_references=1"]
     assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "f")]) == EXIT_INPUT
     assert "config field %r" % next(iter(doc)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["front", "--synthetic", "3", "400", "28", "x"], None),
+        (["front", "--synthetic", "3.5", "400", "28", "0.4"], None),
+        (["front", "--synthetic", "3", "400", "-28", "0.4"], None),
+        (["front", *SYN, "--seed", "-1"], None),
+        (["quality", *SYN, "--reference-n", "2.5", "3"], None),
+        (["front", *SYN], {"seed": -1}),
+        (["front"], {"synthetic": [3, 400, -28, 0.4]}),
+    ],
+    ids=[
+        "synthetic-level",
+        "synthetic-n",
+        "synthetic-seed",
+        "seed",
+        "reference-n",
+        "config-seed",
+        "config-synthetic-seed",
+    ],
+)
+def test_malformed_number_exits_2(tmp_path, capsys, argv, doc):
+    argv = [*argv, "--out", str(tmp_path / "f")]
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    if argv[0] == "front":
+        argv += ["--method", "sf", "--param", "n_references=1"]
+    else:
+        argv += ["--front", str(tmp_path / "front.csv")]
+    assert run(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["--method", "epsilon", "--param", "n1=3", "--param", "n2=3", "--param", "rounds=1"],
+        ["--method", "tracer", "--param", "max_points=8", "--param", "n_starts=2"],
+    ],
+    ids=["epsilon", "tracer"],
+)
+def test_front_is_identical_for_one_and_two_workers(tmp_path, params):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("w" + workers)
+        assert run(["front", *SYN, *params, "--workers", workers, "--out", str(out)]) == EXIT_OK
+        outputs.append(_hash_tree(out))
+    assert outputs[0].keys() == {"front.csv", "front.json"}
+    assert outputs[0] == outputs[1]
 
 
 def _hash_tree(root):

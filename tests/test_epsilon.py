@@ -77,7 +77,7 @@ def test_corner_cell_with_slack_constraints_hits_unconstrained_min(convex_mop, g
     # the plain minimizer of the third objective
     eps = np.array([grid.eps_max[0] + 1.0, grid.eps_max[1] + 1.0])
     sol = em._solve_cell(
-        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
     )
     assert sol.converged
     assert np.all(sol.ineq_multipliers <= 1e-12)
@@ -94,7 +94,7 @@ def test_cell_multipliers_are_in_raw_units(convex_mop, grid):
     with_bound = 0
     for eps in grid.centers:
         sol = em._solve_cell(
-            convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+            convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
         )
         if not sol.converged:
             continue
@@ -109,7 +109,7 @@ def test_cell_multipliers_are_in_raw_units(convex_mop, grid):
 def test_cell_below_ideal_is_infeasible(convex_mop, grid):
     eps = np.array([grid.eps_min[0] - 10.0 * grid.L[0], grid.eps_min[1]])
     sol = em._solve_cell(
-        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
     )
     assert sol.status is SolveStatus.INFEASIBLE
 
@@ -219,7 +219,7 @@ def test_cell_value_equals_sp_value(convex_mop, grid, archive):
 def test_infeasible_cell_maps_to_infeasible_sp(convex_mop, grid):
     eps = np.array([grid.eps_min[0] - 10.0 * grid.L[0], grid.eps_min[1]])
     cell = em._solve_cell(
-        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3), None
+        convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
     )
     sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
     sol = sc.solve_sp(convex_mop, sp)

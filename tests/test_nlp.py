@@ -13,11 +13,11 @@ from hmfront import (
 )
 from hmfront import nlp
 from hmfront import scalarization as sc
-from hmfront.nlp import SolverOptions, merit_values
+from hmfront.nlp import merit_values
 from hmfront.util import equal_weights
 from oracles import qp_simplex_bruteforce
 
-# restoration threshold max(infeasible_tol, 10 * tol_feas) at default options
+# restoration threshold max(_INFEASIBLE_TOL, 10 * tol_feas) at default options
 _RESTORE_ABOVE = 1e-7
 
 
@@ -174,7 +174,8 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     )
     # five iterations cannot reach the circle from this start, so the solve
     # restores feasibility and runs SQP a second time
-    sol = solve(prob, SolverOptions(max_iter=5))
+    monkeypatch.setattr(nlp, "_MAX_ITER", 5)
+    sol = solve(prob)
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
     assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
@@ -244,7 +245,7 @@ def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):
     for run, start_sol in zip(sqp_iters, solutions):
         assert start_sol.status is SolveStatus.INFEASIBLE
         assert start_sol.info["sqp_stalled"] == start_sol.n_iter == run
-        assert run <= 30 < SolverOptions().max_iter
+        assert run <= 30 < nlp._MAX_ITER
 
 
 def test_determinism_bit_identical():

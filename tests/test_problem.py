@@ -13,6 +13,7 @@ from hmfront import (
     utility_objective,
     utility_optimize,
 )
+from hmfront.moments import MomentPoint, stats_gradients
 from hmfront.problem import utility_gradient
 from oracles import fd_gradient, loop_stats, qp_simplex_bruteforce
 
@@ -90,6 +91,24 @@ def test_utility_gradient_matches_finite_differences(convex_mop, rng):
     fd = fd_gradient(lambda x: utility_objective(x, convex_mop, u), w)
     exact = utility_gradient(w, convex_mop, u)
     assert np.max(np.abs(fd - exact)) / max(np.max(np.abs(exact)), 1e-10) < 1e-5
+
+
+def test_utility_gradient_builds_no_hessian(convex_mop, rng, monkeypatch):
+    u = UtilityParams(lam=2.5)
+    w = rng.dirichlet(np.ones(3))
+    d = stats_gradients(w, convex_mop.moments)
+    want = (
+        -d.grad_mean
+        + u.lambda1 * d.grad_variance
+        - u.lambda2 * d.grad_skewness
+        + u.lambda3 * d.grad_kurtosis
+    )
+
+    def fail(self, name):
+        raise AssertionError("Hessian of %s built" % name)
+
+    monkeypatch.setattr(MomentPoint, "hessian", fail)
+    assert np.array_equal(utility_gradient(w, convex_mop, u), want)
 
 
 def test_utility_permutation_invariance(convex_returns, rng):

@@ -423,5 +423,5 @@ def test_check_pgp_kkt_interior_beta_finite_report(pgp_mop):
 def test_pgp_scale_factor_makes_slice_attainable(convex_returns, convex_mop):
     scale = sc.pgp_scale_factor(convex_mop)
     mop = _scaled_mop(convex_returns, scale)
-    lo, hi = sc._variance_slice_bounds(mop, None)
+    lo, hi = sc._variance_slice_bounds(mop)
     assert lo <= 1.0 <= hi
