@@ -81,7 +81,7 @@ class RunConfig:
     objectives: tuple[str, ...] = ("mean", "variance", "skewness")
     seed: int = 0
     output_dir: str = "."
-    workers: int = 1
+    workers: int = 1  # kept so --workers and "workers" stay accepted; runs are serial
     gnuplot: bool = False
     full_tensors: bool = False
     front_path: str | None = None
@@ -262,7 +262,7 @@ def _run_tracer(cfg: RunConfig, mop: PortfolioMop):
         max_points=params.get("max_points", 150),
         corrector_tol=params.get("corrector_tol", 1e-8),
     )
-    front = tracer.trace(mop, tcfg, seed=cfg.seed, workers=cfg.workers)
+    front = tracer.trace(mop, tcfg, seed=cfg.seed)
     return front.points, front.metadata, []
 
 
@@ -275,7 +275,6 @@ def _run_epsilon(cfg: RunConfig, mop: PortfolioMop):
         k=params.get("k", 1),
         rounds=params.get("rounds", 5),
         seed=cfg.seed,
-        workers=cfg.workers,
     )
     points = [
         FrontPoint.at(
@@ -302,8 +301,10 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
     """NBI or Pascoletti-Serafini rays from a lattice on the anchor hull."""
     params = cfg.method_params
     method = cfg.method
-    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     divisions = params.get("divisions", 10)
+    if divisions < 1:
+        raise ParameterError("divisions must be >= 1")
+    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     points = []
     failures = []
     missed_rays = 0
@@ -338,11 +339,13 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
 
 def _run_shortage(cfg: RunConfig, mop: PortfolioMop):
     """Shortage-function (SF or MSF) solves from random reference portfolios."""
+    n_refs = cfg.method_params.get("n_references", 20)
+    if n_refs < 1:
+        raise ParameterError("n_references must be >= 1")
     anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     g = anchors.objective_ranges()
     g = np.where(g > 0, g, 1.0)
     rng = np.random.default_rng(cfg.seed)
-    n_refs = cfg.method_params.get("n_references", 20)
     solver = scalarization.solve_sf if cfg.method == "sf" else scalarization.solve_msf
     points = []
     failures = []
@@ -400,6 +403,8 @@ def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
     lam = params.get("lambda_start", 20.0)
     stop = params.get("lambda_stop", 2.0)
     step = params.get("lambda_step", 2.0)
+    if not step > 0:
+        raise ParameterError("lambda_step must be positive")
     schedule = []
     while lam >= stop - 1e-12:
         schedule.append(lam)
@@ -651,7 +656,7 @@ def _verify_cases(cfg: RunConfig, mop: PortfolioMop) -> tuple[list[dict], list[d
     # is placed inside the efficient variance range so the shortfalls can be
     # positive at interior front points
     pgp_rows: list[dict] = []
-    scaled_mop = _scaled_mop(cfg, mop, scalarization.pgp_efficient_scale(anchors))
+    scaled_mop = _scaled_mop(cfg, mop, scalarization.pgp_efficient_scale(mop, anchors))
     pgp_sol = scalarization.solve_pgp(
         scaled_mop, scalarization.PgpParams(alpha=1.0, beta=1.0), seed=cfg.seed
     )
@@ -726,9 +731,7 @@ def cmd_quality(cfg: RunConfig) -> int:
     if len(front.points) < 2:
         raise MeasureUndefinedError("front has fewer than 2 points")
     mop = _build_mop(cfg)
-    archive = eps_mod.run_adaptive_epsilon(
-        mop, cfg.reference_n, rounds=0, seed=cfg.seed, workers=cfg.workers
-    )
+    archive = eps_mod.run_adaptive_epsilon(mop, cfg.reference_n, rounds=0, seed=cfg.seed)
     reference = archive.image()
     image = np.array(
         [
@@ -778,7 +781,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, help="random seed (default 0)")
     sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--workers", type=int, help="parallel solver workers")
+    sub.add_argument("--workers", type=int, help="accepted and ignored; runs are serial")
     sub.add_argument(
         "--objectives", help="comma list: mean,variance,skewness[,kurtosis]"
     )

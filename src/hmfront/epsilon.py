@@ -224,17 +224,12 @@ def _solve_cell(
     return finish(nlp.solve(problem))
 
 
-def solve_grid(
-    p: PortfolioMop,
-    grid: EpsilonGrid,
-    *,
-    workers: int = 1,
-) -> FrontArchive:
+def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
     """Solve every grid cell; archive converged entries with multipliers.
 
     Cells within a grid row are warm-started from their left neighbour's
-    solution, so parallelism is across rows, which keeps results identical
-    for any worker count.  Infeasible cells are skipped and counted.
+    solution; each row starts from equal weights.  Infeasible cells are
+    skipped and counted.
     """
     n1, n2 = grid.N
     archive = FrontArchive(problem=p, grid=grid)
@@ -250,7 +245,7 @@ def solve_grid(
                 x0 = sol.x
         return out
 
-    for row in parallel_map(solve_row, range(n1), workers):
+    for row in parallel_map(solve_row, range(n1)):
         for eps, sol in row:
             archive.record(eps, sol)
     archive.sort()
@@ -272,12 +267,7 @@ def refinement_lattice(entry: ArchiveEntry, alpha: float, k: int) -> list[np.nda
     ]
 
 
-def refine(
-    archive: FrontArchive,
-    req: RefinementRequest,
-    *,
-    workers: int = 1,
-) -> FrontArchive:
+def refine(archive: FrontArchive, req: RefinementRequest) -> FrontArchive:
     """Augment the archive around one entry.
 
     New epsilon points come from :func:`refinement_lattice`; the centre cell
@@ -294,7 +284,7 @@ def refine(
         sol = _solve_cell(p, eps, grid.constrained, grid.minimized, entry.x)
         return eps, sol
 
-    results = parallel_map(solve_offset, refinement_lattice(entry, req.alpha, req.k), workers)
+    results = parallel_map(solve_offset, refinement_lattice(entry, req.alpha, req.k))
     added = sum(archive.record(eps, sol) for eps, sol in results)
     if added == 0:
         warnings.warn("refinement produced no new feasible points", stacklevel=2)
@@ -324,15 +314,16 @@ def run_adaptive_epsilon(
     k: int = 1,
     rounds: int = 5,
     seed: int = 0,
-    workers: int = 1,
 ) -> FrontArchive:
     """Grid sweep plus ``rounds`` batch refinements at the widest image gap.
 
     When ``alpha`` is not given it defaults to the median nearest-neighbour
     image gap of the initial archive.
     """
+    if rounds < 0:
+        raise ParameterError("rounds must be >= 0")
     grid = build_grid(p, N, seed=seed)
-    archive = solve_grid(p, grid, workers=workers)
+    archive = solve_grid(p, grid)
     if not archive.entries:
         return archive
     if alpha is None:
@@ -348,7 +339,7 @@ def run_adaptive_epsilon(
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            refine(archive, RefinementRequest(center=entry, alpha=alpha, k=k), workers=workers)
+            refine(archive, RefinementRequest(center=entry, alpha=alpha, k=k))
     return archive
 
 

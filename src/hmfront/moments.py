@@ -117,7 +117,7 @@ class MomentSet:
 
     ``m3`` (n x n^2) and ``m4`` (n x n^3) are the flattened, fully
     symmetrised coskewness and cokurtosis tensors described in the module
-    docstring.  Instances are immutable and safe to share across workers.
+    docstring.  Instances are immutable and safe to share across threads.
     """
 
     mu: np.ndarray

@@ -68,9 +68,9 @@ class PortfolioMop:
     :meth:`objective_values`, :meth:`objective_jacobian` and
     :meth:`objective_hessians` share one :class:`~hmfront.moments.MomentPoint`
     per point through a single-slot memo.  There is one slot per thread, so
-    worker threads do not evict each other.  The slot is keyed on the exact
-    bytes of the weight vector and keeps its own copy of it, so a caller
-    that reuses its buffer never reads a stale result.  Each method builds
+    threads that share a problem do not evict each other.  The slot is
+    keyed on the exact bytes of the weight vector and keeps its own copy of
+    it, so a caller that reuses its buffer never reads a stale result.  Each method builds
     its array once per point and returns a copy, which the caller may
     change freely.  The slot is not a dataclass field: equality, hashing
     and ``replace`` ignore it, and a replaced problem starts empty.
@@ -137,12 +137,6 @@ class PortfolioMop:
     def objective_hessians(self, w) -> np.ndarray:
         """m x n x n stack of Hessians of F."""
         return self._evaluate(w, "hessian")
-
-    def min_form(self, stats: ObjectiveVector) -> np.ndarray:
-        """Map an ObjectiveVector into this problem's minimization image."""
-        return np.array(
-            [OBJECTIVE_SENSES[name] * getattr(stats, name) for name in self.objectives]
-        )
 
 
 @dataclass(frozen=True)
@@ -230,9 +224,11 @@ def utility_optimize(
     seed: int = 0,
 ) -> nlp.ScalarSolution:
     """Local multistart minimization of the full quartic utility objective."""
+    if n_starts < 1:
+        raise ParameterError("n_starts must be >= 1")
     n = p.n
     rng = np.random.default_rng(seed)
-    starts = [equal_weights(n)] + dirichlet_starts(n, max(n_starts - 1, 0), rng)
+    starts = [equal_weights(n)] + dirichlet_starts(n, n_starts - 1, rng)
     problem = nlp.NlpProblem(
         objective=lambda x: utility_objective(x, p, u),
         gradient=lambda x: utility_gradient(x, p, u),

@@ -646,17 +646,19 @@ def pgp_scale_factor(p: PortfolioMop) -> float:
     return float((min_var * max_var) ** -0.25)
 
 
-def pgp_efficient_scale(anchors: AnchorSet, variance_index: int = 1) -> float:
+def pgp_efficient_scale(p: PortfolioMop, anchors: AnchorSet) -> float:
     """Scale kappa placing the unit-variance slice inside the efficient
     variance range (geometric middle of the anchor variances).
 
     :func:`pgp_scale_factor` targets attainability of the slice; this
     variant targets the slice crossing the efficient surface, which the
     goal-programming diagnostics need so that both shortfalls can be
-    positive at interior front points.
+    positive at interior front points.  The anchor variances are computed
+    from the anchor weights, so any objective order works.
     """
-    variances = anchors.images[:, variance_index]
-    lo, hi = float(variances.min()), float(variances.max())
+    sigma = p.moments.sigma
+    variances = [float(w @ sigma @ w) for w in anchors.weights]
+    lo, hi = min(variances), max(variances)
     if lo <= 0 or hi <= 0:
         raise SolverError("anchor variances must be positive")
     return float((lo * hi) ** -0.25)

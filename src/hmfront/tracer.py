@@ -126,6 +126,8 @@ class TracerConfig:
             raise ParameterError("n_starts must be >= 1")
         if self.max_points < 1:
             raise ParameterError("max_points must be >= 1")
+        if not self.corrector_tol > 0:
+            raise ParameterError("corrector_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -476,7 +478,6 @@ def trace(
     cfg: TracerConfig | None = None,
     *,
     seed: int = 0,
-    workers: int = 1,
 ) -> FrontApproximation:
     """Multi-start continuation producing an approximately equidistant front.
 
@@ -515,7 +516,7 @@ def trace(
         except (CorrectorStallError, SolverError):
             return None
 
-    corrected = [pt for pt in parallel_map(correct_seed, seeds, workers) if pt is not None]
+    corrected = [pt for pt in parallel_map(correct_seed, seeds) if pt is not None]
     if not corrected:
         raise SolverError("no seed portfolio could be corrected to the KKT manifold")
     archive: list[KktPoint] = []
@@ -542,7 +543,7 @@ def trace(
             return out
 
         candidates: list[KktPoint] = []
-        for group in parallel_map(expand, wave, workers):
+        for group in parallel_map(expand, wave):
             candidates.extend(group)
         for cand in _canonical_order(candidates):
             if len(archive) >= cfg.max_points:

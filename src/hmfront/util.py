@@ -1,8 +1,7 @@
-"""Small shared numerical helpers: simplex geometry, starts, parallel map."""
+"""Small shared numerical helpers: simplex geometry, starts, ordered map."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -51,16 +50,11 @@ def sum_zero_basis(k: int) -> np.ndarray:
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; thread pool when workers > 1.
+    """``[fn(item) for item in items]``: the drivers' one fan-out point.
 
-    Each call must be independent and pure so the result is identical for
-    any worker count.
+    ``workers`` is accepted and ignored; every run is serial.
     """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def lexicographic_less(a: np.ndarray, b: np.ndarray) -> bool:

@@ -234,7 +234,7 @@ def test_criterion_10_corrector_criticality(convex_mop):
 def test_criterion_11_pgp_diagnostic(convex_returns, convex_mop):
     with criterion(11, "PGP transport yields finite exponents and residual reports", 120):
         anchors = sc.compute_anchors(convex_mop, seed=1)
-        scale = sc.pgp_efficient_scale(anchors)
+        scale = sc.pgp_efficient_scale(convex_mop, anchors)
         scaled = ReturnsMatrix(
             assets=convex_returns.assets,
             observations=convex_returns.observations * scale,

@@ -390,6 +390,33 @@ def test_malformed_number_exits_2(tmp_path, capsys, argv, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before the parameter check")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "method, param",
+    [
+        ("utility_iterative", "lambda_step=0"),
+        ("utility_iterative", "lambda_step=-1"),
+        ("nbi", "divisions=0"),
+        ("nbi", "divisions=-1"),
+        ("sf", "n_references=-2"),
+        ("tracer", "corrector_tol=-1"),
+        ("epsilon", "rounds=-1"),
+        ("utility", "n_starts=0"),
+    ],
+)
+def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method, param):
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    argv = ["front", *SYN, "--method", method, "--param", param, "--out", str(tmp_path / "f")]
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize(
     "params",
     [

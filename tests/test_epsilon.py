@@ -227,15 +227,6 @@ def test_infeasible_cell_maps_to_infeasible_sp(convex_mop, grid):
     assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_solve_grid_worker_count_invariance(convex_mop):
-    g = em.build_grid(convex_mop, (4, 4), seed=0)
-    a1 = em.solve_grid(convex_mop, g, workers=1)
-    a2 = em.solve_grid(convex_mop, g, workers=3)
-    assert len(a1.entries) == len(a2.entries)
-    for e1, e2 in zip(a1.entries, a2.entries):
-        assert np.array_equal(e1.eps, e2.eps)
-        assert np.array_equal(e1.x, e2.x)
-
 
 def test_run_adaptive_epsilon_driver(convex_mop):
     arch = em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=2, k=1, seed=0)

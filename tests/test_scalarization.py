@@ -296,7 +296,15 @@ def _scaled_mop(returns, scale):
 
 @pytest.fixture(scope="module")
 def pgp_mop(convex_returns, convex_mop, anchors):
-    return _scaled_mop(convex_returns, sc.pgp_efficient_scale(anchors))
+    return _scaled_mop(convex_returns, sc.pgp_efficient_scale(convex_mop, anchors))
+
+
+def test_pgp_efficient_scale_ignores_objective_order(convex_mop, anchors):
+    reordered = PortfolioMop(
+        moments=convex_mop.moments, objectives=("variance", "mean", "skewness")
+    )
+    scale = sc.pgp_efficient_scale(reordered, sc.compute_anchors(reordered, seed=1))
+    assert scale == pytest.approx(sc.pgp_efficient_scale(convex_mop, anchors), rel=1e-12)
 
 
 def test_pgp_params_validation():

@@ -190,14 +190,6 @@ def test_trace_deterministic(convex_mop):
         assert np.array_equal(a.weights, b.weights)
 
 
-def test_trace_worker_invariance(convex_mop):
-    cfg = tr.TracerConfig(n_starts=4, max_points=30)
-    f1 = tr.trace(convex_mop, cfg, seed=0, workers=1)
-    f2 = tr.trace(convex_mop, cfg, seed=0, workers=3)
-    assert len(f1.points) == len(f2.points)
-    for a, b in zip(f1.points, f2.points):
-        assert np.array_equal(a.weights, b.weights)
-
 
 def test_trace_points_critical_and_sorted(convex_mop):
     front = tr.trace(convex_mop, tr.TracerConfig(n_starts=4, max_points=50), seed=0)
