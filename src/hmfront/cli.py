@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -405,6 +406,10 @@ def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
     step = params.get("lambda_step", 2.0)
     if not step > 0:
         raise ParameterError("lambda_step must be positive")
+    if not (math.isfinite(lam) and math.isfinite(stop)):
+        raise ParameterError("lambda_start and lambda_stop must be finite")
+    if lam - step == lam:
+        raise ParameterError("lambda_step is too small to change lambda_start")
     schedule = []
     while lam >= stop - 1e-12:
         schedule.append(lam)

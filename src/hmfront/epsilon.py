@@ -142,10 +142,16 @@ class RefinementRequest:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ParameterError("alpha must be positive")
-        if self.k < 1:
-            raise ParameterError("k must be >= 1")
+        _check_refinement(self.alpha, self.k)
+
+
+def _check_refinement(alpha: float | None, k: int) -> None:
+    """Range-check a refinement's spacing ``alpha`` (``None``: the driver
+    picks it) and radius ``k``."""
+    if alpha is not None and not alpha > 0:
+        raise ParameterError("alpha must be positive")
+    if k < 1:
+        raise ParameterError("k must be >= 1")
 
 
 def _range_solves(p: PortfolioMop, idx: int, seed: int) -> tuple[float, float]:
@@ -322,6 +328,7 @@ def run_adaptive_epsilon(
     """
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
+    _check_refinement(alpha, k)
     grid = build_grid(p, N, seed=seed)
     archive = solve_grid(p, grid)
     if not archive.entries:

@@ -6,10 +6,15 @@ minimize a differentiable objective subject to equality constraints
 
 The local solve itself is sequential quadratic programming (scipy's SLSQP,
 which maintains a damped BFGS Hessian approximation internally).  The SQP
-result is then refined by a Newton iteration on the active-set KKT system
-using exact constraint/objective Hessians where supplied (finite-difference
-Hessians of the gradients otherwise), which also produces the Lagrange
-multipliers.  On convergence the stationarity residual of
+result is then refined by a Newton iteration on the active-set KKT system,
+which also produces the Lagrange multipliers.  That needs exact Hessians:
+every objective and constraint must supply one.  The active set is one
+ordered list of rows, each an inequality ``g(x) >= 0`` held at equality: the
+constraints ``("ineq", i)``, then the lower bounds ``("lo", k)`` (``x_k -
+lb_k >= 0``, gradient ``e_k``), then the upper bounds ``("hi", k)``
+(``ub_k - x_k >= 0``, gradient ``-e_k``).  A bound is an active row like
+any inequality, in the multiplier fit and in the polish alike.  On
+convergence the stationarity residual of
 
     L(x) = f(x) - sum_i mu_i g_i(x) + sum_j lambda_j h_j(x),  mu_i >= 0
 
@@ -87,22 +92,24 @@ _STALL_SPREAD = 0.01
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """A differentiable scalar constraint with gradient and optional Hessian."""
+    """A twice-differentiable scalar constraint with its gradient and exact
+    Hessian."""
 
     fun: Callable[[np.ndarray], float]
     jac: Callable[[np.ndarray], np.ndarray]
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
 
 @dataclass(frozen=True)
 class NlpProblem:
-    """Smooth NLP description.  ``ineq_constraints`` use the g(x) >= 0 sense."""
+    """Smooth NLP description with exact derivatives.  ``ineq_constraints``
+    use the g(x) >= 0 sense."""
 
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessian: Callable[[np.ndarray], np.ndarray]
     eq_constraints: tuple[ConstraintSpec, ...] = ()
     ineq_constraints: tuple[ConstraintSpec, ...] = ()
     lb: Optional[np.ndarray] = None
@@ -194,17 +201,6 @@ class MultistartResult:
     solutions: tuple[ScalarSolution, ...]
 
 
-def _fd_hessian(grad: Callable, x: np.ndarray) -> np.ndarray:
-    n = x.size
-    h_mat = np.empty((n, n))
-    for i in range(n):
-        step = 1e-7 * (1.0 + abs(x[i]))
-        e = np.zeros(n)
-        e[i] = step
-        h_mat[:, i] = (grad(x + e) - grad(x - e)) / (2.0 * step)
-    return 0.5 * (h_mat + h_mat.T)
-
-
 def _violation(problem: NlpProblem, x: np.ndarray) -> float:
     worst = 0.0
     for c in problem.eq_constraints:
@@ -235,169 +231,119 @@ def _grad_lagrangian(
     return g
 
 
-def _active_sets(problem: NlpProblem, x: np.ndarray, act_tol: float):
-    act_ineq = [
-        i for i, c in enumerate(problem.ineq_constraints) if float(c.fun(x)) <= act_tol
-    ]
-    act_lo = [
-        k
-        for k in range(problem.n)
-        if np.isfinite(problem.lb[k]) and x[k] - problem.lb[k] <= act_tol
-    ]
-    act_hi = [
-        k
-        for k in range(problem.n)
-        if np.isfinite(problem.ub[k]) and problem.ub[k] - x[k] <= act_tol
-    ]
-    return act_ineq, act_lo, act_hi
+def _row_value(problem: NlpProblem, x: np.ndarray, row) -> float:
+    """Value of an active-row candidate, ``>= 0`` when it holds."""
+    kind, idx = row
+    if kind == "ineq":
+        return float(problem.ineq_constraints[idx].fun(x))
+    if kind == "lo":
+        return x[idx] - problem.lb[idx]
+    return problem.ub[idx] - x[idx]
 
 
-def _ls_multipliers(problem: NlpProblem, x: np.ndarray, act_ineq, act_lo, act_hi):
-    """Least-squares stationarity fit; drops inequality rows with negative
-    multipliers and refits until the sign condition holds."""
-    n = problem.n
-    act_ineq = list(act_ineq)
-    act_lo = list(act_lo)
-    act_hi = list(act_hi)
-    g0 = problem.gradient(x).astype(float)
-    for _ in range(len(act_ineq) + len(act_lo) + len(act_hi) + 1):
-        cols = []
-        for c in problem.eq_constraints:
-            cols.append(c.jac(x))
-        for i in act_ineq:
-            cols.append(-problem.ineq_constraints[i].jac(x))
-        for k in act_lo:
-            e = np.zeros(n)
-            e[k] = -1.0
-            cols.append(e)
-        for k in act_hi:
-            e = np.zeros(n)
-            e[k] = 1.0
-            cols.append(e)
-        if not cols:
-            return np.zeros(0), {}, {}, {}
-        a_mat = np.column_stack(cols)
-        sol, *_ = np.linalg.lstsq(a_mat, -g0, rcond=None)
-        p = len(problem.eq_constraints)
-        lam = sol[:p]
-        mu_vals = sol[p : p + len(act_ineq)]
-        nu_lo_vals = sol[p + len(act_ineq) : p + len(act_ineq) + len(act_lo)]
-        nu_hi_vals = sol[p + len(act_ineq) + len(act_lo) :]
-        signed = (
-            [("ineq", idx, v) for idx, v in zip(act_ineq, mu_vals)]
-            + [("lo", idx, v) for idx, v in zip(act_lo, nu_lo_vals)]
-            + [("hi", idx, v) for idx, v in zip(act_hi, nu_hi_vals)]
-        )
-        worst = min(signed, key=lambda t: t[2], default=None)
-        if worst is None or worst[2] >= -1e-9:
-            return (
-                lam,
-                dict(zip(act_ineq, mu_vals)),
-                dict(zip(act_lo, nu_lo_vals)),
-                dict(zip(act_hi, nu_hi_vals)),
-            )
-        kind, idx, _ = worst
+def _row_gradients(problem: NlpProblem, x: np.ndarray, rows) -> np.ndarray:
+    """Gradients of ``rows`` stacked as a ``(len(rows), n)`` matrix: the
+    constraint's gradient, ``e_k`` for ``("lo", k)`` and ``-e_k`` for
+    ``("hi", k)``."""
+    grads = np.zeros((len(rows), problem.n))
+    for pos, (kind, idx) in enumerate(rows):
         if kind == "ineq":
-            act_ineq.remove(idx)
-        elif kind == "lo":
-            act_lo.remove(idx)
+            grads[pos] = problem.ineq_constraints[idx].jac(x)
         else:
-            act_hi.remove(idx)
-    return lam, dict(zip(act_ineq, mu_vals)), dict(zip(act_lo, nu_lo_vals)), dict(
-        zip(act_hi, nu_hi_vals)
-    )
+            grads[pos, idx] = 1.0
+            if kind == "hi":
+                # negated, not written as -1.0: the zeros of -e_k are -0.0,
+                # and signed zeros reach the reported weights through the
+                # polish's linear solve
+                grads[pos] = -grads[pos]
+    return grads
 
 
-def _hess_or_fd(spec_hess, grad, x):
-    if spec_hess is not None:
-        return np.asarray(spec_hess(x), dtype=float)
-    return _fd_hessian(grad, x)
+def _active_rows(problem: NlpProblem, x: np.ndarray) -> list:
+    """The inequalities ``g(x) >= 0`` held within ``_ACTIVE_TOL`` of
+    equality: ``("ineq", i)``, then ``("lo", k)``, then ``("hi", k)``, each
+    by ascending index."""
+    rows = [("ineq", i) for i in range(len(problem.ineq_constraints))]
+    rows += [("lo", k) for k in range(problem.n) if np.isfinite(problem.lb[k])]
+    rows += [("hi", k) for k in range(problem.n) if np.isfinite(problem.ub[k])]
+    return [row for row in rows if _row_value(problem, x, row) <= _ACTIVE_TOL]
 
 
-def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map):
-    """Newton iteration on the active-set KKT equality system."""
-    n = problem.n
-    act_ineq = sorted(mu_map)
-    act_lo = sorted(nu_lo_map)
-    act_hi = sorted(nu_hi_map)
+def _scatter(problem: NlpProblem, rows, values):
+    """Full inequality, lower-bound and upper-bound multiplier vectors from
+    the multipliers of ``rows`` (zero off the rows)."""
+    full = {
+        "ineq": np.zeros(len(problem.ineq_constraints)),
+        "lo": np.zeros(problem.n),
+        "hi": np.zeros(problem.n),
+    }
+    for (kind, idx), v in zip(rows, values):
+        full[kind][idx] = v
+    return full["ineq"], full["lo"], full["hi"]
+
+
+def _ls_multipliers(problem: NlpProblem, x: np.ndarray, rows):
+    """Least-squares stationarity fit; drops the active row of most negative
+    multiplier and refits until the sign condition holds.
+
+    Returns the equality multipliers, the rows kept and their multipliers.
+    """
     p = len(problem.eq_constraints)
-    q = len(act_ineq)
-    r1, r2 = len(act_lo), len(act_hi)
+    rows = list(rows)
+    g0 = problem.gradient(x).astype(float)
+    cols = [c.jac(x) for c in problem.eq_constraints]
+    cols += list(-_row_gradients(problem, x, rows))
+    while cols:
+        sol, *_ = np.linalg.lstsq(np.column_stack(cols), -g0, rcond=None)
+        lam, nus = sol[:p], sol[p:]
+        worst = min(range(len(rows)), key=nus.__getitem__, default=None)
+        if worst is None or nus[worst] >= -1e-9:
+            return lam, rows, nus
+        del rows[worst], cols[p + worst]
+    return np.zeros(0), [], np.zeros(0)
 
-    def unpack(z):
-        xx = z[:n]
-        ll = z[n : n + p]
-        mm = z[n + p : n + p + q]
-        alo = z[n + p + q : n + p + q + r1]
-        ahi = z[n + p + q + r1 :]
-        return xx, ll, mm, alo, ahi
+
+def _polish(problem: NlpProblem, x, lam, rows, nus):
+    """Newton iteration on the KKT equalities of the active rows; returns
+    the best point, its equality multipliers and its row multipliers."""
+    n = problem.n
+    p = len(problem.eq_constraints)
+    m = len(rows)
 
     def residual(z):
-        xx, ll, mm, alo, ahi = unpack(z)
-        mu_full = np.zeros(len(problem.ineq_constraints))
-        mu_full[act_ineq] = mm
-        nu_lo = np.zeros(n)
-        nu_lo[act_lo] = alo
-        nu_hi = np.zeros(n)
-        nu_hi[act_hi] = ahi
-        parts = [_grad_lagrangian(problem, xx, ll, mu_full, nu_lo, nu_hi)]
-        parts.append(np.array([c.fun(xx) for c in problem.eq_constraints]))
-        parts.append(np.array([problem.ineq_constraints[i].fun(xx) for i in act_ineq]))
-        parts.append(xx[act_lo] - problem.lb[act_lo])
-        parts.append(problem.ub[act_hi] - xx[act_hi])
-        return np.concatenate([np.atleast_1d(pp) for pp in parts if np.size(pp)])\
-            if (p + q + r1 + r2) else parts[0]
+        xx, ll, nn = z[:n], z[n : n + p], z[n + p :]
+        mu, nu_lo, nu_hi = _scatter(problem, rows, nn)
+        return np.concatenate(
+            [
+                _grad_lagrangian(problem, xx, ll, mu, nu_lo, nu_hi),
+                [c.fun(xx) for c in problem.eq_constraints],
+                [_row_value(problem, xx, row) for row in rows],
+            ]
+        )
 
     def kkt_jacobian(z):
-        xx, ll, mm, _, _ = unpack(z)
-        h_l = _hess_or_fd(problem.hessian, problem.gradient, xx)
+        xx, ll, nn = z[:n], z[n : n + p], z[n + p :]
+        h_l = np.asarray(problem.hessian(xx), dtype=float)
         for j, c in enumerate(problem.eq_constraints):
-            h_l = h_l + ll[j] * _hess_or_fd(c.hess, c.jac, xx)
-        for pos, i in enumerate(act_ineq):
-            c = problem.ineq_constraints[i]
-            h_l = h_l - mm[pos] * _hess_or_fd(c.hess, c.jac, xx)
+            h_l = h_l + ll[j] * np.asarray(c.hess(xx), dtype=float)
+        for (kind, i), v in zip(rows, nn):
+            if kind == "ineq":
+                c = problem.ineq_constraints[i]
+                h_l = h_l - v * np.asarray(c.hess(xx), dtype=float)
         je = np.array([c.jac(xx) for c in problem.eq_constraints]).reshape(p, n)
-        jg = np.array([problem.ineq_constraints[i].jac(xx) for i in act_ineq]).reshape(q, n)
-        e_lo = np.zeros((r1, n))
-        for pos, k in enumerate(act_lo):
-            e_lo[pos, k] = 1.0
-        e_hi = np.zeros((r2, n))
-        for pos, k in enumerate(act_hi):
-            e_hi[pos, k] = 1.0
-        top = np.hstack([h_l, je.T, -jg.T, -e_lo.T, e_hi.T])
-        zeros = lambda rows: np.zeros((rows, p + q + r1 + r2))
-        rows = [top]
-        if p:
-            rows.append(np.hstack([je, zeros(p)]))
-        if q:
-            rows.append(np.hstack([jg, zeros(q)]))
-        if r1:
-            rows.append(np.hstack([e_lo, zeros(r1)]))
-        if r2:
-            rows.append(np.hstack([-e_hi, zeros(r2)]))
-        return np.vstack(rows)
+        jr = _row_gradients(problem, xx, rows)
+        top = np.hstack([h_l, je.T, -jr.T])
+        return np.vstack([top, np.hstack([np.vstack([je, jr]), np.zeros((p + m, p + m))])])
 
-    z = np.concatenate(
-        [
-            x,
-            lam,
-            np.array([mu_map[i] for i in act_ineq]),
-            np.array([nu_lo_map[k] for k in act_lo]),
-            np.array([nu_hi_map[k] for k in act_hi]),
-        ]
-    )
-    res = residual(z)
-    best_z, best_norm = z.copy(), float(np.max(np.abs(res)))
+    z = np.concatenate([x, lam, nus])
+    best_z, best_norm = z.copy(), float(np.max(np.abs(residual(z))))
     for _ in range(_POLISH_STEPS):
         if best_norm <= 1e-14:
             break
         jac = kkt_jacobian(z)
         rhs = -residual(z)
         try:
-            if jac.shape[0] == jac.shape[1]:
-                step = np.linalg.solve(jac, rhs)
-            else:
-                step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+            step = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
             logger.debug("singular KKT system during polish; applying 1e-10 ridge")
             jtj = jac.T @ jac + _RIDGE * np.eye(jac.shape[1])
@@ -413,14 +359,7 @@ def _polish(problem: NlpProblem, x, lam, mu_map, nu_lo_map, nu_hi_map):
                 break
         if not improved:
             break
-    xx, ll, mm, alo, ahi = unpack(best_z)
-    mu_full = np.zeros(len(problem.ineq_constraints))
-    mu_full[act_ineq] = mm
-    nu_lo = np.zeros(n)
-    nu_lo[act_lo] = alo
-    nu_hi = np.zeros(n)
-    nu_hi[act_hi] = ahi
-    return xx, ll, mu_full, nu_lo, nu_hi
+    return best_z[:n], best_z[n : n + p], best_z[n + p :]
 
 
 def _stagnated(violations: Sequence[float], threshold: float) -> bool:
@@ -537,7 +476,6 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     such a stop.
     """
     opts = options or SolverOptions()
-    x0 = problem.x0.copy()
     restore_above = max(_INFEASIBLE_TOL, 10.0 * opts.tol_feas)
     # a run from a feasible start is not watched: restoration would return
     # that start, so a second run would only repeat the first; most runs
@@ -579,52 +517,31 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
                 info={"sqp_stalled": stalled},
             )
 
-    slsqp_x = x.copy()
-    act_ineq, act_lo, act_hi = _active_sets(problem, x, _ACTIVE_TOL)
-    lam, mu_map, nu_lo_map, nu_hi_map = _ls_multipliers(
-        problem, x, act_ineq, act_lo, act_hi
-    )
-    if np.size(lam) == 0:
-        lam = np.zeros(len(problem.eq_constraints))
-    px, plam, pmu, pnu_lo, pnu_hi = _polish(
-        problem, x, np.asarray(lam, dtype=float), mu_map, nu_lo_map, nu_hi_map
-    )
+    rows = _active_rows(problem, x)
+    lam, rows, nus = _ls_multipliers(problem, x, rows)
+    px, plam, pnus = _polish(problem, x, lam, rows, nus)
     # accept the polished point only if it stays feasible and properly signed
     pviol = _violation(problem, px)
     ok = (
         pviol <= max(viol, opts.tol_feas)
-        and float(np.min(pmu, initial=0.0)) >= -10.0 * opts.tol_kkt
-        and float(np.min(pnu_lo, initial=0.0)) >= -10.0 * opts.tol_kkt
-        and float(np.min(pnu_hi, initial=0.0)) >= -10.0 * opts.tol_kkt
+        and float(np.min(pnus, initial=0.0)) >= -10.0 * opts.tol_kkt
         and float(np.max(np.abs(px - x))) <= 0.1 * (1.0 + float(np.max(np.abs(x))))
     )
     if ok:
-        x, viol = px, pviol
-        lam, mu_full, nu_lo, nu_hi = plam, pmu, pnu_lo, pnu_hi
+        x, viol, lam, nus = px, pviol, plam, pnus
     else:
-        mu_full = np.zeros(len(problem.ineq_constraints))
-        for i, v in mu_map.items():
-            mu_full[i] = max(v, 0.0)
-        nu_lo = np.zeros(problem.n)
-        for k, v in nu_lo_map.items():
-            nu_lo[k] = max(v, 0.0)
-        nu_hi = np.zeros(problem.n)
-        for k, v in nu_hi_map.items():
-            nu_hi[k] = max(v, 0.0)
-        lam = np.asarray(lam, dtype=float)
-
-    mu_full = np.where(np.abs(mu_full) < 1e-15, 0.0, mu_full)
+        nus = [max(v, 0.0) for v in nus]
+    # constraint multipliers below 1e-15 are reported as 0
+    nus = [
+        0.0 if kind == "ineq" and abs(v) < 1e-15 else v for (kind, _), v in zip(rows, nus)
+    ]
+    mu_full, nu_lo, nu_hi = _scatter(problem, rows, nus)
     kkt = float(
         np.max(np.abs(_grad_lagrangian(problem, x, lam, mu_full, nu_lo, nu_hi)), initial=0.0)
     )
     comp = 0.0
-    for i, c in enumerate(problem.ineq_constraints):
-        comp = max(comp, abs(mu_full[i] * float(c.fun(x))))
-    for k in range(problem.n):
-        if nu_lo[k]:
-            comp = max(comp, abs(nu_lo[k] * (x[k] - problem.lb[k])))
-        if nu_hi[k]:
-            comp = max(comp, abs(nu_hi[k] * (problem.ub[k] - x[k])))
+    for row, v in zip(rows, nus):
+        comp = max(comp, abs(v * _row_value(problem, x, row)))
 
     if viol <= opts.tol_feas and kkt <= opts.tol_kkt:
         status = SolveStatus.CONVERGED
@@ -652,28 +569,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
         comp_slackness=comp,
         n_iter=n_iter,
         message=message,
-        # accepted phase results: start -> SQP output -> polished point; the
-        # merit guarantee of the solve covers these (the SQP code's internal
-        # trial steps follow scipy's own penalty bookkeeping)
-        info={"phase_points": (x0, slsqp_x, x.copy()), "sqp_stalled": stalled},
+        info={"sqp_stalled": stalled},
     )
-
-
-def merit_values(
-    problem: NlpProblem, iterates: Sequence[np.ndarray], rho: float
-) -> np.ndarray:
-    """L1 exact-penalty merit of each iterate, for monotonicity diagnostics."""
-    out = []
-    for x in iterates:
-        pen = 0.0
-        for c in problem.eq_constraints:
-            pen += abs(float(c.fun(x)))
-        for c in problem.ineq_constraints:
-            pen += max(0.0, -float(c.fun(x)))
-        pen += float(np.sum(np.maximum(problem.lb - x, 0.0)))
-        pen += float(np.sum(np.maximum(x - problem.ub, 0.0)))
-        out.append(float(problem.objective(x)) + rho * pen)
-    return np.array(out)
 
 
 def best_converged(solutions: Sequence[ScalarSolution]) -> Optional[ScalarSolution]:

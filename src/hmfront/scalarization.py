@@ -44,7 +44,7 @@ from scipy.linalg import null_space
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .moments import MomentPoint, ObjectiveVector
+from .moments import MomentPoint
 from .problem import OBJECTIVE_SENSES, PortfolioMop, _mean_variance_qp, _simplex_constraint
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
@@ -605,26 +605,17 @@ def map_nbi_to_msf(nbi: NbiParams) -> SfParams:
     return SfParams(g=np.maximum(g, 0.0), reference_objectives=nbi.hull_point)
 
 
-def map_sf_to_sp(sf: SfParams, at, objectives=None, p: PortfolioMop | None = None) -> SpParams:
+def map_sf_to_sp(sf: SfParams, at, p: PortfolioMop | None = None) -> SpParams:
     """Parameter substitution sending a shortage problem to an SP one.
 
-    ``at`` is the evaluation point of the reference in image space (an
-    :class:`ObjectiveVector` or a minimization-form array).  The reference
-    is reflected through ``at`` componentwise; with ``at`` equal to the
-    reference's own image -- the canonical call -- the reflection is the
-    identity and the mapped SP reproduces the shortage optimum with
-    t = -delta.  The direction maps componentwise: r = g.
+    ``at`` is the evaluation point of the reference in image space, a
+    minimization-form array.  The reference is reflected through ``at``
+    componentwise; with ``at`` equal to the reference's own image -- the
+    canonical call -- the reflection is the identity and the mapped SP
+    reproduces the shortage optimum with t = -delta.  The direction maps
+    componentwise: r = g.
     """
-    if isinstance(at, ObjectiveVector):
-        if objectives is None and p is not None:
-            objectives = p.objectives
-        if objectives is None:
-            objectives = ("mean", "variance", "skewness")
-        at_vec = np.array(
-            [OBJECTIVE_SENSES[name] * getattr(at, name) for name in objectives]
-        )
-    else:
-        at_vec = np.asarray(at, dtype=float)
+    at_vec = np.asarray(at, dtype=float)
     if sf.reference_objectives is not None:
         c = sf.reference_objectives
     elif p is not None:

@@ -405,7 +405,13 @@ def _no_solve(*args, **kwargs):
         ("sf", "n_references=-2"),
         ("tracer", "corrector_tol=-1"),
         ("epsilon", "rounds=-1"),
+        ("epsilon", "k=0"),
+        ("epsilon", "alpha=-1"),
         ("utility", "n_starts=0"),
+        # the lambda schedule of each of these would never end
+        ("utility_iterative", "lambda_start=inf"),
+        ("utility_iterative", "lambda_start=1e300"),
+        ("utility_iterative", "lambda_stop=-inf"),
     ],
 )
 def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method, param):

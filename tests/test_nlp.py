@@ -13,7 +13,6 @@ from hmfront import (
 )
 from hmfront import nlp
 from hmfront import scalarization as sc
-from hmfront.nlp import merit_values
 from hmfront.util import equal_weights
 from oracles import qp_simplex_bruteforce
 
@@ -109,23 +108,88 @@ def test_stationarity_invariant_on_converged(rng):
         assert sol.comp_slackness <= 1e-8
 
 
-def test_merit_monotone_over_accepted_phases(rng):
+def _merit_value(problem, x, rho):
+    """L1 exact-penalty merit of ``x``."""
+    pen = 0.0
+    for c in problem.eq_constraints:
+        pen += abs(float(c.fun(x)))
+    for c in problem.ineq_constraints:
+        pen += max(0.0, -float(c.fun(x)))
+    pen += float(np.sum(np.maximum(problem.lb - x, 0.0)))
+    pen += float(np.sum(np.maximum(x - problem.ub, 0.0)))
+    return float(problem.objective(x)) + rho * pen
+
+
+def test_merit_monotone_over_accepted_phases(rng, monkeypatch):
     # the solve's accepted steps are start -> SQP output -> polished point;
     # the exact-penalty merit must not increase across them
+    sqp_points = []
+    polish = nlp._polish
+
+    def spy(problem, x, *args):
+        sqp_points.append(x.copy())
+        return polish(problem, x, *args)
+
+    monkeypatch.setattr(nlp, "_polish", spy)
     for trial in range(4):
         a = rng.normal(size=(4, 4))
         Q = a @ a.T + np.eye(4)
         c = rng.normal(size=4)
         prob = _quadratic_problem(Q, c, np.array([0.7, 0.1, 0.1, 0.1]))
+        sqp_points.clear()
         sol = solve(prob)
+        assert len(sqp_points) == 1
         rho = 2.0 * max(
             1.0,
             float(np.max(np.abs(sol.eq_multipliers), initial=0.0)),
             float(np.max(np.abs(sol.ineq_multipliers), initial=0.0)),
         )
-        merits = merit_values(prob, sol.info["phase_points"], rho)
+        phases = (prob.x0, sqp_points[0], sol.x)
+        merits = np.array([_merit_value(prob, x, rho) for x in phases])
         drops = np.diff(merits)
         assert np.all(drops <= 1e-9 * (1.0 + np.abs(merits[:-1])))
+
+
+def test_upper_and_lower_bound_multipliers():
+    # min 1/2 |x - c|^2 s.t. sum(x) = 1, 0 <= x <= 0.5: x = (0.5, c2 - lam,
+    # c3 - lam, 0) with lam = (c2 + c3 - 0.5) / 2, upper-bound multiplier
+    # c1 - 0.5 - lam on x1 and lower-bound multiplier lam - c4 on x4
+    c = np.array([1.0, 0.4, 0.3, -0.5])
+    prob = NlpProblem(
+        objective=lambda x: float(0.5 * (x - c) @ (x - c)),
+        gradient=lambda x: x - c,
+        hessian=lambda x: np.eye(4),
+        x0=np.full(4, 0.25),
+        eq_constraints=(_simplex_eq(4),),
+        lb=np.zeros(4),
+        ub=np.full(4, 0.5),
+    )
+    sol = solve(prob)
+    assert sol.status is SolveStatus.CONVERGED
+    lam = (c[1] + c[2] - 0.5) / 2.0
+    assert np.allclose(sol.x, [0.5, c[1] - lam, c[2] - lam, 0.0], atol=1e-8)
+    assert sol.eq_multipliers[0] == pytest.approx(lam, abs=1e-8)
+    assert np.array_equal(sol.ub_multipliers > 0, [True, False, False, False])
+    assert np.array_equal(sol.lb_multipliers > 0, [False, False, False, True])
+    assert np.all(sol.ub_multipliers[1:] == 0.0) and np.all(sol.lb_multipliers[:3] == 0.0)
+    assert sol.ub_multipliers[0] == pytest.approx(c[0] - 0.5 - lam, abs=1e-8)
+    assert sol.lb_multipliers[3] == pytest.approx(lam - c[3], abs=1e-8)
+
+
+def _contradictory_bounds():
+    """x >= 2 and x <= 1 as inequality constraints."""
+    return (
+        ConstraintSpec(
+            fun=lambda x: float(x[0] - 2.0),
+            jac=lambda x: np.array([1.0]),
+            hess=lambda x: np.zeros((1, 1)),
+        ),
+        ConstraintSpec(
+            fun=lambda x: float(1.0 - x[0]),
+            jac=lambda x: np.array([-1.0]),
+            hess=lambda x: np.zeros((1, 1)),
+        ),
+    )
 
 
 def test_infeasible_detection():
@@ -133,11 +197,9 @@ def test_infeasible_detection():
     prob = NlpProblem(
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
+        hessian=lambda x: np.array([[2.0]]),
         x0=np.array([0.0]),
-        ineq_constraints=(
-            ConstraintSpec(fun=lambda x: float(x[0] - 2.0), jac=lambda x: np.array([1.0])),
-            ConstraintSpec(fun=lambda x: float(1.0 - x[0]), jac=lambda x: np.array([-1.0])),
-        ),
+        ineq_constraints=_contradictory_bounds(),
     )
     sol = solve(prob)
     assert sol.status is SolveStatus.INFEASIBLE
@@ -282,7 +344,10 @@ def test_multistart_bimodal_finds_both_basins():
             return np.array([2.0 * (x[0] + 1.0)])
         return np.array([2.0 * (x[0] - 2.0)])
 
-    prob = NlpProblem(objective=f, gradient=g, x0=np.array([0.0]))
+    # each well has curvature 2
+    prob = NlpProblem(
+        objective=f, gradient=g, hessian=lambda x: np.array([[2.0]]), x0=np.array([0.0])
+    )
     result = solve_multistart(prob, [np.array([-1.5]), np.array([2.5])])
     locals_x = sorted(round(float(s.x[0]), 3) for s in result.solutions)
     assert locals_x == [-1.0, 2.0]
@@ -304,11 +369,9 @@ def test_multistart_all_fail_raises():
     prob = NlpProblem(
         objective=lambda x: float(x[0]),
         gradient=lambda x: np.array([1.0]),
+        hessian=lambda x: np.zeros((1, 1)),
         x0=np.array([0.0]),
-        ineq_constraints=(
-            ConstraintSpec(fun=lambda x: float(x[0] - 2.0), jac=lambda x: np.array([1.0])),
-            ConstraintSpec(fun=lambda x: float(1.0 - x[0]), jac=lambda x: np.array([-1.0])),
-        ),
+        ineq_constraints=_contradictory_bounds(),
     )
     with pytest.raises(MultistartError):
         solve_multistart(prob, [np.array([0.0]), np.array([5.0])])
