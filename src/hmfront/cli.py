@@ -72,6 +72,9 @@ EXIT_SOLVE = 3
 EXIT_VERIFY = 4
 EXIT_MEASURE = 5
 
+# most lambda values (one QP each) a utility_iterative schedule may hold
+_MAX_LAMBDA_SCHEDULE = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -256,27 +259,14 @@ def _solution_multipliers(sol: nlp.ScalarSolution) -> dict:
 
 
 def _run_tracer(cfg: RunConfig, mop: PortfolioMop):
-    params = cfg.method_params
-    tcfg = tracer.TracerConfig(
-        tau=params.get("tau"),
-        n_starts=params.get("n_starts", 8),
-        max_points=params.get("max_points", 150),
-        corrector_tol=params.get("corrector_tol", 1e-8),
-    )
-    front = tracer.trace(mop, tcfg, seed=cfg.seed)
+    front = tracer.trace(mop, tracer.TracerConfig(**cfg.method_params), seed=cfg.seed)
     return front.points, front.metadata, []
 
 
 def _run_epsilon(cfg: RunConfig, mop: PortfolioMop):
-    params = cfg.method_params
-    archive = eps_mod.run_adaptive_epsilon(
-        mop,
-        (params.get("n1", 50), params.get("n2", 50)),
-        alpha=params.get("alpha"),
-        k=params.get("k", 1),
-        rounds=params.get("rounds", 5),
-        seed=cfg.seed,
-    )
+    params = dict(cfg.method_params)
+    n = (params.pop("n1", eps_mod.GRID_N[0]), params.pop("n2", eps_mod.GRID_N[1]))
+    archive = eps_mod.run_adaptive_epsilon(mop, n, seed=cfg.seed, **params)
     points = [
         FrontPoint.at(
             mop,
@@ -288,6 +278,7 @@ def _run_epsilon(cfg: RunConfig, mop: PortfolioMop):
     ]
     metadata = {
         "attempted": archive.attempted,
+        "skipped": archive.skipped,
         "infeasible": archive.infeasible_count,
         "failed": archive.failed_count,
         "seed": cfg.seed,
@@ -408,11 +399,17 @@ def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
         raise ParameterError("lambda_step must be positive")
     if not (math.isfinite(lam) and math.isfinite(stop)):
         raise ParameterError("lambda_start and lambda_stop must be finite")
-    if lam - step == lam:
-        raise ParameterError("lambda_step is too small to change lambda_start")
+    # the schedule has floor((lam - stop + 1e-12) / step) + 1 values
+    if (lam - stop + 1e-12) / step >= _MAX_LAMBDA_SCHEDULE:
+        raise ParameterError(
+            "the lambda schedule would have more than %d values" % _MAX_LAMBDA_SCHEDULE
+        )
     schedule = []
     while lam >= stop - 1e-12:
         schedule.append(lam)
+        # a step that rounds away would repeat lam forever
+        if lam - step == lam:
+            raise ParameterError("lambda_step is too small to change lambda")
         lam -= step
     path = dict(iterative_utility_optimize(mop, schedule))
     points = [
@@ -748,7 +745,12 @@ def cmd_quality(cfg: RunConfig) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "front": cfg.front_path,
-        "reference": {"method": "epsilon", "N": list(cfg.reference_n)},
+        "reference": {
+            "method": "epsilon",
+            "N": list(cfg.reference_n),
+            "attempted": archive.attempted,
+            "skipped": archive.skipped,
+        },
         "seed": cfg.seed,
     }
     doc.update(report.as_dict())

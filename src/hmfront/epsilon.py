@@ -12,6 +12,13 @@ and every cell solves
 
     min f_minimized(x)  s.t.  f_1(x) <= eps_1,  f_2(x) <= eps_2,  x in simplex.
 
+Infeasible cells are counted and left out of the archive.  A grid row is
+swept in increasing eps_2, each cell warm-started from its left neighbour,
+and ends at its first converged cell whose eps_2 multiplier is exactly 0:
+the rest of the row would return that cell's point again, so those cells
+are counted as converged duplicates (``FrontArchive.skipped``) without a
+solve.  This is the bypass of AUGMECON (Mavrotas 2009).
+
 Refinement around an archived entry places (2k+1)^2 - 1 new epsilon points
 spaced ``alpha / (1 + mu_i^2)`` along axis i, where mu_i is the archived
 Lagrange multiplier of the corresponding epsilon row: strongly binding
@@ -38,6 +45,9 @@ from .errors import ParameterError, SolverError
 from .problem import PortfolioMop
 from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
 from .util import dirichlet_starts, equal_weights, parallel_map, simplex_vertices
+
+# default grid counts (N1, N2) of run_adaptive_epsilon
+GRID_N = (50, 50)
 
 __all__ = [
     "EpsilonGrid",
@@ -82,7 +92,12 @@ class ArchiveEntry:
 
 @dataclass
 class FrontArchive:
-    """Converged grid entries plus bookkeeping; image is deduplicated."""
+    """Converged grid entries plus bookkeeping; image is deduplicated.
+
+    ``attempted`` counts every cell, solved or not; ``skipped`` counts the
+    cells the grid sweep did not solve because their point was already
+    archived (see :func:`solve_grid`).
+    """
 
     problem: PortfolioMop
     grid: EpsilonGrid
@@ -90,6 +105,7 @@ class FrontArchive:
     attempted: int = 0
     infeasible_count: int = 0
     failed_count: int = 0
+    skipped: int = 0
     _keys: set = field(default_factory=set)
 
     def image(self) -> np.ndarray:
@@ -127,6 +143,12 @@ class FrontArchive:
                 solution=sol,
             )
         )
+
+    def record_skipped(self, count: int) -> None:
+        """Count ``count`` cells whose point is already archived, without a
+        solve, as converged duplicates."""
+        self.attempted += count
+        self.skipped += count
 
     def sort(self) -> None:
         self.entries.sort(key=lambda e: (float(e.eps[0]), float(e.eps[1])))
@@ -231,11 +253,18 @@ def _solve_cell(
 
 
 def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
-    """Solve every grid cell; archive converged entries with multipliers.
+    """Solve the grid cells; archive converged entries with multipliers.
 
     Cells within a grid row are warm-started from their left neighbour's
     solution; each row starts from equal weights.  Infeasible cells are
-    skipped and counted.
+    counted and not archived.
+
+    A row ends at its first converged cell whose ``eps_2`` multiplier is
+    exactly 0 (the AUGMECON bypass): ``eps_2`` only grows along the row, so
+    that cell's point satisfies the KKT conditions of every later cell, and
+    each later cell would be warm-started from it.  The later cells are
+    counted in ``attempted`` and ``skipped`` as converged duplicates,
+    without a solve.
     """
     n1, n2 = grid.N
     archive = FrontArchive(problem=p, grid=grid)
@@ -248,12 +277,15 @@ def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
             sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0)
             out.append((eps, sol))
             if sol.converged:
+                if sol.ineq_multipliers[1] == 0.0:
+                    break
                 x0 = sol.x
         return out
 
     for row in parallel_map(solve_row, range(n1)):
         for eps, sol in row:
             archive.record(eps, sol)
+        archive.record_skipped(n2 - len(row))
     archive.sort()
     return archive
 
@@ -314,7 +346,7 @@ def _widest_gap_entry(archive: FrontArchive) -> Optional[ArchiveEntry]:
 
 def run_adaptive_epsilon(
     p: PortfolioMop,
-    N: tuple[int, int] = (50, 50),
+    N: tuple[int, int] = GRID_N,
     *,
     alpha: float | None = None,
     k: int = 1,

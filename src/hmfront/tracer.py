@@ -116,7 +116,7 @@ class TracerConfig:
 
     tau: Optional[float] = None
     n_starts: int = 8
-    max_points: int = 200
+    max_points: int = 150
     corrector_tol: float = 1e-8
 
     def __post_init__(self) -> None:

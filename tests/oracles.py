@@ -4,7 +4,8 @@ Every helper here recomputes a quantity by a route disjoint from the
 library implementation it checks: observation loops instead of tensor
 contractions, finite differences instead of analytic derivatives, support
 enumeration instead of iterative solves, and dense sweeps instead of
-continuation.
+continuation.  ``full_sweep`` is the epsilon grid sweep without the
+row bypass: every cell solved.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from hmfront import epsilon as em
+from hmfront.util import equal_weights
 
 
 def loop_stats(w: np.ndarray, observations: np.ndarray) -> dict:
@@ -149,3 +153,27 @@ def relative_stationarity(terms) -> float:
     terms = [np.asarray(t, dtype=float) for t in terms]
     total = np.sum(terms, axis=0)
     return float(np.max(np.abs(total)) / max(float(np.max(np.abs(t))) for t in terms))
+
+
+def full_sweep(p, grid):
+    """Solve every cell of an epsilon grid, each row from equal weights and
+    each later cell warm-started from the row's last converged point.
+
+    Returns the sorted archive and the solutions, one list per grid row.
+    """
+    n1, n2 = grid.N
+    archive = em.FrontArchive(problem=p, grid=grid)
+    rows = []
+    for l1 in range(n1):
+        x0 = equal_weights(p.n)
+        sols = []
+        for l2 in range(n2):
+            eps = grid.centers[l1 * n2 + l2]
+            sol = em._solve_cell(p, eps, grid.constrained, grid.minimized, x0)
+            archive.record(eps, sol)
+            sols.append(sol)
+            if sol.converged:
+                x0 = sol.x
+        rows.append(sols)
+    archive.sort()
+    return archive, rows

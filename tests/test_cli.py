@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from hmfront import nlp, problem
+from hmfront import cli, nlp, problem
 from hmfront.cli import (
     EXIT_INPUT,
     EXIT_MEASURE,
@@ -131,7 +131,7 @@ METHOD_CASES = {
     "epsilon": (
         ["n1=3", "n2=3", "rounds=0"],
         ["eps_1", "eps_2", "mu_1", "mu_2"],
-        {"attempted", "failed", "infeasible", "seed"},
+        {"attempted", "failed", "infeasible", "seed", "skipped"},
     ),
     "pgp": (
         [],
@@ -277,6 +277,10 @@ def test_quality_command(tmp_path):
     for key in ("coverage_error", "uniformity", "cardinality", "dominated_count"):
         assert key in doc
     assert doc["cardinality"] >= 2
+    reference = doc["reference"]
+    assert set(reference) == {"method", "N", "attempted", "skipped"}
+    assert reference["attempted"] == 36
+    assert 0 < reference["skipped"] < 36
 
 
 def test_quality_single_point_front_exits_5(tmp_path):
@@ -412,6 +416,8 @@ def _no_solve(*args, **kwargs):
         ("utility_iterative", "lambda_start=inf"),
         ("utility_iterative", "lambda_start=1e300"),
         ("utility_iterative", "lambda_stop=-inf"),
+        # finite, but 5e14 values; rejected before the schedule is built
+        ("utility_iterative", "lambda_start=1e15"),
     ],
 )
 def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method, param):
@@ -421,6 +427,32 @@ def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "params, cap, error",
+    [
+        (["lambda_start=6"], 3, None),  # 6, 4, 2
+        (["lambda_start=8"], 3, "more than 3 values"),  # 8, 6, 4, 2
+        # 7 values by count, but subtracting 1 stalls at 2**53 + 4, where
+        # round-half-even returns the same float
+        (
+            ["lambda_start=9007199254740998", "lambda_stop=9007199254740992", "lambda_step=1"],
+            10,
+            "too small to change lambda",
+        ),
+    ],
+)
+def test_lambda_schedule_is_bounded(tmp_path, capsys, monkeypatch, params, cap, error):
+    monkeypatch.setattr(cli, "_MAX_LAMBDA_SCHEDULE", cap)
+    argv = ["front", *SYN, "--method", "utility_iterative", "--out", str(tmp_path / "f")]
+    for item in params:
+        argv += ["--param", item]
+    if error is None:
+        assert run(argv) == EXIT_OK
+    else:
+        assert run(argv) == EXIT_INPUT
+        assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

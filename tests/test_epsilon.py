@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hmfront import ParameterError, SolveStatus
+from hmfront import ParameterError, PortfolioMop, SolveStatus, compute_moments, synthetic_returns
 from hmfront import epsilon as em
 from hmfront import scalarization as sc
 from hmfront.util import equal_weights
-from oracles import brute_nondominated_mask, relative_stationarity, simplex_sweep
+from oracles import brute_nondominated_mask, full_sweep, relative_stationarity, simplex_sweep
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,49 @@ def test_archive_image_deduplicated(archive):
     pts = archive.image()
     quant = np.floor(pts / 1e-9 + 0.5).astype(np.int64)
     assert len({tuple(q) for q in quant}) == len(pts)
+
+
+def _skewed_mop():
+    # skewed enough that some rows never reach a cell with a slack eps_2
+    return PortfolioMop(moments=compute_moments(synthetic_returns(3, 400, 7, 0.6)))
+
+
+@pytest.mark.parametrize("instance", ["convex", "skewed"])
+def test_row_bypass_matches_full_sweep(convex_mop, monkeypatch, instance):
+    p = convex_mop if instance == "convex" else _skewed_mop()
+    grid = em.build_grid(p, (6, 6), seed=0)
+    solves_per_row = {}
+    real_solve_cell = em._solve_cell
+
+    def counting_solve_cell(p, eps, *args):
+        solves_per_row[float(eps[0])] = solves_per_row.get(float(eps[0]), 0) + 1
+        return real_solve_cell(p, eps, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(em, "_solve_cell", counting_solve_cell)
+        bypass = em.solve_grid(p, grid)
+    full, rows = full_sweep(p, grid)
+
+    assert len(bypass.entries) == len(full.entries)
+    for a, b in zip(bypass.entries, full.entries):
+        assert np.array_equal(a.eps, b.eps)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.multipliers, b.multipliers)
+    counts = ("attempted", "infeasible_count", "failed_count")
+    assert [getattr(bypass, c) for c in counts] == [getattr(full, c) for c in counts]
+
+    n2 = grid.N[1]
+    expected_skipped = 0
+    for l1, sols in enumerate(rows):
+        first_slack = next(
+            (j for j, s in enumerate(sols) if s.converged and s.ineq_multipliers[1] == 0.0),
+            n2 - 1,  # a row without such a cell is solved to its end
+        )
+        assert solves_per_row[float(grid.centers[l1 * n2, 0])] == first_slack + 1
+        expected_skipped += n2 - 1 - first_slack
+    assert bypass.skipped == expected_skipped > 0
+    if instance == "skewed":
+        assert min(solves_per_row.values()) < n2 == max(solves_per_row.values())
 
 
 def test_refinement_zero_multiplier_exact_lattice(archive):
