@@ -65,6 +65,7 @@ from .problem import (
     utility_optimize,
 )
 from .synthetic import synthetic_returns
+from .util import equal_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -127,12 +128,10 @@ def _load_config_file(path: str) -> dict:
 # is a list of exactly that many values, [str] a list of names
 _CONFIG_FIELDS = {
     "input": ("input_path", str),
-    "input_path": ("input_path", str),
     "method": ("method", str),
     "method_params": ("method_params", dict),
     "objectives": ("objectives", [str]),
     "seed": ("seed", int),
-    "output_dir": ("output_dir", str),
     "out": ("output_dir", str),
     "workers": ("workers", int),
     "gnuplot": ("gnuplot", bool),
@@ -246,6 +245,19 @@ def _beta_lattice(m: int, divisions: int) -> list[np.ndarray]:
     return [np.array(v, dtype=float) / divisions for v in out]
 
 
+def _ray_starts(anchors: scalarization.AnchorSet, beta) -> list[np.ndarray]:
+    """Starts of the NBI and SP ray solves at hull weights ``beta``: the
+    matching mix of the anchor portfolios, then equal weights."""
+    return [beta @ anchors.weights, equal_weights(anchors.weights.shape[1])]
+
+
+def _sf_direction(anchors: scalarization.AnchorSet) -> np.ndarray:
+    """Shortage direction: the anchor range of each objective, 1 where the
+    range is flat."""
+    g = anchors.objective_ranges()
+    return np.where(g > 0, g, 1.0)
+
+
 def _mult_dict(prefix: str, values) -> dict:
     return {"%s_%d" % (prefix, i + 1) : float(v) for i, v in enumerate(values)}
 
@@ -302,7 +314,7 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
     missed_rays = 0
     for beta in _beta_lattice(mop.m, divisions):
         nbi = scalarization.nbi_params(anchors, beta)
-        starts = [beta @ anchors.weights, np.full(mop.n, 1.0 / mop.n)]
+        starts = _ray_starts(anchors, beta)
         if method == "nbi":
             sol = scalarization.solve_nbi(mop, nbi, starts=starts)
             aux_name = "s"
@@ -334,9 +346,7 @@ def _run_shortage(cfg: RunConfig, mop: PortfolioMop):
     n_refs = cfg.method_params.get("n_references", 20)
     if n_refs < 1:
         raise ParameterError("n_references must be >= 1")
-    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
-    g = anchors.objective_ranges()
-    g = np.where(g > 0, g, 1.0)
+    g = _sf_direction(scalarization.compute_anchors(mop, seed=cfg.seed))
     rng = np.random.default_rng(cfg.seed)
     solver = scalarization.solve_sf if cfg.method == "sf" else scalarization.solve_msf
     points = []
@@ -354,6 +364,8 @@ def _run_shortage(cfg: RunConfig, mop: PortfolioMop):
 
 
 def _run_pgp(cfg: RunConfig, mop: PortfolioMop):
+    if not {"mean", "skewness"} <= set(mop.objectives):
+        raise ParameterError("pgp needs the objectives mean and skewness")
     params = cfg.method_params
     scale = scalarization.pgp_scale_factor(mop)
     scaled_mop = _scaled_mop(cfg, mop, scale)
@@ -533,177 +545,149 @@ def cmd_front(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_cases(cfg: RunConfig, mop: PortfolioMop) -> tuple[list[dict], list[dict]]:
+# the objectives verify needs, in any order: the epsilon grid constrains mean
+# and variance and minimizes skewness, and the PGP rows need all three
+_VERIFY_OBJECTIVES = ("mean", "skewness", "variance")
+
+
+def _compare(check: str, where: dict, a, b, tol: float, weights_tol=None) -> dict:
+    """One identity case of ``verify``: solves ``a`` and ``b`` agree.
+
+    Every scalarization reports its minimized value ``sense * aux``, so
+    each identity (s = -t, s = delta, delta = -t, cell = t) is
+    ``|a.value - b.value| <= tol``; ``weights_tol`` also bounds the largest
+    weight difference.  Skipped unless both solves converged.
+    """
+    case = {"check": check, **where}
+    if not (a.converged and b.converged):
+        case.update(status="skipped", reason="%s / %s" % (a.status.value, b.status.value))
+        return case
+    dv = abs(a.value - b.value)
+    case.update(delta_value=dv, tolerance=tol)
+    ok = dv <= tol
+    if weights_tol is not None:
+        dw = float(np.max(np.abs(a.weights - b.weights)))
+        case.update(delta_weights=dw, weights_tolerance=weights_tol)
+        ok = ok and dw <= weights_tol
+    case["status"] = "pass" if ok else "fail"
+    return case
+
+
+def _verify_cases(
+    cfg: RunConfig, mop: PortfolioMop, anchors: scalarization.AnchorSet
+) -> list[dict]:
+    """The identity cases: NBI against modified SP and mapped MSF at hull
+    weights, SF against mapped SP at random references, and epsilon cells
+    against SP on a 10 x 10 grid."""
     rng = np.random.default_rng(cfg.seed)
-    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     cases: list[dict] = []
-    m = mop.m
-    betas = [np.eye(m)[i] for i in range(m)]
+    betas = [np.eye(mop.m)[i] for i in range(mop.m)]
     while len(betas) < cfg.samples:
-        betas.append(rng.dirichlet(np.ones(m)))
-    equal = np.full(mop.n, 1.0 / mop.n)
+        betas.append(rng.dirichlet(np.ones(mop.m)))
     for beta in betas:
         nbi = scalarization.nbi_params(anchors, beta)
-        starts = [beta @ anchors.weights, equal]
+        starts = _ray_starts(anchors, beta)
         nbi_sol = scalarization.solve_nbi(mop, nbi, starts=starts)
-        sp_sol = scalarization.solve_sp(
-            mop,
-            scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar),
-            modified=True,
-            starts=starts,
-        )
-        msf_sol = scalarization.solve_msf(
-            mop, scalarization.map_nbi_to_msf(nbi), starts=starts
-        )
-        for kind, other, delta_aux in (
-            ("nbi_vs_modified_sp", sp_sol, None),
-            ("nbi_vs_mapped_msf", msf_sol, None),
-        ):
-            if nbi_sol.converged and other.converged:
-                if kind == "nbi_vs_modified_sp":
-                    dv = abs(nbi_sol.aux_value + other.aux_value)  # s = -t
-                else:
-                    dv = abs(nbi_sol.aux_value - other.aux_value)  # s = delta
-                dw = float(np.max(np.abs(nbi_sol.weights - other.weights)))
-                cases.append(
-                    {
-                        "check": kind,
-                        "beta": [float(b) for b in beta],
-                        "delta_value": dv,
-                        "delta_weights": dw,
-                        "tolerance": 1e-6,
-                        "weights_tolerance": 1e-5,
-                        "status": "pass" if dv <= 1e-6 and dw <= 1e-5 else "fail",
-                    }
-                )
-            else:
-                cases.append(
-                    {
-                        "check": kind,
-                        "beta": [float(b) for b in beta],
-                        "status": "skipped",
-                        "reason": "%s / %s" % (nbi_sol.status.value, other.status.value),
-                    }
-                )
-    g = anchors.objective_ranges()
-    g = np.where(g > 0, g, 1.0)
+        sp = scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar)
+        sp_sol = scalarization.solve_sp(mop, sp, modified=True, starts=starts)
+        msf_sol = scalarization.solve_msf(mop, scalarization.map_nbi_to_msf(nbi), starts=starts)
+        where = {"beta": [float(b) for b in beta]}
+        cases.append(_compare("nbi_vs_modified_sp", where, nbi_sol, sp_sol, 1e-6, 1e-5))
+        cases.append(_compare("nbi_vs_mapped_msf", where, nbi_sol, msf_sol, 1e-6, 1e-5))
+    g = _sf_direction(anchors)
+    equal = equal_weights(mop.n)
     for i in range(cfg.samples):
         ref = rng.dirichlet(np.ones(mop.n))
         sf = scalarization.SfParams(g=g, reference_weights=ref)
         sf_sol = scalarization.solve_sf(mop, sf)
         sp = scalarization.map_sf_to_sp(sf, mop.objective_values(ref), p=mop)
         sp_sol = scalarization.solve_sp(mop, sp, starts=[ref, equal])
-        if sf_sol.converged and sp_sol.converged:
-            dv = abs(sf_sol.aux_value + sp_sol.aux_value)  # delta = -t
-            cases.append(
-                {
-                    "check": "sf_vs_mapped_sp",
-                    "reference": int(i),
-                    "delta_value": dv,
-                    "tolerance": 1e-8,
-                    "status": "pass" if dv <= 1e-8 else "fail",
-                }
-            )
-        else:
-            cases.append(
-                {
-                    "check": "sf_vs_mapped_sp",
-                    "reference": int(i),
-                    "status": "skipped",
-                    "reason": "%s / %s" % (sf_sol.status.value, sp_sol.status.value),
-                }
-            )
+        cases.append(_compare("sf_vs_mapped_sp", {"reference": i}, sf_sol, sp_sol, 1e-8))
     grid = eps_mod.build_grid(mop, (10, 10), seed=cfg.seed)
-    for row in range(grid.size):
-        eps = grid.centers[row]
-        cell = eps_mod._solve_cell(
-            mop, eps, grid.constrained, grid.minimized, np.full(mop.n, 1.0 / mop.n)
-        )
+    for eps in grid.centers:
+        cell = eps_mod._solve_cell(mop, eps, grid.constrained, grid.minimized, equal)
         sp = eps_mod.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
         sp_starts = [cell.x, equal] if cell.converged else [equal]
         sp_sol = scalarization.solve_sp(mop, sp, starts=sp_starts)
+        where = {"eps": [float(e) for e in eps]}
         cell_inf = cell.status is nlp.SolveStatus.INFEASIBLE
         sp_inf = sp_sol.status is nlp.SolveStatus.INFEASIBLE
         if cell_inf or sp_inf:
+            # an infeasible cell passes only when its SP is infeasible too
             cases.append(
                 {
                     "check": "epsilon_vs_sp",
-                    "eps": [float(e) for e in eps],
+                    **where,
                     "status": "pass" if cell_inf == sp_inf else "fail",
                     "reason": "infeasible statuses %s/%s" % (cell_inf, sp_inf),
                 }
             )
-            continue
-        if not (cell.converged and sp_sol.converged):
-            cases.append(
-                {
-                    "check": "epsilon_vs_sp",
-                    "eps": [float(e) for e in eps],
-                    "status": "skipped",
-                    "reason": "%s / %s" % (cell.status.value, sp_sol.status.value),
-                }
-            )
-            continue
-        dv = abs(cell.value - sp_sol.value)
-        cases.append(
-            {
-                "check": "epsilon_vs_sp",
-                "eps": [float(e) for e in eps],
-                "delta_value": dv,
-                "tolerance": 1e-6,
-                "status": "pass" if dv <= 1e-6 else "fail",
-            }
-        )
-    # PGP diagnostic on a few interior hull weights; the unit-variance slice
-    # is placed inside the efficient variance range so the shortfalls can be
-    # positive at interior front points
-    pgp_rows: list[dict] = []
+        else:
+            cases.append(_compare("epsilon_vs_sp", where, cell, sp_sol, 1e-6))
+    return cases
+
+
+def _pgp_rows(
+    cfg: RunConfig, mop: PortfolioMop, anchors: scalarization.AnchorSet
+) -> list[dict]:
+    """PGP diagnostic on up to 12 random hull weights, until 3 apply.
+
+    The unit-variance slice is placed inside the efficient variance range so
+    the shortfalls can be positive at interior front points.
+    """
     scaled_mop = _scaled_mop(cfg, mop, scalarization.pgp_efficient_scale(mop, anchors))
     pgp_sol = scalarization.solve_pgp(
         scaled_mop, scalarization.PgpParams(alpha=1.0, beta=1.0), seed=cfg.seed
     )
-    if pgp_sol.info and mop.m == 3:
-        pgp_params = scalarization.PgpParams(
-            alpha=1.0,
-            beta=1.0,
-            z_stars=(pgp_sol.info["z1_star"], pgp_sol.info["z3_star"]),
+    if not pgp_sol.info:
+        return []
+    pgp_params = scalarization.PgpParams(
+        alpha=1.0, beta=1.0, z_stars=(pgp_sol.info["z1_star"], pgp_sol.info["z3_star"])
+    )
+    scaled_anchors = scalarization.compute_anchors(scaled_mop, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 11)
+    rows: list[dict] = []
+    applicable = 0
+    for _ in range(12):
+        beta = rng.dirichlet(np.ones(3))
+        nbi = scalarization.nbi_params(scaled_anchors, beta)
+        nbi_sol = scalarization.solve_nbi(
+            scaled_mop, nbi, starts=_ray_starts(scaled_anchors, beta)
         )
-        scaled_anchors = scalarization.compute_anchors(scaled_mop, seed=cfg.seed)
-        pgp_rng = np.random.default_rng(cfg.seed + 11)
-        applicable = 0
-        for _ in range(12):
-            beta = pgp_rng.dirichlet(np.ones(3))
-            nbi = scalarization.nbi_params(scaled_anchors, beta)
-            nbi_sol = scalarization.solve_nbi(
-                scaled_mop, nbi, starts=[beta @ scaled_anchors.weights, equal]
-            )
-            if not nbi_sol.converged:
-                pgp_rows.append({"beta": beta.tolist(), "applicable": False,
-                                 "reason": "nbi " + nbi_sol.status.value})
-                continue
-            rep = scalarization.check_pgp_kkt(nbi_sol, pgp_params, nbi, scaled_mop)
-            pgp_rows.append(
-                {
-                    "beta": [float(b) for b in beta],
-                    "applicable": rep.applicable,
-                    "reason": rep.reason,
-                    "alpha": rep.alpha,
-                    "beta_exponent": rep.beta,
-                    "mu2": rep.mu[1] if rep.applicable else None,
-                    "stationarity_norm": rep.stationarity_norm,
-                    "goal_residuals": list(rep.goal_residuals),
-                    "mu2_zero_applicable": rep.mu2_zero_applicable,
-                }
-            )
-            applicable += rep.applicable
-            if applicable >= 3:
-                break
-    return cases, pgp_rows
+        if not nbi_sol.converged:
+            rows.append({"beta": beta.tolist(), "applicable": False,
+                         "reason": "nbi " + nbi_sol.status.value})
+            continue
+        rep = scalarization.check_pgp_kkt(nbi_sol, pgp_params, nbi, scaled_mop)
+        rows.append(
+            {
+                "beta": [float(b) for b in beta],
+                "applicable": rep.applicable,
+                "reason": rep.reason,
+                "alpha": rep.alpha,
+                "beta_exponent": rep.beta,
+                "mu2": rep.mu[1] if rep.applicable else None,
+                "stationarity_norm": rep.stationarity_norm,
+                "goal_residuals": list(rep.goal_residuals),
+                "mu2_zero_applicable": rep.mu2_zero_applicable,
+            }
+        )
+        applicable += rep.applicable
+        if applicable >= 3:
+            break
+    return rows
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if tuple(sorted(cfg.objectives)) != _VERIFY_OBJECTIVES:
+        raise ParameterError(
+            "verify needs the objectives mean, variance and skewness (any order), got %s"
+            % ",".join(cfg.objectives)
+        )
     mop = _build_mop(cfg)
-    cases, pgp_rows = _verify_cases(cfg, mop)
+    anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
+    cases = _verify_cases(cfg, mop, anchors)
+    pgp_rows = _pgp_rows(cfg, mop, anchors)
     failing = [c for c in cases if c.get("status") == "fail"]
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
@@ -406,14 +405,11 @@ def _hull_normal(images: np.ndarray) -> np.ndarray:
     if np.any(norms <= 1e-9 * max(scale, 1e-300)):
         raise SolverError("anchor images coincide; hull normal undefined")
     scaled = diffs / norms[:, None]
-    svals = np.linalg.svd(scaled, compute_uv=False)
+    _, svals, vh = np.linalg.svd(scaled)
     if svals.min() < 1e-8:
         raise SolverError("anchor images are affinely dependent; hull normal undefined")
-    basis = null_space(scaled)
-    if basis.shape[1] != 1:
-        raise SolverError("anchor images are affinely dependent; hull normal undefined")
-    nbar = basis[:, 0]
-    nbar = nbar / np.linalg.norm(nbar)
+    # the last right singular vector spans the null space of the m - 1 rows
+    nbar = vh[-1] / np.linalg.norm(vh[-1])
     total = float(nbar.sum())
     if total > 0 or (total == 0 and nbar[np.nonzero(nbar)[0][0]] > 0):
         nbar = -nbar
@@ -724,6 +720,8 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
     variance pinned to 1, over the simplex.
     """
     n = p.n
+    mean_idx = _stat_index(p, "mean")
+    skew_idx = _stat_index(p, "skewness")
     min_var, max_var = _variance_slice_bounds(p)
     if min_var > 1.0 + 1e-9 or max_var < 1.0 - 1e-9:
         sol = nlp.ScalarSolution(
@@ -750,10 +748,7 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
     else:
         z1_star, w_mean = _pgp_bound_problem(p, "mean", seed)
         z3_star, _ = _pgp_bound_problem(p, "skewness", seed + 1)
-    g = replace(g, z_stars=(float(z1_star), float(z3_star)))
 
-    mean_idx = _stat_index(p, "mean")
-    skew_idx = _stat_index(p, "skewness")
     total = n + 2  # variables (w, d1, d3)
     alpha, beta = float(g.alpha), float(g.beta)
 
@@ -842,23 +837,27 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
     return out
 
 
+_NAN = float("nan")
+
+
 @dataclass(frozen=True)
 class PgpKktReport:
     """Diagnostic transport of an NBI solution into the PGP first-order
-    system.  Reports residual norms; never asserts a pass or fail."""
+    system.  Reports residual norms; never asserts a pass or fail.  A
+    not-applicable report leaves the numbers it did not reach at nan."""
 
     applicable: bool
     reason: str
-    d1: float
-    d3: float
-    alpha: float
-    beta: float
-    kappa: float
-    mu: tuple[float, float, float]
-    nhat_dot_lambda: float
-    stationarity_norm: float
-    goal_residuals: tuple[float, float, float]
-    mu2_zero_applicable: bool
+    d1: float = _NAN
+    d3: float = _NAN
+    alpha: float = _NAN
+    beta: float = _NAN
+    kappa: float = _NAN
+    mu: tuple[float, float, float] = (_NAN, _NAN, _NAN)
+    nhat_dot_lambda: float = _NAN
+    stationarity_norm: float = _NAN
+    goal_residuals: tuple[float, float, float] = (_NAN, _NAN, _NAN)
+    mu2_zero_applicable: bool = False
 
 
 def _power_root(target: float, d: float, hi: float = 10.0) -> Optional[float]:
@@ -903,28 +902,10 @@ def check_pgp_kkt(
     resulting residual norms.  Degenerate shortfalls (d1 or d3 <= 0) yield a
     not-applicable report.
     """
-    nan = float("nan")
-
-    def na(reason):
-        return PgpKktReport(
-            applicable=False,
-            reason=reason,
-            d1=nan,
-            d3=nan,
-            alpha=nan,
-            beta=nan,
-            kappa=nan,
-            mu=(nan, nan, nan),
-            nhat_dot_lambda=nan,
-            stationarity_norm=nan,
-            goal_residuals=(nan, nan, nan),
-            mu2_zero_applicable=False,
-        )
-
     if g.z_stars is None:
         raise ParameterError("PgpParams.z_stars must be populated (run solve_pgp first)")
     if not nbi_solution.converged:
-        return na("NBI solution did not converge")
+        return PgpKktReport(False, "NBI solution did not converge")
     w = nbi_solution.weights
     if w is None:
         w = nbi_solution.x[: p.n]
@@ -933,15 +914,15 @@ def check_pgp_kkt(
     d1 = float(z1_star - stats.mean)
     d3 = float(z3_star - stats.skewness)
     if d1 <= 0 or d3 <= 0:
-        rep = na("degenerate shortfall: d1=%.3g d3=%.3g" % (d1, d3))
-        return replace(rep, d1=d1, d3=d3)
+        reason = "degenerate shortfall: d1=%.3g d3=%.3g" % (d1, d3)
+        return PgpKktReport(False, reason, d1=d1, d3=d3)
     lam = np.asarray(nbi_solution.eq_multipliers[1:], dtype=float)  # goal rows
     if lam.size != p.m:
-        return na("NBI multipliers missing")
+        return PgpKktReport(False, "NBI multipliers missing")
     nhat_dot = float(nbi.nbar @ lam)
     alpha = _power_root(abs(nhat_dot), d1)
     if alpha is None:
-        return replace(na("no exponent alpha solves the fixed point"), d1=d1, d3=d3)
+        return PgpKktReport(False, "no exponent alpha solves the fixed point", d1=d1, d3=d3)
     idx = {name: i for i, name in enumerate(p.objectives)}
     lam_mean = float(lam[idx["mean"]])
     lam_var = float(lam[idx["variance"]]) if "variance" in idx else 0.0
@@ -950,16 +931,16 @@ def check_pgp_kkt(
     # with kappa pinned by the d1 stationarity row alpha*d1^(alpha-1)+mu1=0
     denom = OBJECTIVE_SENSES["mean"] * lam_mean  # = -lam_mean
     if abs(denom) < 1e-14:
-        return replace(na("mean goal multiplier vanishes; scale undefined"), d1=d1, d3=d3)
+        reason = "mean goal multiplier vanishes; scale undefined"
+        return PgpKktReport(False, reason, d1=d1, d3=d3)
     kappa = alpha * d1 ** (alpha - 1.0) / -denom
     mu1 = kappa * OBJECTIVE_SENSES["mean"] * lam_mean
     mu2 = kappa * OBJECTIVE_SENSES["variance"] * lam_var
     mu3 = kappa * OBJECTIVE_SENSES["skewness"] * lam_skew
     beta = _power_root(-mu3, d3) if -mu3 > 0 else None
     if beta is None:
-        return replace(
-            na("no exponent beta solves the fixed point (mu3=%.3g)" % mu3), d1=d1, d3=d3
-        )
+        reason = "no exponent beta solves the fixed point (mu3=%.3g)" % mu3
+        return PgpKktReport(False, reason, d1=d1, d3=d3)
     pt = MomentPoint(w, p.moments)
     stat_comb = (
         mu1 * pt.gradient("mean")

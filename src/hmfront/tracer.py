@@ -147,10 +147,9 @@ class KktPoint:
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Orthonormal image directions with their mu and decision tangents."""
+    """Orthonormal image directions with their decision tangents."""
 
     directions: tuple[np.ndarray, ...]
-    mu_vectors: tuple[np.ndarray, ...]
     nu_vectors: tuple[np.ndarray, ...]
 
 
@@ -394,7 +393,6 @@ def tangent_frame(point: KktPoint) -> TangentFrame:
     mu_basis = sum_zero_basis(m)
     reach = gram @ mu_basis  # m x (m-1)
     directions = []
-    mus = []
     nus = []
     n_dirs = min(m - 1, basis.shape[1])
     for i in range(1, 1 + n_dirs):
@@ -406,13 +404,10 @@ def tangent_frame(point: KktPoint) -> TangentFrame:
         if float(np.linalg.norm(jnu)) < 1e-12:
             continue
         directions.append(d)
-        mus.append(mu)
         nus.append(basis @ nu_red)
     if not directions:
         raise SolverError("no usable tangent directions (flat image)")
-    return TangentFrame(
-        directions=tuple(directions), mu_vectors=tuple(mus), nu_vectors=tuple(nus)
-    )
+    return TangentFrame(directions=tuple(directions), nu_vectors=tuple(nus))
 
 
 def predictor(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 
 def project_to_simplex(v: np.ndarray, lower: float = 0.0) -> np.ndarray:
@@ -43,8 +42,8 @@ def sum_zero_basis(k: int) -> np.ndarray:
     """Orthonormal basis of {v in R^k : sum v = 0} as a k x (k-1) matrix."""
     if k < 2:
         return np.zeros((k, 0))
-    basis = null_space(np.ones((1, k)))
-    basis = np.ascontiguousarray(basis)
+    # the right singular vectors after the first span the null space of 1^T
+    basis = np.ascontiguousarray(np.linalg.svd(np.ones((1, k)))[2][1:].T)
     basis.flags.writeable = False
     return basis
 

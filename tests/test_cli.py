@@ -6,12 +6,13 @@ import os
 
 import pytest
 
-from hmfront import cli, nlp, problem
+from hmfront import cli, nlp, problem, scalarization
 from hmfront.cli import (
     EXIT_INPUT,
     EXIT_MEASURE,
     EXIT_OK,
     EXIT_SOLVE,
+    EXIT_VERIFY,
     METHODS,
     _build_config,
     build_parser,
@@ -333,10 +334,13 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(doc["points"]) == 5
 
 
-def test_unknown_config_field_exits_2(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"motive": "nope"}), encoding="utf-8")
-    assert run(["front", "--config", str(cfg)]) == EXIT_INPUT
+def test_unknown_config_field_exits_2(tmp_path, capsys):
+    # "input_path" and "output_dir" are not accepted in place of "input" and "out"
+    for key, val in (("motive", "nope"), ("input_path", "r.csv"), ("output_dir", "o")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}), encoding="utf-8")
+        assert run(["front", *SYN, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INPUT
+        assert "unknown config field %r" % key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -427,6 +431,52 @@ def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--objectives", "mean,variance"],
+        ["verify", "--objectives", "mean,variance,kurtosis"],
+        ["verify", "--objectives", "mean,variance,skewness,kurtosis"],
+        ["front", "--method", "pgp", "--objectives", "mean,variance"],
+    ],
+    ids=["verify-mv", "verify-mvk", "verify-mvsk", "pgp-mv"],
+)
+def test_unsupported_objectives_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    out = tmp_path / "f"
+    assert run([argv[0], *SYN, *argv[1:], "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_verify_takes_its_objectives_in_any_order(tmp_path, monkeypatch):
+    # the objective check passes, so the first solve is reached
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    argv = ["verify", *SYN, "--objectives", "skewness,mean,variance", "--out", str(tmp_path)]
+    with pytest.raises(AssertionError, match="a solve ran"):
+        run(argv)
+
+
+def test_verify_reports_a_failing_identity(tmp_path, monkeypatch):
+    real_msf = scalarization.solve_msf
+
+    def shifted_msf(*args, **kwargs):
+        # delta moves by 1e-3; value = -delta moves with it
+        sol = real_msf(*args, **kwargs)
+        return dataclasses.replace(sol, aux_value=sol.aux_value + 1e-3, value=sol.value - 1e-3)
+
+    monkeypatch.setattr(scalarization, "solve_msf", shifted_msf)
+    argv = ["verify", *SYN, "--samples", "3", "--seed", "5", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_VERIFY
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["all_pass"] is False
+    failing = [c for c in doc["cases"] if c["status"] == "fail"]
+    assert failing
+    for case in failing:
+        assert case["check"] == "nbi_vs_mapped_msf"
+        assert case["delta_value"] == pytest.approx(1e-3, abs=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from hmfront import (
     SolveStatus,
     compute_moments,
 )
+from hmfront import nlp
 from hmfront import scalarization as sc
+from hmfront.errors import SolverError
 from hmfront.util import equal_weights
 from oracles import brute_nondominated_mask, relative_stationarity, simplex_sweep
 
@@ -48,6 +50,20 @@ def test_anchor_images_are_individual_minima(convex_mop, anchors):
     values = np.array([convex_mop.objective_values(w) for w in sweep])
     for i in range(3):
         assert anchors.ideal[i] <= values[:, i].min() + 1e-9
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        # three collinear images: the edges span one direction, not a plane
+        ([[0.0, 0.0, 0.0], [1e-3, 2e-4, 3e-7], [2e-3, 4e-4, 6e-7]], "affinely dependent"),
+        ([[1e-3, 2e-4, 3e-7], [1e-3, 2e-4, 3e-7], [0.0, 1e-4, 1e-7]], "coincide"),
+    ],
+    ids=["collinear", "coincident"],
+)
+def test_hull_normal_of_degenerate_anchors_raises(images, message):
+    with pytest.raises(SolverError, match=message):
+        sc._hull_normal(np.array(images))
 
 
 def test_sf_on_efficient_reference_gives_zero_delta(convex_mop, anchors, direction):
@@ -310,6 +326,16 @@ def test_pgp_efficient_scale_ignores_objective_order(convex_mop, anchors):
 def test_pgp_params_validation():
     with pytest.raises(ParameterError):
         sc.PgpParams(alpha=0.0, beta=1.0)
+
+
+def test_pgp_without_skewness_raises_before_any_solve(convex_mop, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the objective check")
+
+    monkeypatch.setattr(nlp, "solve", no_solve)
+    mv = PortfolioMop(moments=convex_mop.moments, objectives=("mean", "variance"))
+    with pytest.raises(ParameterError, match="skewness"):
+        sc.solve_pgp(mv, sc.PgpParams(alpha=1.0, beta=1.0))
 
 
 def test_pgp_unit_variance_unattainable_is_reported(convex_mop):
