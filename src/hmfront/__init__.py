@@ -21,16 +21,15 @@ from .errors import (
     SolverError,
 )
 from .moments import (
+    MomentPoint,
     MomentSet,
     ObjectiveVector,
     ReturnsMatrix,
-    StatsDerivatives,
     Weights,
     compute_moments,
     load_returns_csv,
     portfolio_stats,
     portfolio_stats_from_returns,
-    stats_gradients,
 )
 from .problem import (
     OBJECTIVE_SENSES,

@@ -600,7 +600,7 @@ def _verify_cases(
         ref = rng.dirichlet(np.ones(mop.n))
         sf = scalarization.SfParams(g=g, reference_weights=ref)
         sf_sol = scalarization.solve_sf(mop, sf)
-        sp = scalarization.map_sf_to_sp(sf, mop.objective_values(ref), p=mop)
+        sp = scalarization.map_sf_to_sp(sf, mop)
         sp_sol = scalarization.solve_sp(mop, sp, starts=[ref, equal])
         cases.append(_compare("sf_vs_mapped_sp", {"reference": i}, sf_sol, sp_sol, 1e-8))
     grid = eps_mod.build_grid(mop, (10, 10), seed=cfg.seed)
@@ -684,6 +684,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             "verify needs the objectives mean, variance and skewness (any order), got %s"
             % ",".join(cfg.objectives)
         )
+    if cfg.samples < 1:
+        raise ParameterError("samples must be >= 1")
     mop = _build_mop(cfg)
     anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     cases = _verify_cases(cfg, mop, anchors)

@@ -43,6 +43,7 @@ import numpy as np
 from . import nlp
 from .errors import ParameterError, SolverError
 from .problem import PortfolioMop
+from .quality import nearest_gaps
 from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
 from .util import dirichlet_starts, equal_weights, parallel_map, simplex_vertices
 
@@ -330,18 +331,11 @@ def refine(archive: FrontArchive, req: RefinementRequest) -> FrontArchive:
     return archive
 
 
-def _nearest_gaps(pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each image point to its nearest other point."""
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
 def _widest_gap_entry(archive: FrontArchive) -> Optional[ArchiveEntry]:
     pts = archive.image()
     if len(pts) < 2:
         return archive.entries[0] if archive.entries else None
-    return archive.entries[int(np.argmax(_nearest_gaps(pts)))]
+    return archive.entries[int(np.argmax(nearest_gaps(pts)))]
 
 
 def run_adaptive_epsilon(
@@ -355,8 +349,8 @@ def run_adaptive_epsilon(
 ) -> FrontArchive:
     """Grid sweep plus ``rounds`` batch refinements at the widest image gap.
 
-    When ``alpha`` is not given it defaults to the median nearest-neighbour
-    image gap of the initial archive.
+    When ``alpha`` is not given and ``rounds > 0`` it defaults to the median
+    nearest-neighbour image gap of the initial archive.
     """
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
@@ -365,10 +359,10 @@ def run_adaptive_epsilon(
     archive = solve_grid(p, grid)
     if not archive.entries:
         return archive
-    if alpha is None:
+    if alpha is None and rounds > 0:
         pts = archive.image()
         if len(pts) >= 2:
-            alpha = float(np.median(_nearest_gaps(pts)))
+            alpha = float(np.median(nearest_gaps(pts)))
         else:
             alpha = float(np.linalg.norm(grid.L))
         alpha = max(alpha, 1e-12)

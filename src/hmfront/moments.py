@@ -19,7 +19,10 @@ Conventions used throughout the package
   same products bit for bit as ``np.kron`` at a fraction of its cost.
   :class:`MomentPoint` forms each contraction (``m3 @ kron2``,
   ``m4 @ kron3``) once per point and shares it between a statistic and its
-  gradient; Hessians are built only on request.
+  gradient; Hessians are built only on request.  Outside this module the
+  package builds its points only through
+  :meth:`hmfront.problem.PortfolioMop.point`, which memoizes one per
+  thread, so that method is the one place to switch the moment backend.
 
 * Both tensors are stored fully symmetrised (every index permutation maps
   to the same stored value), which makes the analytic gradient and Hessian
@@ -48,13 +51,11 @@ __all__ = [
     "MomentSet",
     "Weights",
     "ObjectiveVector",
-    "StatsDerivatives",
     "MomentPoint",
     "load_returns_csv",
     "compute_moments",
     "portfolio_stats",
     "portfolio_stats_from_returns",
-    "stats_gradients",
 ]
 
 
@@ -200,26 +201,6 @@ class ObjectiveVector:
         return np.array([self.mean, self.variance, self.skewness, self.kurtosis])
 
 
-@dataclass(frozen=True)
-class StatsDerivatives:
-    """Gradients and Hessians of the four portfolio moment statistics."""
-
-    grad_mean: np.ndarray
-    grad_variance: np.ndarray
-    grad_skewness: np.ndarray
-    grad_kurtosis: np.ndarray
-    hess_mean: np.ndarray
-    hess_variance: np.ndarray
-    hess_skewness: np.ndarray
-    hess_kurtosis: np.ndarray
-
-    def gradient(self, name: str) -> np.ndarray:
-        return getattr(self, "grad_" + name)
-
-    def hessian(self, name: str) -> np.ndarray:
-        return getattr(self, "hess_" + name)
-
-
 def load_returns_csv(path) -> ReturnsMatrix:
     """Read a returns CSV: header row of asset identifiers, then one row of
     decimal return fractions per period.  Comma separated, UTF-8."""
@@ -338,6 +319,8 @@ class MomentPoint:
         return float(w @ self._fold(name))
 
     def gradient(self, name: str) -> np.ndarray:
+        """grad mean = mu, variance = 2 sigma w, skewness = 3 m3 (w (x) w),
+        kurtosis = 4 m4 (w (x) w (x) w); exact for the symmetrised layout."""
         if name == "mean":
             return self.m.mu.copy()
         if name == "variance":
@@ -384,20 +367,3 @@ def portfolio_stats_from_returns(w, returns: ReturnsMatrix) -> ObjectiveVector:
         skewness=float(np.mean(centered ** 3)),
         kurtosis=float(np.mean(centered ** 4)),
     )
-
-
-def stats_gradients(w, m: MomentSet) -> StatsDerivatives:
-    """Analytic gradients and Hessians of the four moment statistics.
-
-    The symmetrised tensor layout makes these exact:
-
-    * grad variance = 2 sigma w,    hess = 2 sigma
-    * grad skewness = 3 m3 (w (x) w),   hess = 6 fold(m3, w)
-    * grad kurtosis = 4 m4 (w (x) w (x) w),   hess = 12 fold(m4, w (x) w)
-
-    where fold contracts the trailing index (or index pair) with w.
-    """
-    point = MomentPoint(w, m)
-    grads = {"grad_" + name: point.gradient(name) for name in _STATS}
-    hessians = {"hess_" + name: point.hessian(name) for name in _STATS}
-    return StatsDerivatives(**grads, **hessians)

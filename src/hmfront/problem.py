@@ -31,13 +31,7 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError
-from .moments import (
-    MomentPoint,
-    MomentSet,
-    ObjectiveVector,
-    _as_weight_vector,
-    portfolio_stats,
-)
+from .moments import MomentPoint, MomentSet, ObjectiveVector, _as_weight_vector
 from .util import dirichlet_starts, equal_weights
 
 __all__ = [
@@ -63,22 +57,24 @@ class PortfolioMop:
     """Portfolio selection as a multi-objective problem over the simplex.
 
     ``objectives`` is an ordered subset of mean/variance/skewness/kurtosis;
-    ``short_bound`` relaxes the nonnegativity of weights to w >= -short_bound.
+    weights are nonnegative.
 
-    :meth:`objective_values`, :meth:`objective_jacobian` and
-    :meth:`objective_hessians` share one :class:`~hmfront.moments.MomentPoint`
-    per point through a single-slot memo.  There is one slot per thread, so
+    :meth:`point` is the package's one moment evaluator: it returns the
+    :class:`~hmfront.moments.MomentPoint` at w from a single-slot memo, and
+    :meth:`objective_values`, :meth:`objective_jacobian`,
+    :meth:`objective_hessians`, :meth:`raw_stats`, the utility objective and
+    the PGP rows all read from it.  There is one slot per thread, so
     threads that share a problem do not evict each other.  The slot is
-    keyed on the exact bytes of the weight vector and keeps its own copy of
-    it, so a caller that reuses its buffer never reads a stale result.  Each method builds
-    its array once per point and returns a copy, which the caller may
-    change freely.  The slot is not a dataclass field: equality, hashing
-    and ``replace`` ignore it, and a replaced problem starts empty.
+    keyed on the exact bytes of the weight vector and the point keeps its
+    own copy of it, so a caller that reuses its buffer never reads a stale
+    result.  Each objective method builds its array once per point and
+    returns a copy, which the caller may change freely.  The slot is not a
+    dataclass field: equality, hashing and ``replace`` ignore it, and a
+    replaced problem starts empty.
     """
 
     moments: MomentSet
     objectives: tuple[str, ...] = ("mean", "variance", "skewness")
-    short_bound: float = 0.0
 
     def __post_init__(self) -> None:
         objs = tuple(self.objectives)
@@ -89,8 +85,6 @@ class PortfolioMop:
         for name in objs:
             if name not in OBJECTIVE_NAMES:
                 raise ParameterError("unknown objective %r" % name)
-        if self.short_bound < 0:
-            raise ParameterError("short_bound must be >= 0")
         object.__setattr__(self, "objectives", objs)
         object.__setattr__(self, "_memo", threading.local())
 
@@ -103,14 +97,11 @@ class PortfolioMop:
         return self.moments.n
 
     def lower_bounds(self) -> np.ndarray:
-        return np.full(self.n, -self.short_bound)
+        # -0.0, not 0.0: the sign of zero reaches clipped weights
+        return np.full(self.n, -0.0)
 
-    def raw_stats(self, w) -> ObjectiveVector:
-        return portfolio_stats(w, self.moments)
-
-    def _evaluate(self, w, kind: str) -> np.ndarray:
-        """``kind`` ("value", "gradient" or "hessian") of every objective at
-        w, in minimization form, from this thread's memo slot."""
+    def point(self, w) -> MomentPoint:
+        """The moment kernel at w, from this thread's memo slot."""
         vec = _as_weight_vector(w, self.n)
         key = vec.tobytes()
         slot = self._memo
@@ -118,10 +109,21 @@ class PortfolioMop:
             slot.point = MomentPoint(vec, self.moments)
             slot.arrays = {}
             slot.key = key
-        out = slot.arrays.get(kind)
+        return slot.point
+
+    def raw_stats(self, w) -> ObjectiveVector:
+        """All four raw statistics at w, whatever the objectives."""
+        pt = self.point(w)
+        return ObjectiveVector(*(pt.value(name) for name in OBJECTIVE_NAMES))
+
+    def _evaluate(self, w, kind: str) -> np.ndarray:
+        """``kind`` ("value", "gradient" or "hessian") of every objective at
+        w, in minimization form, memoized with :meth:`point`."""
+        fn = getattr(self.point(w), kind)
+        arrays = self._memo.arrays
+        out = arrays.get(kind)
         if out is None:
-            fn = getattr(slot.point, kind)
-            out = slot.arrays[kind] = np.array(
+            out = arrays[kind] = np.array(
                 [OBJECTIVE_SENSES[name] * fn(name) for name in self.objectives]
             )
         return out.copy()
@@ -171,7 +173,7 @@ def utility_objective(w, p: PortfolioMop, u: UtilityParams) -> float:
 
         -w'mu + lambda1 var - lambda2 skew + lambda3 kurt
     """
-    pt = MomentPoint(w, p.moments)
+    pt = p.point(w)
     return (
         -pt.value("mean")
         + u.lambda1 * pt.value("variance")
@@ -181,7 +183,7 @@ def utility_objective(w, p: PortfolioMop, u: UtilityParams) -> float:
 
 
 def utility_gradient(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
-    pt = MomentPoint(w, p.moments)
+    pt = p.point(w)
     return (
         -pt.gradient("mean")
         + u.lambda1 * pt.gradient("variance")
@@ -191,7 +193,7 @@ def utility_gradient(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
 
 
 def utility_hessian(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
-    pt = MomentPoint(w, p.moments)
+    pt = p.point(w)
     return (
         u.lambda1 * pt.hessian("variance")
         - u.lambda2 * pt.hessian("skewness")

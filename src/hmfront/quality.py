@@ -18,6 +18,8 @@ __all__ = [
     "QualityReport",
     "dominance_filter",
     "dominance_mask",
+    "distances",
+    "nearest_gaps",
     "uniformity",
     "coverage_error",
     "quality_report",
@@ -51,14 +53,24 @@ def dominance_filter(points, tol: float = 0.0) -> np.ndarray:
     return pts[dominance_mask(pts, tol)]
 
 
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of ``a`` and of ``b``."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def nearest_gaps(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to its nearest other point."""
+    d = distances(pts, pts)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
 def uniformity(front) -> float:
     """Minimum pairwise Euclidean distance of the front image."""
     pts = _as_points(front)
     if len(pts) < 2:
         raise MeasureUndefinedError("uniformity needs at least 2 points")
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    return float(nearest_gaps(pts).min())
 
 
 def coverage_error(front, reference) -> float:
@@ -68,8 +80,7 @@ def coverage_error(front, reference) -> float:
     r = _as_points(reference)
     if len(f) == 0 or len(r) == 0:
         raise MeasureUndefinedError("coverage error needs nonempty point sets")
-    d = np.sqrt(((r[:, None, :] - f[None, :, :]) ** 2).sum(axis=2))
-    return float(d.min(axis=1).max())
+    return float(distances(r, f).min(axis=1).max())
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .moments import MomentPoint
 from .problem import OBJECTIVE_SENSES, PortfolioMop, _mean_variance_qp, _simplex_constraint
+from .quality import distances
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
 __all__ = [
@@ -206,8 +206,7 @@ class AnchorSet:
 
     @property
     def image_diameter(self) -> float:
-        diffs = self.images[:, None, :] - self.images[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+        return float(distances(self.images, self.images).max())
 
     def objective_ranges(self) -> np.ndarray:
         return self.images.max(axis=0) - self.images.min(axis=0)
@@ -601,27 +600,13 @@ def map_nbi_to_msf(nbi: NbiParams) -> SfParams:
     return SfParams(g=np.maximum(g, 0.0), reference_objectives=nbi.hull_point)
 
 
-def map_sf_to_sp(sf: SfParams, at, p: PortfolioMop | None = None) -> SpParams:
+def map_sf_to_sp(sf: SfParams, p: PortfolioMop) -> SpParams:
     """Parameter substitution sending a shortage problem to an SP one.
 
-    ``at`` is the evaluation point of the reference in image space, a
-    minimization-form array.  The reference is reflected through ``at``
-    componentwise; with ``at`` equal to the reference's own image -- the
-    canonical call -- the reflection is the identity and the mapped SP
-    reproduces the shortage optimum with t = -delta.  The direction maps
-    componentwise: r = g.
+    The SP reference is the shortage reference's image c and the direction
+    is g, so the mapped SP reproduces the shortage optimum with t = -delta.
     """
-    at_vec = np.asarray(at, dtype=float)
-    if sf.reference_objectives is not None:
-        c = sf.reference_objectives
-    elif p is not None:
-        c = p.objective_values(sf.reference_weights)
-    else:
-        raise ParameterError(
-            "pass the PortfolioMop to evaluate a weights-based reference"
-        )
-    a = 2.0 * at_vec - c
-    return SpParams(a=a, r=sf.g.copy())
+    return SpParams(a=_resolve_reference(p, sf), r=sf.g.copy())
 
 
 def pgp_scale_factor(p: PortfolioMop) -> float:
@@ -643,8 +628,7 @@ def pgp_efficient_scale(p: PortfolioMop, anchors: AnchorSet) -> float:
     positive at interior front points.  The anchor variances are computed
     from the anchor weights, so any objective order works.
     """
-    sigma = p.moments.sigma
-    variances = [float(w @ sigma @ w) for w in anchors.weights]
+    variances = [p.point(w).value("variance") for w in anchors.weights]
     lo, hi = min(variances), max(variances)
     if lo <= 0 or hi <= 0:
         raise SolverError("anchor variances must be positive")
@@ -655,9 +639,8 @@ def _variance_slice_bounds(p: PortfolioMop) -> tuple[float, float]:
     """Attainable variance range on the simplex: the minimum-variance QP and
     the largest vertex variance."""
     n = p.n
-    sigma = p.moments.sigma
     min_var = _mean_variance_qp(p, 1.0, equal_weights(n), mu=np.zeros(n)).value
-    max_var = max(float(v @ sigma @ v) for v in simplex_vertices(n))
+    max_var = max(p.point(v).value("variance") for v in simplex_vertices(n))
     return float(min_var), float(max_var)
 
 
@@ -668,22 +651,23 @@ def _stat_index(p: PortfolioMop, name: str) -> int:
         raise ParameterError("PGP needs objective %r in the problem" % name) from None
 
 
-def _unit_variance_constraint(sigma: np.ndarray, n: int) -> nlp.ConstraintSpec:
+def _unit_variance_constraint(p: PortfolioMop) -> nlp.ConstraintSpec:
     """The row w'Sigma w = 1 over a variable vector whose first n entries
     are the weights (any trailing entries are auxiliary)."""
+    n = p.n
 
     def jac(x):
         j = np.zeros(x.size)
-        j[:n] = 2.0 * (sigma @ x[:n])
+        j[:n] = p.point(x[:n]).gradient("variance")
         return j
 
     def hess(x):
         h = np.zeros((x.size, x.size))
-        h[:n, :n] = 2.0 * sigma
+        h[:n, :n] = p.point(x[:n]).hessian("variance")
         return h
 
     return nlp.ConstraintSpec(
-        fun=lambda x: float(x[:n] @ sigma @ x[:n]) - 1.0,
+        fun=lambda x: p.point(x[:n]).value("variance") - 1.0,
         jac=jac,
         hess=hess,
         name="unit_variance",
@@ -705,7 +689,7 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, seed: int):
         p,
         _stat_index(p, name),
         starts=starts,
-        extra_eq=(_unit_variance_constraint(p.moments.sigma, n),),
+        extra_eq=(_unit_variance_constraint(p),),
     )
     # convert back to the raw (maximized) statistic
     return float(OBJECTIVE_SENSES[name] * best.value), best.x
@@ -814,7 +798,7 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
         eq_constraints=(
             _simplex_constraint(n),
             mean_row,
-            _unit_variance_constraint(p.moments.sigma, n),
+            _unit_variance_constraint(p),
             skew_row,
         ),
         lb=lb,
@@ -941,7 +925,7 @@ def check_pgp_kkt(
     if beta is None:
         reason = "no exponent beta solves the fixed point (mu3=%.3g)" % mu3
         return PgpKktReport(False, reason, d1=d1, d3=d3)
-    pt = MomentPoint(w, p.moments)
+    pt = p.point(w)
     stat_comb = (
         mu1 * pt.gradient("mean")
         + mu2 * pt.gradient("variance")

@@ -70,7 +70,7 @@ def test_criterion_02_derivative_checks():
                 ReturnsMatrix(assets=("A", "B", "C", "D"), observations=obs)
             )
             w = rng.dirichlet(np.ones(4))
-            d = hf.stats_gradients(w, m)
+            d = hf.MomentPoint(w, m)
             for name in ("mean", "variance", "skewness", "kurtosis"):
                 fd_g = fd_gradient(
                     lambda x, nm=name: getattr(hf.portfolio_stats(x, m), nm), w
@@ -79,7 +79,7 @@ def test_criterion_02_derivative_checks():
                 rel = np.max(np.abs(fd_g - exact_g)) / max(np.max(np.abs(exact_g)), 1e-10)
                 assert rel < 1e-5
                 fd_h = fd_hessian(
-                    lambda x, nm=name: hf.stats_gradients(x, m).gradient(nm), w
+                    lambda x, nm=name: hf.MomentPoint(x, m).gradient(nm), w
                 )
                 exact_h = d.hessian(name)
                 denom = max(float(np.max(np.abs(exact_h))), 1e-10)
@@ -125,7 +125,7 @@ def test_criterion_04_sf_sp_duality(convex_mop):
             ref = rng.dirichlet(np.ones(3))
             sf = sc.SfParams(g=g, reference_weights=ref)
             sf_sol = sc.solve_sf(convex_mop, sf)
-            sp = sc.map_sf_to_sp(sf, convex_mop.objective_values(ref), p=convex_mop)
+            sp = sc.map_sf_to_sp(sf, convex_mop)
             sp_sol = sc.solve_sp(convex_mop, sp, starts=[ref, equal_weights(3)])
             assert sf_sol.converged and sp_sol.converged
             assert abs(sf_sol.aux_value + sp_sol.aux_value) <= 1e-8

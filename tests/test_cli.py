@@ -451,6 +451,17 @@ def test_unsupported_objectives_exit_2_before_any_solve(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_nonpositive_verify_samples_exit_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, samples
+):
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    out = tmp_path / "v"
+    assert run(["verify", *SYN, "--samples", samples, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: samples")
+    assert not out.exists()
+
+
 def test_verify_takes_its_objectives_in_any_order(tmp_path, monkeypatch):
     # the objective check passes, so the first solve is reached
     monkeypatch.setattr(nlp, "solve", _no_solve)

@@ -271,6 +271,21 @@ def test_infeasible_cell_maps_to_infeasible_sp(convex_mop, grid):
 
 
 
+def test_default_alpha_is_computed_only_for_refinement_rounds(convex_mop, monkeypatch):
+    calls = []
+    real = em.nearest_gaps
+
+    def spy(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(em, "nearest_gaps", spy)
+    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=0, seed=0)
+    assert calls == []
+    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=1, seed=0)
+    assert calls  # the default alpha, then the widest gap
+
+
 def test_run_adaptive_epsilon_driver(convex_mop):
     arch = em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=2, k=1, seed=0)
     assert arch.attempted >= 25  # grid plus refinement attempts

@@ -13,13 +13,18 @@ from hypothesis import strategies as st
 from hmfront import (
     PortfolioMop,
     ReturnsMatrix,
+    UtilityParams,
     compute_moments,
     portfolio_stats,
     portfolio_stats_from_returns,
-    stats_gradients,
 )
 from hmfront.moments import MomentPoint
-from hmfront.problem import OBJECTIVE_NAMES, OBJECTIVE_SENSES
+from hmfront.problem import (
+    OBJECTIVE_NAMES,
+    OBJECTIVE_SENSES,
+    utility_gradient,
+    utility_objective,
+)
 
 KINDS = ("values", "jacobian", "hessians")
 
@@ -37,8 +42,8 @@ def _fresh(p, w, kind):
     if kind == "values":
         stats = portfolio_stats(w, p.moments)
         return np.array([s * getattr(stats, name) for s, name in zip(senses, p.objectives)])
-    deriv = stats_gradients(w, p.moments)
-    get = deriv.gradient if kind == "jacobian" else deriv.hessian
+    pt = MomentPoint(w, p.moments)
+    get = pt.gradient if kind == "jacobian" else pt.hessian
     return np.array([s * get(name) for s, name in zip(senses, p.objectives)])
 
 
@@ -126,6 +131,41 @@ def test_revisit_reuses_the_point(convex_mop, monkeypatch):
     p.objective_values(np.array([0.5, 0.3, 0.2]))
     p.objective_values(w)
     assert len(built) == 3
+
+
+def test_statistics_and_utility_read_the_memoized_point(convex_mop, monkeypatch):
+    p = PortfolioMop(moments=convex_mop.moments)
+    u = UtilityParams(lam=2.5)
+    w = np.array([0.2, 0.3, 0.5])
+    fresh = MomentPoint(w, p.moments)
+    built = []
+    init = MomentPoint.__init__
+
+    def counting_init(self, w, m):
+        built.append(1)
+        init(self, w, m)
+
+    p.objective_values(w)
+    monkeypatch.setattr(MomentPoint, "__init__", counting_init)
+    stats = p.raw_stats(w)
+    value = utility_objective(w, p, u)
+    grad = utility_gradient(w, p, u)
+    assert built == []
+    assert np.array_equal(stats.as_array(), [fresh.value(name) for name in OBJECTIVE_NAMES])
+    want_value = (
+        -fresh.value("mean")
+        + u.lambda1 * fresh.value("variance")
+        - u.lambda2 * fresh.value("skewness")
+        + u.lambda3 * fresh.value("kurtosis")
+    )
+    want_grad = (
+        -fresh.gradient("mean")
+        + u.lambda1 * fresh.gradient("variance")
+        - u.lambda2 * fresh.gradient("skewness")
+        + u.lambda3 * fresh.gradient("kurtosis")
+    )
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(grad, want_grad)
 
 
 def test_memo_slots_are_per_thread(convex_mop):

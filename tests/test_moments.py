@@ -13,9 +13,9 @@ from hmfront import (
     load_returns_csv,
     portfolio_stats,
     portfolio_stats_from_returns,
-    stats_gradients,
     synthetic_returns,
 )
+from hmfront.moments import MomentPoint
 from oracles import fd_gradient, fd_hessian, loop_stats
 
 
@@ -135,7 +135,7 @@ def test_gradients_match_finite_differences(rng):
     r = _random_instance(23)
     m = compute_moments(r)
     w = rng.dirichlet(np.ones(4))
-    d = stats_gradients(w, m)
+    d = MomentPoint(w, m)
     for name in ("mean", "variance", "skewness", "kurtosis"):
         fd = fd_gradient(lambda x, nm=name: getattr(portfolio_stats(x, m), nm), w)
         exact = d.gradient(name)
@@ -148,8 +148,8 @@ def test_hessians_match_finite_differences(rng):
     m = compute_moments(r)
     w = rng.dirichlet(np.ones(4))
     for name in ("variance", "skewness", "kurtosis"):
-        fd = fd_hessian(lambda x, nm=name: stats_gradients(x, m).gradient(nm), w)
-        exact = stats_gradients(w, m).hessian(name)
+        fd = fd_hessian(lambda x, nm=name: MomentPoint(x, m).gradient(nm), w)
+        exact = MomentPoint(w, m).hessian(name)
         denom = max(float(np.max(np.abs(exact))), 1e-10)
         assert float(np.max(np.abs(fd - exact))) / denom < 1e-5
 
@@ -166,7 +166,7 @@ def test_identity_covariance_variance_gradient():
         n=n,
     )
     w = np.array([0.2, 0.3, 0.5])
-    assert np.allclose(stats_gradients(w, ident).grad_variance, 2 * w)
+    assert np.allclose(MomentPoint(w, ident).gradient("variance"), 2 * w)
 
 
 def test_scalar_skew_gradient():
@@ -179,8 +179,8 @@ def test_scalar_skew_gradient():
         T=10,
         n=1,
     )
-    d = stats_gradients(np.array([1.0]), m)
-    assert d.grad_skewness[0] == pytest.approx(3 * m3)
+    d = MomentPoint(np.array([1.0]), m)
+    assert d.gradient("skewness")[0] == pytest.approx(3 * m3)
 
 
 def test_returns_validation_errors():

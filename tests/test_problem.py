@@ -13,7 +13,7 @@ from hmfront import (
     utility_objective,
     utility_optimize,
 )
-from hmfront.moments import MomentPoint, stats_gradients
+from hmfront.moments import MomentPoint
 from hmfront.problem import utility_gradient
 from oracles import fd_gradient, loop_stats, qp_simplex_bruteforce
 
@@ -96,12 +96,12 @@ def test_utility_gradient_matches_finite_differences(convex_mop, rng):
 def test_utility_gradient_builds_no_hessian(convex_mop, rng, monkeypatch):
     u = UtilityParams(lam=2.5)
     w = rng.dirichlet(np.ones(3))
-    d = stats_gradients(w, convex_mop.moments)
+    pt = MomentPoint(w, convex_mop.moments)
     want = (
-        -d.grad_mean
-        + u.lambda1 * d.grad_variance
-        - u.lambda2 * d.grad_skewness
-        + u.lambda3 * d.grad_kurtosis
+        -pt.gradient("mean")
+        + u.lambda1 * pt.gradient("variance")
+        - u.lambda2 * pt.gradient("skewness")
+        + u.lambda3 * pt.gradient("kurtosis")
     )
 
     def fail(self, name):

@@ -223,13 +223,11 @@ def test_map_sf_to_sp_identity_cases(convex_mop, direction):
     ref = equal_weights(3)
     c = convex_mop.objective_values(ref)
     sf = sc.SfParams(g=direction, reference_weights=ref)
-    sp = sc.map_sf_to_sp(sf, c, p=convex_mop)
-    assert np.allclose(sp.a, c, atol=1e-15)  # reflection fixes the point
+    sp = sc.map_sf_to_sp(sf, convex_mop)
+    assert np.array_equal(sp.a, c)
     assert np.array_equal(sp.r, direction)
     g_unit = np.array([0.0, 1.0, 0.0])
-    sp2 = sc.map_sf_to_sp(
-        sc.SfParams(g=g_unit, reference_weights=ref), c, p=convex_mop
-    )
+    sp2 = sc.map_sf_to_sp(sc.SfParams(g=g_unit, reference_weights=ref), convex_mop)
     assert np.array_equal(sp2.r, g_unit)
 
 
@@ -238,7 +236,7 @@ def test_sf_sp_duality(convex_mop, direction, rng):
         ref = rng.dirichlet(np.ones(3))
         sf = sc.SfParams(g=direction, reference_weights=ref)
         sf_sol = sc.solve_sf(convex_mop, sf)
-        sp = sc.map_sf_to_sp(sf, convex_mop.objective_values(ref), p=convex_mop)
+        sp = sc.map_sf_to_sp(sf, convex_mop)
         sp_sol = sc.solve_sp(convex_mop, sp, starts=[ref, equal_weights(3)])
         assert sf_sol.converged and sp_sol.converged
         assert abs(sf_sol.aux_value + sp_sol.aux_value) < 1e-8
@@ -252,7 +250,7 @@ def test_sp_multipliers_are_in_raw_units(convex_mop, direction):
     for _ in range(8):
         ref = rng.dirichlet(np.ones(3))
         sf = sc.SfParams(g=direction, reference_weights=ref)
-        sp = sc.map_sf_to_sp(sf, convex_mop.objective_values(ref), p=convex_mop)
+        sp = sc.map_sf_to_sp(sf, convex_mop)
         sol = sc.solve_sp(convex_mop, sp)
         assert sol.converged
         mu = sol.ineq_multipliers
