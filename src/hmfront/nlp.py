@@ -4,17 +4,19 @@ Every scalar subproblem in the package funnels through :func:`solve`:
 minimize a differentiable objective subject to equality constraints
 ``h(x) = 0``, inequality constraints ``g(x) >= 0`` and box bounds.
 
-The local solve itself is sequential quadratic programming (scipy's SLSQP,
-which maintains a damped BFGS Hessian approximation internally).  The SQP
-result is then refined by a Newton iteration on the active-set KKT system,
-which also produces the Lagrange multipliers.  That needs exact Hessians:
-every objective and constraint must supply one.  The active set is one
-ordered list of rows, each an inequality ``g(x) >= 0`` held at equality: the
-constraints ``("ineq", i)``, then the lower bounds ``("lo", k)`` (``x_k -
-lb_k >= 0``, gradient ``e_k``), then the upper bounds ``("hi", k)``
-(``ub_k - x_k >= 0``, gradient ``-e_k``).  A bound is an active row like
-any inequality, in the multiplier fit and in the polish alike.  On
-convergence the stationarity residual of
+The local solve is :func:`minimize`, a small dense active-set SQP in numpy
+(Nocedal & Wright 2006, ch. 18).  Every objective and constraint supplies
+its exact Hessian, and each iteration solves one QP whose Hessian is the
+Hessian of the Lagrangian, with an inertia correction where it is not
+positive definite on the QP's working set (skewness makes it indefinite).
+The QP works on one ordered list of rows, each an inequality ``g(x) >= 0``:
+the constraints ``("ineq", i)``, then the lower bounds ``("lo", k)`` (``x_k -
+lb_k >= 0``, gradient ``e_k``), then the upper bounds ``("hi", k)`` (``ub_k -
+x_k >= 0``, gradient ``-e_k``), with the equality rows always held.  It is
+solved by the dual active-set method of Goldfarb and Idnani, warm-started
+from the previous QP's working set, and its multipliers are the reported
+Lagrange multipliers.  Steps are accepted by backtracking on the l1 exact
+penalty merit.  On convergence the stationarity residual of
 
     L(x) = f(x) - sum_i mu_i g_i(x) + sum_j lambda_j h_j(x),  mu_i >= 0
 
@@ -27,36 +29,32 @@ A first SQP run from an infeasible start is watched: once its constraint
 violation has stagnated above the restoration threshold (from its eleventh
 iterate on, the last ten iterates all above it, within a 1% relative
 spread), the run is stopped and the solve goes straight to feasibility
-restoration.  A ray that misses a non-convex image set is thus detected
+restoration, which runs the same SQP on the squared violation under the
+bounds alone.  A ray that misses a non-convex image set is thus detected
 within about twenty SQP iterations instead of at the iteration cap.
 Restoration starts from the problem's ``x0``, so where an infeasible first
 run stops cannot change the outcome of the solve, and the watch only reads
 iterates, so runs it does not stop follow the same path.
 
-Each SQP run stops after ``_MAX_ITER`` (300) iterations; constraints within
-``_ACTIVE_TOL`` (1e-7) of their bound enter the polish's active set; the
-polish takes at most ``_POLISH_STEPS`` (10) Newton steps; and a point still
-violating the constraints by more than ``_INFEASIBLE_TOL`` (1e-7) after
-restoration is infeasible.  Only the two convergence tolerances of
-:class:`SolverOptions` can be set, because the tracer's corrector subproblem
-needs tighter ones.
-
-Singular KKT systems during the polish are ridge-regularized with 1e-10
-(logged at debug level, never silently fatal).  Solves are pure functions
-of their inputs, so identical problems produce bit-identical solutions.
+Each SQP run stops after ``_MAX_ITER`` (300) iterations, a restoration run
+after ``_RESTORE_MAX_ITER`` (200); rows within ``_ACTIVE_TOL`` (1e-7) of
+their bound start the first QP's working set; and a point still violating
+the constraints by more than ``_INFEASIBLE_TOL`` (1e-7) after restoration
+is infeasible.  Only the two convergence tolerances of
+:class:`SolverOptions` can be set, because the tracer's corrector
+subproblem needs tighter ones.  Solves are pure functions of their inputs,
+so identical problems produce bit-identical solutions.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import MultistartError, ParameterError
 from .util import lexicographic_less
@@ -75,10 +73,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_RIDGE = 1e-10
 _MAX_ITER = 300  # SQP iterations per run
-_ACTIVE_TOL = 1e-7  # slack below which a constraint is active in the polish
-_POLISH_STEPS = 10  # Newton steps of the polish
+_RESTORE_MAX_ITER = 200  # SQP iterations per restoration run
+_ACTIVE_TOL = 1e-7  # slack below which a row starts the first working set
 # violation above which a point is declared infeasible after restoration
 _INFEASIBLE_TOL = 1e-7
 # stagnation watch on the first SQP run: after _STALL_SKIP unmeasured
@@ -88,6 +85,20 @@ _INFEASIBLE_TOL = 1e-7
 _STALL_SKIP = 10
 _STALL_WINDOW = 10
 _STALL_SPREAD = 0.01
+# a run stops once the QP's multipliers give a stationarity and
+# complementarity residual below _STOP_KKT and the violation is below
+# _STOP_FEAS: the tightest tolerances a caller sets (the tracer's corrector)
+_STOP_KKT = 1e-10
+_STOP_FEAS = 1e-11
+# least QP curvature, relative to max(1, max|Hessian of the Lagrangian|)
+_CURVATURE = 1e-8
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the merit's slope
+_FINSLER = 1e4  # weight, relative to max|w|, of the working rows in the Finsler shift
+_MIN_STEP = 1e-10  # shortest step fraction the line search tries
+_BLIND_SLOPE = 1e-14  # merit slope, relative to 1 + |f| + rho, below rounding
+_QP_TOL = 1e-13  # violation of a linearized row the QP tolerates
+_QP_MAX_STEPS = 50  # QP working-set changes, plus two per row
+_PENALTY_WEIGHT = 1e4  # relative weight of the violation in the penalty QP
 
 
 @dataclass(frozen=True)
@@ -145,8 +156,8 @@ class SolverOptions:
     constraint violation ``tol_feas``.
 
     They are the only settings, because the tracer's corrector subproblem
-    tightens both; the iteration cap, active-set tolerance, polish steps
-    and infeasibility threshold are module constants.
+    tightens both; the iteration caps, active-set tolerance, stopping
+    tolerances and infeasibility threshold are module constants.
     """
 
     tol_kkt: float = 1e-8
@@ -169,8 +180,9 @@ class ScalarSolution:
     scalarization layer when the variable vector has portfolio structure.
     ``n_iter`` totals the SQP iterations of the solve: when feasibility
     restoration ran, it counts both SQP runs, not only the last.
-    ``info["sqp_stalled"]`` is the iteration at which the first SQP run was
-    stopped for a stagnated constraint violation, or ``None``.
+    ``info["sqp_stalled"]`` is the iteration at which the first SQP run, from
+    an infeasible start, was stopped or ended with a stagnated constraint
+    violation, or ``None``.
     """
 
     x: np.ndarray
@@ -212,61 +224,22 @@ def _violation(problem: NlpProblem, x: np.ndarray) -> float:
     return worst
 
 
-def _grad_lagrangian(
-    problem: NlpProblem,
-    x: np.ndarray,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    nu_lo: np.ndarray,
-    nu_hi: np.ndarray,
-) -> np.ndarray:
-    g = problem.gradient(x).astype(float).copy()
-    for j, c in enumerate(problem.eq_constraints):
-        g += lam[j] * c.jac(x)
-    for i, c in enumerate(problem.ineq_constraints):
-        if mu[i] != 0.0:
-            g -= mu[i] * c.jac(x)
-    g -= nu_lo
-    g += nu_hi
-    return g
+def _candidate_rows(problem: NlpProblem):
+    """The ordered active-row candidates and the constant gradients of the
+    bound rows.
 
-
-def _row_value(problem: NlpProblem, x: np.ndarray, row) -> float:
-    """Value of an active-row candidate, ``>= 0`` when it holds."""
-    kind, idx = row
-    if kind == "ineq":
-        return float(problem.ineq_constraints[idx].fun(x))
-    if kind == "lo":
-        return x[idx] - problem.lb[idx]
-    return problem.ub[idx] - x[idx]
-
-
-def _row_gradients(problem: NlpProblem, x: np.ndarray, rows) -> np.ndarray:
-    """Gradients of ``rows`` stacked as a ``(len(rows), n)`` matrix: the
-    constraint's gradient, ``e_k`` for ``("lo", k)`` and ``-e_k`` for
-    ``("hi", k)``."""
-    grads = np.zeros((len(rows), problem.n))
-    for pos, (kind, idx) in enumerate(rows):
-        if kind == "ineq":
-            grads[pos] = problem.ineq_constraints[idx].jac(x)
-        else:
-            grads[pos, idx] = 1.0
-            if kind == "hi":
-                # negated, not written as -1.0: the zeros of -e_k are -0.0,
-                # and signed zeros reach the reported weights through the
-                # polish's linear solve
-                grads[pos] = -grads[pos]
-    return grads
-
-
-def _active_rows(problem: NlpProblem, x: np.ndarray) -> list:
-    """The inequalities ``g(x) >= 0`` held within ``_ACTIVE_TOL`` of
-    equality: ``("ineq", i)``, then ``("lo", k)``, then ``("hi", k)``, each
-    by ascending index."""
+    The candidates are ``("ineq", i)``, then ``("lo", k)`` for every finite
+    lower bound, then ``("hi", k)`` for every finite upper bound, each by
+    ascending index; the bound rows have gradients ``e_k`` and ``-e_k``.
+    """
+    lo = np.flatnonzero(np.isfinite(problem.lb))
+    hi = np.flatnonzero(np.isfinite(problem.ub))
     rows = [("ineq", i) for i in range(len(problem.ineq_constraints))]
-    rows += [("lo", k) for k in range(problem.n) if np.isfinite(problem.lb[k])]
-    rows += [("hi", k) for k in range(problem.n) if np.isfinite(problem.ub[k])]
-    return [row for row in rows if _row_value(problem, x, row) <= _ACTIVE_TOL]
+    rows += [("lo", int(k)) for k in lo] + [("hi", int(k)) for k in hi]
+    bound_grads = np.zeros((lo.size + hi.size, problem.n))
+    bound_grads[np.arange(lo.size), lo] = 1.0
+    bound_grads[lo.size + np.arange(hi.size), hi] = -1.0
+    return rows, lo, hi, bound_grads
 
 
 def _scatter(problem: NlpProblem, rows, values):
@@ -280,86 +253,6 @@ def _scatter(problem: NlpProblem, rows, values):
     for (kind, idx), v in zip(rows, values):
         full[kind][idx] = v
     return full["ineq"], full["lo"], full["hi"]
-
-
-def _ls_multipliers(problem: NlpProblem, x: np.ndarray, rows):
-    """Least-squares stationarity fit; drops the active row of most negative
-    multiplier and refits until the sign condition holds.
-
-    Returns the equality multipliers, the rows kept and their multipliers.
-    """
-    p = len(problem.eq_constraints)
-    rows = list(rows)
-    g0 = problem.gradient(x).astype(float)
-    cols = [c.jac(x) for c in problem.eq_constraints]
-    cols += list(-_row_gradients(problem, x, rows))
-    while cols:
-        sol, *_ = np.linalg.lstsq(np.column_stack(cols), -g0, rcond=None)
-        lam, nus = sol[:p], sol[p:]
-        worst = min(range(len(rows)), key=nus.__getitem__, default=None)
-        if worst is None or nus[worst] >= -1e-9:
-            return lam, rows, nus
-        del rows[worst], cols[p + worst]
-    return np.zeros(0), [], np.zeros(0)
-
-
-def _polish(problem: NlpProblem, x, lam, rows, nus):
-    """Newton iteration on the KKT equalities of the active rows; returns
-    the best point, its equality multipliers and its row multipliers."""
-    n = problem.n
-    p = len(problem.eq_constraints)
-    m = len(rows)
-
-    def residual(z):
-        xx, ll, nn = z[:n], z[n : n + p], z[n + p :]
-        mu, nu_lo, nu_hi = _scatter(problem, rows, nn)
-        return np.concatenate(
-            [
-                _grad_lagrangian(problem, xx, ll, mu, nu_lo, nu_hi),
-                [c.fun(xx) for c in problem.eq_constraints],
-                [_row_value(problem, xx, row) for row in rows],
-            ]
-        )
-
-    def kkt_jacobian(z):
-        xx, ll, nn = z[:n], z[n : n + p], z[n + p :]
-        h_l = np.asarray(problem.hessian(xx), dtype=float)
-        for j, c in enumerate(problem.eq_constraints):
-            h_l = h_l + ll[j] * np.asarray(c.hess(xx), dtype=float)
-        for (kind, i), v in zip(rows, nn):
-            if kind == "ineq":
-                c = problem.ineq_constraints[i]
-                h_l = h_l - v * np.asarray(c.hess(xx), dtype=float)
-        je = np.array([c.jac(xx) for c in problem.eq_constraints]).reshape(p, n)
-        jr = _row_gradients(problem, xx, rows)
-        top = np.hstack([h_l, je.T, -jr.T])
-        return np.vstack([top, np.hstack([np.vstack([je, jr]), np.zeros((p + m, p + m))])])
-
-    z = np.concatenate([x, lam, nus])
-    best_z, best_norm = z.copy(), float(np.max(np.abs(residual(z))))
-    for _ in range(_POLISH_STEPS):
-        if best_norm <= 1e-14:
-            break
-        jac = kkt_jacobian(z)
-        rhs = -residual(z)
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            logger.debug("singular KKT system during polish; applying 1e-10 ridge")
-            jtj = jac.T @ jac + _RIDGE * np.eye(jac.shape[1])
-            step = np.linalg.solve(jtj, jac.T @ rhs)
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.125):
-            cand = z + damp * step
-            norm = float(np.max(np.abs(residual(cand))))
-            if norm < best_norm:
-                z = cand
-                best_z, best_norm = cand.copy(), norm
-                improved = True
-                break
-        if not improved:
-            break
-    return best_z[:n], best_z[n : n + p], best_z[n + p :]
 
 
 def _stagnated(violations: Sequence[float], threshold: float) -> bool:
@@ -377,94 +270,577 @@ def _stagnated(violations: Sequence[float], threshold: float) -> bool:
     return lo > threshold and hi - lo <= _STALL_SPREAD * hi
 
 
-def _restore_feasibility(problem: NlpProblem, x0: np.ndarray):
-    """Minimize the squared constraint violation subject to bounds only."""
+@dataclass(frozen=True)
+class Iterate:
+    """One evaluated point of an SQP run: the objective and every constraint
+    value, computed once and shared by the line search, the convergence test
+    and the callback.  Bounds always hold at an iterate."""
 
-    def phi(x):
-        total = 0.0
-        for c in problem.eq_constraints:
-            total += float(c.fun(x)) ** 2
-        for c in problem.ineq_constraints:
-            total += min(0.0, float(c.fun(x))) ** 2
-        return total
+    x: np.ndarray
+    fun: float
+    eq_values: np.ndarray
+    ineq_values: np.ndarray
+    violation: float  # largest constraint violation
+    l1_violation: float  # summed constraint violation, the merit's penalty term
 
-    def phi_grad(x):
-        g = np.zeros(problem.n)
-        for c in problem.eq_constraints:
-            g += 2.0 * float(c.fun(x)) * c.jac(x)
+    def merit(self, rho: float) -> float:
+        """The l1 exact-penalty merit ``f + rho * l1_violation``."""
+        return self.fun + rho * self.l1_violation
+
+
+def _evaluate(problem: NlpProblem, x: np.ndarray) -> Iterate:
+    eq = [float(c.fun(x)) for c in problem.eq_constraints]
+    ineq = [float(c.fun(x)) for c in problem.ineq_constraints]
+    off = [abs(v) for v in eq] + [-v for v in ineq if v < 0.0]
+    return Iterate(
+        x=x,
+        fun=float(problem.objective(x)),
+        eq_values=np.array(eq),
+        ineq_values=np.array(ineq),
+        violation=max(off, default=0.0),
+        l1_violation=sum(off),
+    )
+
+
+@dataclass(frozen=True)
+class SqpResult:
+    """Outcome of one :func:`minimize` run.
+
+    ``rows`` is the final QP's working set of active-row candidates and
+    ``row_multipliers`` their multipliers (nonnegative); ``eq_multipliers``
+    refer to the equality constraints as written.  The multipliers come from
+    the last QP, and the residuals are theirs at ``x`` (infinite when the
+    last step was a feasibility step).
+    """
+
+    x: np.ndarray
+    fun: float
+    violation: float
+    nit: int
+    message: str
+    eq_multipliers: np.ndarray
+    rows: list
+    row_multipliers: np.ndarray
+    kkt_residual: float  # stationarity of the multipliers at x
+    comp_slackness: float  # largest |multiplier * row value| at x
+
+
+def _kkt_matrix(b, rows) -> np.ndarray:
+    """``[[b, rows'], [rows, 0]]``."""
+    n, k = b.shape[0], rows.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = b
+    kkt[:n, n:] = rows.T
+    kkt[n:, :n] = rows
+    return kkt
+
+
+def _kkt_solve(b, rows, top, bottom):
+    """Solve ``[[b, rows'], [rows, 0]] [y; v] = [top; bottom]``."""
+    sol = np.linalg.solve(_kkt_matrix(b, rows), np.concatenate([top, bottom]))
+    return sol[: b.shape[0]], sol[b.shape[0]:]
+
+
+def _amax(v) -> float:
+    """``max |v|``, 0 for an empty array."""
+    return float(abs(v).max()) if v.size else 0.0
+
+
+def _independent(ae, ai, start) -> list:
+    """The rows of ``start`` that keep ``[ae; ai[kept]]`` of full row rank,
+    taken greedily in order."""
+    kept: list = []
+    for j in start:
+        rows = np.vstack([ae, ai[kept + [j]]])
+        if np.linalg.matrix_rank(rows) == rows.shape[0]:
+            kept.append(j)
+    return kept
+
+
+def _qp(b, g, ae, be, ai, bi, start):
+    """The dual active-set QP method of Goldfarb and Idnani (1983).
+
+    Minimizes ``0.5 d'b d + g'd`` subject to ``ae d = be`` and ``ai d >=
+    bi``, for positive definite ``b``.  The working set starts from the rows
+    ``start`` (indices into ``ai``, independent together with ``ae``),
+    dropping the one of most negative multiplier until every multiplier is
+    nonnegative; each violated row is then added, dropping rows whose
+    multipliers reach zero on the way.
+
+    Returns ``(d, eq_mult, active, active_mult)`` with ``g + b d = ae'eq_mult
+    + ai[active]'active_mult``, or ``None`` when the constraints are
+    inconsistent (or the iteration limit is reached).
+    """
+    n, p = g.size, be.size
+    active = list(start)
+    bscale = max(1.0, _amax(b))
+
+    def eqp():
+        rows = np.vstack([ae, ai[active]])
+        d, v = _kkt_solve(b, rows, -g, np.concatenate([be, bi[active]]))
+        return d, -v
+
+    try:
+        d, u = eqp()
+        while active and u[p:].min() < 0.0:
+            del active[int(np.argmin(u[p:]))]
+            d, u = eqp()
+        changed = False
+        for _ in range(_QP_MAX_STEPS + 2 * ai.shape[0]):
+            slack = ai @ d - bi
+            slack[active] = np.inf
+            j = int(np.argmin(slack)) if slack.size else -1
+            if j < 0 or slack[j] >= -_QP_TOL * (1.0 + abs(bi[j])):
+                if changed:  # a clean solve on the final working set
+                    d, u = eqp()
+                if _amax(ae @ d - be) > 1e-8 * (1.0 + _amax(be)):
+                    return None  # dependent equality rows that disagree
+                return d, u[:p], active, np.maximum(u[p:], 0.0)
+            changed = True
+            a = ai[j]
+            u_new = 0.0
+            while True:
+                rows = np.vstack([ae, ai[active]])
+                z, r = _kkt_solve(b, rows, a, np.zeros(rows.shape[0]))
+                # z = 0 exactly when a depends on the working rows; only a
+                # small z needs the least-squares test
+                dependent = False
+                if float(z @ a) <= 1e-8 * float(a @ a) / bscale:
+                    fit = np.linalg.lstsq(rows.T, a, rcond=None)[0]
+                    if _amax(rows.T @ fit - a) <= 1e-10 * max(1.0, _amax(a)):
+                        dependent, r = True, fit
+                ri = r[p:]
+                pos = np.flatnonzero(ri > 1e-13 * max(1.0, _amax(ri)))
+                t1, drop = np.inf, -1
+                if pos.size:
+                    ratios = u[p:][pos] / ri[pos]
+                    drop = int(pos[np.argmin(ratios)])
+                    t1 = float(ratios.min())
+                if dependent:
+                    if drop < 0:
+                        return None
+                    t = t1
+                else:
+                    za = float(z @ a)
+                    if not za > 0.0:
+                        return None
+                    t2 = -(float(a @ d) - bi[j]) / za
+                    t = min(t1, t2)
+                    d = d + t * z
+                u = u - t * r
+                u_new += t
+                if not dependent and t2 <= t1:
+                    active.append(j)
+                    u = np.append(u, u_new)
+                    break
+                del active[drop]
+                u = np.delete(u, p + drop)
+    except np.linalg.LinAlgError:
+        return None
+    return None
+
+
+def _penalty_qp(b, ae, ce, ai, vals, start):
+    """The feasibility step for linearized rows that are inconsistent: the
+    equality rows and the violated inequality rows become the objective
+    ``0.5 * d'b d + 0.5 * M * |J d + c|**2``, and the rows that hold stay
+    constraints, so ``d = 0`` is feasible and the QP has a solution.
+
+    For large ``M`` the step approaches the Gauss-Newton step that minimizes
+    the linearized violation within the bounds.  Returns the step and the
+    working set (the rows held at equality and the penalized ones, in
+    candidate order), or ``None``; its multipliers estimate nothing and are
+    not returned.
+    """
+    n = b.shape[0]
+    bad = np.flatnonzero(vals < 0.0)  # bounds hold at every iterate
+    good = np.flatnonzero(vals >= 0.0)
+    jac = np.vstack([ae, ai[bad]])
+    res = np.concatenate([ce, vals[bad]])
+    weight = _PENALTY_WEIGHT * max(1.0, _amax(b))
+    out = _qp(
+        b + weight * (jac.T @ jac),
+        weight * (jac.T @ res),
+        np.zeros((0, n)),
+        np.zeros(0),
+        ai[good],
+        -vals[good],
+        [pos for pos, j in enumerate(good) if j in start],
+    )
+    if out is None:
+        return None
+    return out[0], sorted([int(good[pos]) for pos in out[2]] + [int(j) for j in bad])
+
+
+def _newton_step(w, g, rows, rhs):
+    """The QP step on the working set ``rows`` with the exact Hessian ``w``,
+    where that is the QP's local solution: ``(d, u)`` with ``rows d = rhs``
+    and ``g + w d = rows' u``, or ``None``.
+
+    The step is returned only when ``w`` is positive definite on the null
+    space of ``rows`` (N&W 2006, Theorem 16.3), shown by a Cholesky factor
+    of ``w + s rows' rows``: it agrees with ``w`` on that null space, and by
+    Finsler's lemma a large ``s`` makes it positive definite where ``w`` is
+    positive definite there.  A failed test with a positive definite
+    reduced Hessian only costs the general QP.
+    """
+    s = _FINSLER * max(1.0, _amax(w))
+    try:
+        np.linalg.cholesky(w + s * (rows.T @ rows))
+        d, v = _kkt_solve(w, rows, -g, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return d, -v
+
+
+def _convexify(w: np.ndarray, rows: np.ndarray):
+    """A positive definite QP Hessian from the Lagrangian Hessian ``w``,
+    and the part of it added on the range of ``rows'`` (``None`` if none).
+
+    On the null space of ``rows`` (the equality rows and the predicted
+    working set) the curvature of ``w`` is raised by a multiple of the
+    identity (the inertia correction): the least that leaves every
+    eigenvalue at least ``_CURVATURE * max(1, max|w|)``, and at least twice
+    the most negative one, which turns it into its absolute value.  The
+    range of ``rows'`` then gets the least shift that makes the whole
+    matrix positive definite.  That shift changes no QP step whose working
+    set keeps ``rows``, and it is returned so that the caller can keep it
+    out of the multipliers.  Neither shift is applied where ``w`` already is
+    positive definite.
+    """
+    n = w.shape[0]
+    w = 0.5 * (w + w.T)
+    floor = _CURVATURE * max(1.0, _amax(w))
+    try:
+        np.linalg.cholesky(w - floor * np.eye(n))
+        return w, None
+    except np.linalg.LinAlgError:
+        pass
+    if rows.shape[0]:
+        _, svals, vt = np.linalg.svd(rows)
+        r = int(np.sum(svals > 1e-10 * svals[0]))
+    else:
+        vt, r = np.eye(n), 0
+    m = vt @ w @ vt.T  # the range block first, then the null block
+    if r < n:
+        low = float(np.linalg.eigvalsh(m[r:, r:])[0])
+        m[r:, r:] += max(0.0, floor - low, -2.0 * low) * np.eye(n - r)
+    shift = None
+    if r:
+        schur = m[:r, :r] - m[:r, r:] @ np.linalg.solve(m[r:, r:], m[r:, :r]) if r < n else m
+        low = float(np.linalg.eigvalsh(0.5 * (schur + schur.T))[0])
+        if low < floor:
+            shift = (floor - low) * (vt[:r].T @ vt[:r])
+    b = vt.T @ m @ vt
+    b = 0.5 * (b + b.T)
+    return b if shift is None else b + shift, shift
+
+
+def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, options=None):
+    """Dense active-set SQP with exact Hessians (Nocedal & Wright 2006,
+    Algorithm 18.3).
+
+    Minimizes ``fun`` from ``x0`` within ``bounds = (lb, ub)`` subject to
+    ``constraints = {"eq": (...), "ineq": (...)}`` (:class:`ConstraintSpec`
+    rows, inequalities ``g(x) >= 0``); feasibility restoration omits
+    ``constraints``.  ``jac`` and ``hess`` give the exact gradient and
+    Hessian of ``fun``.  ``callback(it)`` receives each accepted
+    :class:`Iterate`; raising ``StopIteration`` ends the run there.
+    ``options={"maxiter": k}`` caps the iterations.
+
+    Each iteration solves one QP at the iterate ``x``: the gradient of
+    ``fun``, the Hessian of the Lagrangian at the last multipliers, and the
+    linearized rows, predicting the last QP's working set (at ``x0``: the
+    rows within ``_ACTIVE_TOL`` of their bound, with least-squares
+    multipliers).  Where the Newton step on that working set is the QP's
+    solution (:func:`_newton_step`) it is taken as it is; otherwise the
+    Hessian is made positive definite (:func:`_convexify`) and :func:`_qp`
+    solves the QP from that working set.  An inconsistent QP gives way to
+    a feasibility step (:func:`_penalty_qp`).  The step is accepted by
+    backtracking on the l1 merit, after one second-order correction of a
+    rejected full step.  The run stops when the multipliers make ``x`` a
+    KKT point within ``_STOP_KKT`` and ``_STOP_FEAS`` (checked first with
+    the last QP's multipliers, which after a Newton step usually suffice),
+    when the step falls below rounding, when no step decreases the merit,
+    after ``_STALL_WINDOW`` feasibility steps in a row, or at the cap.
+    """
+    cons = constraints or {}
+    problem = NlpProblem(
+        objective=fun,
+        gradient=jac,
+        hessian=hess,
+        x0=x0,
+        eq_constraints=cons.get("eq", ()),
+        ineq_constraints=cons.get("ineq", ()),
+        lb=bounds[0],
+        ub=bounds[1],
+    )
+    maxiter = int((options or {}).get("maxiter", _MAX_ITER))
+    n, p, q = problem.n, len(problem.eq_constraints), len(problem.ineq_constraints)
+    rows, lo, hi, bound_grads = _candidate_rows(problem)
+    lb, ub = problem.lb, problem.ub
+
+    def row_values(it: Iterate) -> np.ndarray:
+        return np.concatenate([it.ineq_values, it.x[lo] - lb[lo], ub[hi] - it.x[hi]])
+
+    it = _evaluate(problem, np.clip(problem.x0, lb, ub))
+    working = lam = nu = None
+    rho = 0.0
+    nit = 0
+    kkt = comp = np.inf
+    blind_kkt = None  # KKT residual before the last step taken unchecked
+    infeasible_steps = 0  # consecutive iterations on feasibility steps
+    message = "iteration cap reached"
+    while True:
+        x = it.x
+        grad = np.asarray(problem.gradient(x), dtype=float)
+        ae = np.array([c.jac(x) for c in problem.eq_constraints]).reshape(p, n)
+        ai = np.vstack([np.array([c.jac(x) for c in problem.ineq_constraints]).reshape(q, n), bound_grads])
+        vals = row_values(it)
+        if nit and infeasible_steps == 0 and it.violation <= _STOP_FEAS:
+            # after a Newton step the last QP's multipliers are accurate to
+            # second order, which usually settles convergence without a QP
+            u_rows = nu[working]
+            kkt = _amax(grad + ae.T @ lam - ai[working].T @ u_rows)
+            comp = _amax(u_rows * vals[working])
+            if max(kkt, comp) <= _STOP_KKT:
+                message = "converged"
+                break
+        if working is None or infeasible_steps:
+            # the rows active at x0, or after a feasibility step the rows it
+            # held or penalized, kept independent
+            if working is None:
+                working = [j for j in range(len(rows)) if vals[j] <= _ACTIVE_TOL]
+            start = np.vstack([ae, ai[working]])
+            if start.shape[0] > 1 and np.linalg.matrix_rank(start) < start.shape[0]:
+                working = _independent(ae, ai, working)
+        if lam is None:
+            u = np.linalg.lstsq(np.vstack([ae, ai[working]]).T, grad, rcond=None)[0]
+            lam, nu = -u[:p], np.zeros(len(rows))
+            nu[working] = np.maximum(u[p:], 0.0)
+        w = np.array(problem.hessian(x), dtype=float)
+        for j, c in enumerate(problem.eq_constraints):
+            if lam[j] != 0.0:
+                w += lam[j] * c.hess(x)
+        for i, c in enumerate(problem.ineq_constraints):
+            if nu[i] != 0.0:
+                w -= nu[i] * c.hess(x)
+        predicted = working
+        active = np.vstack([ae, ai[working]])
+        qp = shift = None
+        step = _newton_step(w, grad, active, np.concatenate([-it.eq_values, -vals[working]]))
+        if step is not None:
+            # kept when it is the QP's solution: multipliers signed, no row
+            # violated
+            d, u = step
+            slack = ai @ d + vals
+            slack[working] = np.inf
+            if (u.size == p or u[p:].min() >= 0.0) and (not slack.size or slack.min() >= -_QP_TOL):
+                b, qp = w, (d, u[:p], working, u[p:])
+        if qp is None:
+            b, shift = _convexify(w, active)
+            qp = _qp(b, grad, ae, -it.eq_values, ai, -vals, working)
+        if qp is not None:
+            infeasible_steps = 0
+            d, u_eq, working, u_rows = qp
+            if working != predicted:
+                active = np.vstack([ae, ai[working]])
+            if shift is not None:
+                # the multipliers of the Hessian without the range shift
+                u = np.linalg.lstsq(active.T, grad + (b - shift) @ d, rcond=None)[0]
+                u_eq, u_rows = u[:p], np.maximum(u[p:], 0.0)
+            kkt = _amax(grad - active.T @ np.concatenate([u_eq, u_rows]))
+            if kkt > _STOP_KKT and _amax(d) <= 1e-8 * (1.0 + _amax(x)):
+                # the QP's multipliers leave the residual b @ d, which stays
+                # large where the stationarity system is ill-conditioned and b
+                # is large; a least-squares fit on the same rows may do better
+                u = np.linalg.lstsq(active.T, grad, rcond=None)[0]
+                fit = _amax(grad - active.T @ u)
+                if fit < kkt and (u.size == p or u[p:].min() >= 0.0):
+                    u_eq, u_rows, kkt = u[:p], u[p:], fit
+            lam = -u_eq
+            nu = np.zeros(len(rows))
+            nu[working] = u_rows
+            comp = _amax(u_rows * vals[working])
+        else:
+            # inconsistent linearization: the multipliers stay as they were
+            qp = _penalty_qp(b, ae, it.eq_values, ai, vals, working)
+            if qp is None:
+                message = "QP subproblem failed"
+                logger.debug("%s at iteration %d", message, nit)
+                break
+            d, working = qp
+            active = np.vstack([ae, ai[working]])
+            kkt = comp = np.inf
+            infeasible_steps += 1
+            if infeasible_steps > _STALL_WINDOW:
+                message = "linearization inconsistent"
+                break
+        if max(kkt, comp) <= _STOP_KKT and it.violation <= _STOP_FEAS:
+            message = "converged"
+            break
+        size = _amax(d)
+        if size <= 1e-15 * (1.0 + _amax(x)):
+            message = "step below rounding"
+            break
+        if nit >= maxiter:
+            break
+        # predicted decrease of the summed violation, and the penalty: at
+        # least the largest multiplier, which makes the merit exact (N&W eq.
+        # 18.32), relaxing towards it by Powell's rule as SLSQP does; raised
+        # where needed so that d is a descent direction of the merit (eq.
+        # 18.36), and well above that for a feasibility step
+        lin = abs(it.eq_values + ae @ d).sum() + np.maximum(-(it.ineq_values + ai[:q] @ d), 0.0).sum()
+        pred = it.l1_violation - float(lin)
+        gd = float(grad @ d)
+        if kkt < np.inf:
+            top = max(_amax(lam), float(nu[:q].max()) if q else 0.0)
+            rho = max(top, 0.5 * (rho + top))
+            if pred > 0.0 and gd - rho * pred >= 0.0:
+                rho = (gd + 0.5 * float(d @ b @ d)) / (0.9 * pred)
+        elif pred > 0.0:
+            # a feasibility step: the violation dominates the merit
+            rho = max(rho, (abs(gd) + 0.5 * float(d @ b @ d)) / (0.1 * pred))
+        slope = gd - rho * pred
+        phi0 = it.merit(rho)
+        # a slope this small is below what the merit resolves (its terms are
+        # O(1) sums weighted by 1 and rho): the full (Newton) step is taken
+        # unchecked, and the run ends if that does not shrink the KKT residual
+        blind = abs(slope) <= _BLIND_SLOPE * (1.0 + abs(it.fun) + rho)
+        if not (slope < 0.0 or blind):
+            message = "no descent direction"
+            break
+        trial = _evaluate(problem, np.clip(x + d, lb, ub))
+        accepted = trial if trial.merit(rho) <= phi0 + _ARMIJO * slope else None
+        if accepted is None and blind:
+            if blind_kkt is not None and kkt > 0.5 * blind_kkt:
+                message = "converged to rounding"
+                break
+            accepted, blind_kkt = trial, kkt
+        if accepted is None and active.shape[0]:
+            # second-order correction: back onto the linearized working set
+            res = np.concatenate([trial.eq_values, row_values(trial)[working]])
+            fix = np.linalg.lstsq(active, res, rcond=None)[0]
+            soc = _evaluate(problem, np.clip(x + d - fix, lb, ub))
+            if soc.merit(rho) <= phi0 + _ARMIJO * slope:
+                accepted = soc
+        alpha = 1.0
+        while accepted is None and alpha > _MIN_STEP:
+            # safeguarded quadratic interpolation of the merit along d
+            drop = trial.merit(rho) - phi0 - slope * alpha
+            alpha = min(0.5 * alpha, max(0.1 * alpha, -slope * alpha * alpha / (2.0 * drop)))
+            trial = _evaluate(problem, np.clip(x + alpha * d, lb, ub))
+            if trial.merit(rho) <= phi0 + _ARMIJO * alpha * slope:
+                accepted = trial
+        if accepted is None:
+            message = "line search failed"
+            break
+        it = accepted
+        nit += 1
+        if callback is not None:
+            try:
+                callback(it)
+            except StopIteration:
+                message = "stopped by callback"
+                break
+    return SqpResult(
+        x=it.x,
+        fun=it.fun,
+        violation=it.violation,
+        nit=nit,
+        message=message,
+        eq_multipliers=lam,
+        rows=[rows[j] for j in working],
+        row_multipliers=nu[working],
+        kkt_residual=kkt,
+        comp_slackness=comp,
+    )
+
+
+def _restore_feasibility(problem: NlpProblem, x0: np.ndarray) -> SqpResult:
+    """Minimize the squared constraint violation subject to bounds only,
+    with the same SQP."""
+
+    def violated(x):
+        out = [(float(c.fun(x)), c) for c in problem.eq_constraints]
         for c in problem.ineq_constraints:
             v = float(c.fun(x))
             if v < 0.0:
-                g += 2.0 * v * c.jac(x)
+                out.append((v, c))
+        return out
+
+    def phi(x):
+        return sum(v * v for v, _ in violated(x))
+
+    def phi_grad(x):
+        g = np.zeros(problem.n)
+        for v, c in violated(x):
+            g += 2.0 * v * c.jac(x)
         return g
 
-    res = minimize(
+    def phi_hess(x):
+        h = np.zeros((problem.n, problem.n))
+        for v, c in violated(x):
+            j = c.jac(x)
+            h += 2.0 * (np.outer(j, j) + v * c.hess(x))
+        return h
+
+    return minimize(
         phi,
         x0,
         jac=phi_grad,
-        method="SLSQP",
-        bounds=list(zip(problem.lb, problem.ub)),
-        options={"maxiter": 200, "ftol": 1e-16},
+        hess=phi_hess,
+        bounds=(problem.lb, problem.ub),
+        options={"maxiter": _RESTORE_MAX_ITER},
     )
-    return np.clip(res.x, problem.lb, problem.ub)
 
 
-def _run_slsqp(problem: NlpProblem, x0: np.ndarray, stall_above: Optional[float] = None):
-    """SLSQP from ``x0``; returns the clipped endpoint, scipy's result and the
+def _run_sqp(problem: NlpProblem, x0: np.ndarray, stall_above: Optional[float] = None):
+    """One :func:`minimize` run from ``x0``; returns its result and the
     iteration at which a stagnated run was stopped (``None`` if it was not).
 
     With ``stall_above`` set, the run is stopped once :func:`_stagnated`
     holds for the violations of its iterates after the first
-    ``_STALL_SKIP``.  They are measured at the clipped points the solve
-    itself measures, so a stopped run always goes on to restoration.
+    ``_STALL_SKIP``, read from the iterates the run evaluated itself.  A
+    watched run that ends above ``stall_above`` before the cap, because no
+    step reduces its merit any more, has stagnated too.
     """
-    cons = []
-    for c in problem.eq_constraints:
-        cons.append({"type": "eq", "fun": c.fun, "jac": c.jac})
-    for c in problem.ineq_constraints:
-        cons.append({"type": "ineq", "fun": c.fun, "jac": c.jac})
     callback = None
     stalled = []
     if stall_above is not None:
         iterations = itertools.count(1)
         violations: list[float] = []
 
-        # scipy passes this signature the iterate without copying it twice
-        def callback(intermediate_result):
+        def callback(it: Iterate):
             k = next(iterations)
             if k <= _STALL_SKIP:
                 return
-            x = np.clip(intermediate_result.x, problem.lb, problem.ub)
-            violations.append(_violation(problem, x))
+            violations.append(it.violation)
             if _stagnated(violations, stall_above):
                 stalled.append(k)
                 raise StopIteration
 
-    with warnings.catch_warnings():
-        # scipy warns when a trial step leaves the box and gets clipped;
-        # expected backend behavior, and feasibility is measured afterwards
-        warnings.filterwarnings(
-            "ignore", message="Values in x were outside bounds", category=RuntimeWarning
-        )
-        res = minimize(
-            problem.objective,
-            x0,
-            jac=problem.gradient,
-            method="SLSQP",
-            bounds=list(zip(problem.lb, problem.ub)),
-            constraints=cons,
-            callback=callback,
-            options={"maxiter": _MAX_ITER, "ftol": 1e-12},
-        )
-    x = np.clip(np.asarray(res.x, dtype=float), problem.lb, problem.ub)
-    return x, res, (stalled[0] if stalled else None)
+    res = minimize(
+        problem.objective,
+        x0,
+        jac=problem.gradient,
+        hess=problem.hessian,
+        bounds=(problem.lb, problem.ub),
+        constraints={"eq": problem.eq_constraints, "ineq": problem.ineq_constraints},
+        callback=callback,
+        options={"maxiter": _MAX_ITER},
+    )
+    if stall_above is not None and not stalled and res.violation > stall_above:
+        if res.nit < _MAX_ITER:  # ended by the SQP itself: no step reduces the merit
+            stalled.append(res.nit)
+    return res, (stalled[0] if stalled else None)
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSolution:
-    """Local SQP solve with KKT polish and multiplier recovery.
+    """Local SQP solve with multiplier recovery.
 
     Returns a :class:`ScalarSolution` whose status is decided by the final
-    measured residuals, not by the inner solver's exit flag: ``converged``
+    measured residuals, not by the SQP's own stopping reason: ``converged``
     requires stationarity <= tol_kkt and violation <= tol_feas;
     ``infeasible`` is declared only after a failed feasibility restoration.
 
@@ -478,70 +854,45 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     opts = options or SolverOptions()
     restore_above = max(_INFEASIBLE_TOL, 10.0 * opts.tol_feas)
     # a run from a feasible start is not watched: restoration would return
-    # that start, so a second run would only repeat the first; most runs
-    # start feasible and end within a few iterations, and skipping the
-    # callback on them keeps the watch nearly free
+    # that start, so a second run would only repeat the first
     watch = _violation(problem, problem.x0) > restore_above
-    x, res, stalled = _run_slsqp(
-        problem, problem.x0, stall_above=restore_above if watch else None
-    )
-    n_iter = int(res.nit)
-    viol = _violation(problem, x)
-    if viol > restore_above:
+    res, stalled = _run_sqp(problem, problem.x0, stall_above=restore_above if watch else None)
+    n_iter = res.nit
+    if res.violation > restore_above:
         # restoration starts from problem.x0, not from where the first run
         # ended, so stopping an infeasible first run early changes neither
         # the restored point nor the outcome; only the infeasible point
         # reported when restoration fails is the earlier iterate
-        restored = _restore_feasibility(problem, problem.x0)
-        if _violation(problem, restored) <= _INFEASIBLE_TOL:
-            x, res, _ = _run_slsqp(problem, restored)
-            n_iter += int(res.nit)
-            viol = _violation(problem, x)
+        restored = _restore_feasibility(problem, problem.x0).x
+        restored_viol = _violation(problem, restored)
+        if restored_viol <= _INFEASIBLE_TOL:
+            res, _ = _run_sqp(problem, restored)
+            n_iter += res.nit
         else:
-            mu = np.zeros(len(problem.ineq_constraints))
-            lam = np.zeros(len(problem.eq_constraints))
             zeros = np.zeros(problem.n)
             return ScalarSolution(
-                x=x,
-                value=float(problem.objective(x)),
-                eq_multipliers=lam,
-                ineq_multipliers=mu,
+                x=res.x,
+                value=res.fun,
+                eq_multipliers=np.zeros(len(problem.eq_constraints)),
+                ineq_multipliers=np.zeros(len(problem.ineq_constraints)),
                 lb_multipliers=zeros,
                 ub_multipliers=zeros,
                 status=SolveStatus.INFEASIBLE,
                 kkt_residual=float("nan"),
-                constraint_violation=_violation(problem, restored),
+                constraint_violation=restored_viol,
                 comp_slackness=float("nan"),
                 n_iter=n_iter,
                 message="restoration could not reach feasibility",
                 info={"sqp_stalled": stalled},
             )
 
-    rows = _active_rows(problem, x)
-    lam, rows, nus = _ls_multipliers(problem, x, rows)
-    px, plam, pnus = _polish(problem, x, lam, rows, nus)
-    # accept the polished point only if it stays feasible and properly signed
-    pviol = _violation(problem, px)
-    ok = (
-        pviol <= max(viol, opts.tol_feas)
-        and float(np.min(pnus, initial=0.0)) >= -10.0 * opts.tol_kkt
-        and float(np.max(np.abs(px - x))) <= 0.1 * (1.0 + float(np.max(np.abs(x))))
-    )
-    if ok:
-        x, viol, lam, nus = px, pviol, plam, pnus
-    else:
-        nus = [max(v, 0.0) for v in nus]
+    x, viol, kkt = res.x, res.violation, res.kkt_residual
     # constraint multipliers below 1e-15 are reported as 0
     nus = [
-        0.0 if kind == "ineq" and abs(v) < 1e-15 else v for (kind, _), v in zip(rows, nus)
+        0.0 if kind == "ineq" and abs(v) < 1e-15 else float(v)
+        for (kind, _), v in zip(res.rows, res.row_multipliers)
     ]
-    mu_full, nu_lo, nu_hi = _scatter(problem, rows, nus)
-    kkt = float(
-        np.max(np.abs(_grad_lagrangian(problem, x, lam, mu_full, nu_lo, nu_hi)), initial=0.0)
-    )
-    comp = 0.0
-    for row, v in zip(rows, nus):
-        comp = max(comp, abs(v * _row_value(problem, x, row)))
+    mu_full, nu_lo, nu_hi = _scatter(problem, res.rows, nus)
 
     if viol <= opts.tol_feas and kkt <= opts.tol_kkt:
         status = SolveStatus.CONVERGED
@@ -558,15 +909,15 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
         )
     return ScalarSolution(
         x=x,
-        value=float(problem.objective(x)),
-        eq_multipliers=np.asarray(lam, dtype=float),
+        value=res.fun,
+        eq_multipliers=res.eq_multipliers,
         ineq_multipliers=mu_full,
         lb_multipliers=nu_lo,
         ub_multipliers=nu_hi,
         status=status,
         kkt_residual=kkt,
         constraint_violation=viol,
-        comp_slackness=comp,
+        comp_slackness=res.comp_slackness,
         n_iter=n_iter,
         message=message,
         info={"sqp_stalled": stalled},

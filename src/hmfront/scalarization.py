@@ -546,7 +546,14 @@ def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolu
         start = nbi.beta @ nbi.anchor_weights
     else:
         start = equal_weights(p.n)
-    return _solve_aux(p, goals, sense=-1.0, equality=True, start=start, starts=starts)
+
+    def s_start(w0):
+        # the point of the ray nearest to F(w0)
+        return float(nbi.nbar @ (p.objective_values(w0) - hull)) / float(nbi.nbar @ nbi.nbar)
+
+    return _solve_aux(
+        p, goals, sense=-1.0, equality=True, start=start, starts=starts, aux0=s_start
+    )
 
 
 def solve_sp(

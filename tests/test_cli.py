@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,21 @@ SYN = ["--synthetic", "3", "400", "28", "0.4"]
 
 def run(args):
     return main(args)
+
+
+def test_cli_import_loads_no_scipy():
+    # the set-up every CLI run pays: importing the CLI must not pull in scipy
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, hmfront.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_moments_writes_report(tmp_path):

@@ -81,7 +81,7 @@ def test_oracle_matches_fresh_evaluation(case):
     n, seed, objectives, points, calls = case
     returns = _returns(seed, n)
     p = PortfolioMop(moments=compute_moments(returns), objectives=objectives)
-    # callers such as SLSQP hand in the same buffer with new contents
+    # a caller may hand in the same buffer with new contents
     buf = np.empty(n)
     for idx, kind, reuse in calls:
         if reuse:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfront import (
     ConstraintSpec,
@@ -95,6 +97,40 @@ def test_random_qp_matches_support_enumeration(rng):
         assert np.max(np.abs(sol.x - w)) < 1e-7
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_convex_simplex_qp_matches_support_enumeration(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    Q = a @ a.T + 0.5 * np.eye(n)
+    c = rng.normal(size=n)
+    sol = solve(_quadratic_problem(Q, c, rng.dirichlet(np.ones(n))))
+    assert sol.status is SolveStatus.CONVERGED
+    val, w = qp_simplex_bruteforce(Q, c)
+    assert sol.value == pytest.approx(val, abs=1e-8)
+    assert np.max(np.abs(sol.x - w)) < 1e-7
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_indefinite_simplex_objective_reaches_a_second_order_point(n, seed):
+    # an indefinite Hessian needs the inertia correction; the solve must end
+    # at a KKT point whose Hessian is positive semidefinite on the directions
+    # that keep the budget and move only the positive weights
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    Q = 0.5 * (a + a.T)
+    c = rng.normal(size=n)
+    sol = solve(_quadratic_problem(Q, c, rng.dirichlet(np.ones(n))))
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.kkt_residual <= 1e-8 and sol.comp_slackness <= 1e-8
+    free = np.flatnonzero(sol.x > 1e-9)
+    if free.size > 1:
+        z = np.linalg.svd(np.ones((1, free.size)))[2][1:].T
+        reduced = z.T @ (2.0 * Q[np.ix_(free, free)]) @ z
+        assert np.linalg.eigvalsh(reduced).min() >= -1e-8 * max(1.0, np.abs(Q).max())
+
+
 def test_stationarity_invariant_on_converged(rng):
     for trial in range(4):
         a = rng.normal(size=(3, 3))
@@ -121,31 +157,34 @@ def _merit_value(problem, x, rho):
 
 
 def test_merit_monotone_over_accepted_phases(rng, monkeypatch):
-    # the solve's accepted steps are start -> SQP output -> polished point;
-    # the exact-penalty merit must not increase across them
-    sqp_points = []
-    polish = nlp._polish
+    # the SQP accepts a step only when the l1 exact-penalty merit does not
+    # increase; read the accepted iterates through the SQP's callback
+    iterates = []
+    minimize = nlp.minimize
 
-    def spy(problem, x, *args):
-        sqp_points.append(x.copy())
-        return polish(problem, x, *args)
+    def recording_minimize(*args, callback=None, **kwargs):
+        def record(it):
+            iterates.append(it.x.copy())
+            if callback is not None:
+                callback(it)
 
-    monkeypatch.setattr(nlp, "_polish", spy)
+        return minimize(*args, callback=record, **kwargs)
+
+    monkeypatch.setattr(nlp, "minimize", recording_minimize)
     for trial in range(4):
         a = rng.normal(size=(4, 4))
         Q = a @ a.T + np.eye(4)
         c = rng.normal(size=4)
         prob = _quadratic_problem(Q, c, np.array([0.7, 0.1, 0.1, 0.1]))
-        sqp_points.clear()
+        iterates.clear()
         sol = solve(prob)
-        assert len(sqp_points) == 1
+        assert sol.converged and iterates
         rho = 2.0 * max(
             1.0,
             float(np.max(np.abs(sol.eq_multipliers), initial=0.0)),
             float(np.max(np.abs(sol.ineq_multipliers), initial=0.0)),
         )
-        phases = (prob.x0, sqp_points[0], sol.x)
-        merits = np.array([_merit_value(prob, x, rho) for x in phases])
+        merits = np.array([_merit_value(prob, x, rho) for x in [prob.x0] + iterates])
         drops = np.diff(merits)
         assert np.all(drops <= 1e-9 * (1.0 + np.abs(merits[:-1])))
 
@@ -234,9 +273,9 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
         x0=np.array([30.0, -20.0]),
         eq_constraints=(circle,),
     )
-    # five iterations cannot reach the circle from this start, so the solve
-    # restores feasibility and runs SQP a second time
-    monkeypatch.setattr(nlp, "_MAX_ITER", 5)
+    # ten iterations cannot reach the circle from this start, so the solve
+    # restores feasibility and runs SQP a second time, which needs eight
+    monkeypatch.setattr(nlp, "_MAX_ITER", 10)
     sol = solve(prob)
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
