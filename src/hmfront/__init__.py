@@ -40,9 +40,9 @@ from .problem import (
     utility_optimize,
 )
 from .nlp import (
-    ConstraintSpec,
     MultistartResult,
     NlpProblem,
+    RowBlock,
     ScalarSolution,
     SolverOptions,
     SolveStatus,

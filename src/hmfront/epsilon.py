@@ -140,7 +140,7 @@ class FrontArchive:
                 eps=eps.copy(),
                 x=sol.x.copy(),
                 multipliers=sol.ineq_multipliers.copy(),
-                image=self.problem.objective_values(sol.x),
+                image=sol.objective_values,
                 solution=sol,
             )
         )
@@ -245,10 +245,7 @@ def _solve_cell(
     """Solve one cell from ``x0``.  Rows and objective are normalized to
     unit gradient scale at ``x0`` internally; the reported value is the raw
     minimized objective and every multiplier is in raw units."""
-    goals = [
-        _Goal(idx, -1.0, float(eps[pos]), name="eps_%d" % pos)
-        for pos, idx in enumerate(constrained)
-    ]
+    goals = [_Goal(idx, -1.0, float(eps[pos])) for pos, idx in enumerate(constrained)]
     problem, finish = _scaled_problem(p, x0, goals, objective=(minimized, 1.0))
     return finish(nlp.solve(problem))
 

@@ -4,10 +4,20 @@ Every scalar subproblem in the package funnels through :func:`solve`:
 minimize a differentiable objective subject to equality constraints
 ``h(x) = 0``, inequality constraints ``g(x) >= 0`` and box bounds.
 
+A problem gives its objective and constraints as one row block, the
+interface of interior-point codes such as IPOPT (Wachter and Biegler 2006):
+``problem.rows(x)`` is a :class:`RowBlock` holding every row's value at x,
+row 0 the objective, then the ``n_eq`` equality rows, then the ``n_ineq``
+inequality rows.  Its Jacobian is computed on first use, because line-search
+trial points need values only, and ``hessian(c)`` gives the weighted sum
+``sum_i c_i * Hessian(row_i)``, so the Hessian of the Lagrangian is one call.
+A block reads its inputs once per point: the SQP asks it for values,
+Jacobian and Hessian, and feasibility restoration builds its own block from
+the problem's.
+
 The local solve is :func:`minimize`, a small dense active-set SQP in numpy
-(Nocedal & Wright 2006, ch. 18).  Every objective and constraint supplies
-its exact Hessian, and each iteration solves one QP whose Hessian is the
-Hessian of the Lagrangian, with an inertia correction where it is not
+(Nocedal & Wright 2006, ch. 18).  Each iteration solves one QP whose Hessian
+is the Hessian of the Lagrangian, with an inertia correction where it is not
 positive definite on the QP's working set (skewness makes it indefinite).
 The QP works on one ordered list of rows, each an inequality ``g(x) >= 0``:
 the constraints ``("ineq", i)``, then the lower bounds ``("lo", k)`` (``x_k -
@@ -25,16 +35,13 @@ That sign convention is used everywhere in the package: inequality
 multipliers are reported nonnegative for constraints written ``g(x) >= 0``,
 and equality multipliers refer to the constraint exactly as written.
 
-A first SQP run from an infeasible start is watched: once its constraint
-violation has stagnated above the restoration threshold (from its eleventh
-iterate on, the last ten iterates all above it, within a 1% relative
-spread), the run is stopped and the solve goes straight to feasibility
-restoration, which runs the same SQP on the squared violation under the
-bounds alone.  A ray that misses a non-convex image set is thus detected
-within about twenty SQP iterations instead of at the iteration cap.
-Restoration starts from the problem's ``x0``, so where an infeasible first
-run stops cannot change the outcome of the solve, and the watch only reads
-iterates, so runs it does not stop follow the same path.
+A run that ends above the restoration threshold is followed by feasibility
+restoration from the problem's ``x0``: the same SQP minimizes the summed
+squared violation of the violated rows under the bounds alone, and a
+restored point is solved again.  A ray that misses a non-convex image set
+ends its first run on its own, long before the iteration cap: when no step
+reduces the merit, or after ``_MAX_FEASIBILITY_STEPS`` feasibility steps in
+a row on inconsistent linearized rows.
 
 Each SQP run stops after ``_MAX_ITER`` (300) iterations, a restoration run
 after ``_RESTORE_MAX_ITER`` (200); rows within ``_ACTIVE_TOL`` (1e-7) of
@@ -48,7 +55,7 @@ so identical problems produce bit-identical solutions.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -60,8 +67,8 @@ from .errors import MultistartError, ParameterError
 from .util import lexicographic_less
 
 __all__ = [
-    "ConstraintSpec",
     "NlpProblem",
+    "RowBlock",
     "SolverOptions",
     "SolveStatus",
     "ScalarSolution",
@@ -78,13 +85,7 @@ _RESTORE_MAX_ITER = 200  # SQP iterations per restoration run
 _ACTIVE_TOL = 1e-7  # slack below which a row starts the first working set
 # violation above which a point is declared infeasible after restoration
 _INFEASIBLE_TOL = 1e-7
-# stagnation watch on the first SQP run: after _STALL_SKIP unmeasured
-# iterations (most runs end within them), the last _STALL_WINDOW iterates all
-# above the restoration threshold, their violations within _STALL_SPREAD of
-# the largest
-_STALL_SKIP = 10
-_STALL_WINDOW = 10
-_STALL_SPREAD = 0.01
+_MAX_FEASIBILITY_STEPS = 10  # consecutive feasibility steps before a run gives up
 # a run stops once the QP's multipliers give a stationarity and
 # complementarity residual below _STOP_KKT and the violation is below
 # _STOP_FEAS: the tightest tolerances a caller sets (the tracer's corrector)
@@ -101,28 +102,41 @@ _QP_MAX_STEPS = 50  # QP working-set changes, plus two per row
 _PENALTY_WEIGHT = 1e4  # relative weight of the violation in the penalty QP
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """A twice-differentiable scalar constraint with its gradient and exact
-    Hessian."""
+class RowBlock:
+    """Twice-differentiable rows evaluated together at one point.
 
-    fun: Callable[[np.ndarray], float]
-    jac: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
+    ``values`` holds every row's value.  ``jacobian``, their gradients as the
+    rows of a matrix, is computed from ``jacobian_fn()`` on first use, and
+    ``hessian(c)`` returns ``sum_i c[i] * Hessian(row_i)``.  The rows of a
+    problem's block are its objective, then its equality rows, then its
+    inequality rows ``g(x) >= 0``.
+    """
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        jacobian_fn: Callable[[], np.ndarray],
+        hessian: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        self.values = values
+        self._jacobian_fn = jacobian_fn
+        self.hessian = hessian
+
+    @functools.cached_property
+    def jacobian(self) -> np.ndarray:
+        return self._jacobian_fn()
 
 
 @dataclass(frozen=True)
 class NlpProblem:
-    """Smooth NLP description with exact derivatives.  ``ineq_constraints``
-    use the g(x) >= 0 sense."""
+    """Smooth NLP description with exact derivatives: ``rows(x)`` is the
+    :class:`RowBlock` of the objective, the ``n_eq`` equality rows ``h(x) =
+    0`` and the ``n_ineq`` inequality rows ``g(x) >= 0``, in that order."""
 
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray], RowBlock]
     x0: np.ndarray
-    hessian: Callable[[np.ndarray], np.ndarray]
-    eq_constraints: tuple[ConstraintSpec, ...] = ()
-    ineq_constraints: tuple[ConstraintSpec, ...] = ()
+    n_eq: int = 0
+    n_ineq: int = 0
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
 
@@ -142,8 +156,6 @@ class NlpProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
-        object.__setattr__(self, "eq_constraints", tuple(self.eq_constraints))
-        object.__setattr__(self, "ineq_constraints", tuple(self.ineq_constraints))
 
     @property
     def n(self) -> int:
@@ -180,9 +192,6 @@ class ScalarSolution:
     scalarization layer when the variable vector has portfolio structure.
     ``n_iter`` totals the SQP iterations of the solve: when feasibility
     restoration ran, it counts both SQP runs, not only the last.
-    ``info["sqp_stalled"]`` is the iteration at which the first SQP run, from
-    an infeasible start, was stopped or ended with a stagnated constraint
-    violation, or ``None``.
     """
 
     x: np.ndarray
@@ -214,14 +223,9 @@ class MultistartResult:
 
 
 def _violation(problem: NlpProblem, x: np.ndarray) -> float:
-    worst = 0.0
-    for c in problem.eq_constraints:
-        worst = max(worst, abs(float(c.fun(x))))
-    for c in problem.ineq_constraints:
-        worst = max(worst, max(0.0, -float(c.fun(x))))
+    worst = _evaluate(problem.rows(x), problem.n_eq, x).violation
     worst = max(worst, float(np.max(problem.lb - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - problem.ub, initial=0.0)))
-    return worst
+    return max(worst, float(np.max(x - problem.ub, initial=0.0)))
 
 
 def _candidate_rows(problem: NlpProblem):
@@ -234,7 +238,7 @@ def _candidate_rows(problem: NlpProblem):
     """
     lo = np.flatnonzero(np.isfinite(problem.lb))
     hi = np.flatnonzero(np.isfinite(problem.ub))
-    rows = [("ineq", i) for i in range(len(problem.ineq_constraints))]
+    rows = [("ineq", i) for i in range(problem.n_ineq)]
     rows += [("lo", int(k)) for k in lo] + [("hi", int(k)) for k in hi]
     bound_grads = np.zeros((lo.size + hi.size, problem.n))
     bound_grads[np.arange(lo.size), lo] = 1.0
@@ -246,7 +250,7 @@ def _scatter(problem: NlpProblem, rows, values):
     """Full inequality, lower-bound and upper-bound multiplier vectors from
     the multipliers of ``rows`` (zero off the rows)."""
     full = {
-        "ineq": np.zeros(len(problem.ineq_constraints)),
+        "ineq": np.zeros(problem.n_ineq),
         "lo": np.zeros(problem.n),
         "hi": np.zeros(problem.n),
     }
@@ -255,28 +259,14 @@ def _scatter(problem: NlpProblem, rows, values):
     return full["ineq"], full["lo"], full["hi"]
 
 
-def _stagnated(violations: Sequence[float], threshold: float) -> bool:
-    """Whether a violation history has stalled above ``threshold``.
-
-    True when the last ``_STALL_WINDOW`` violations all exceed the threshold
-    and lie within a ``_STALL_SPREAD`` relative spread of their maximum.  A
-    run that is still moving, even one that jumps far away and comes back,
-    does not stall.
-    """
-    if len(violations) < _STALL_WINDOW:
-        return False
-    window = violations[-_STALL_WINDOW:]
-    lo, hi = min(window), max(window)
-    return lo > threshold and hi - lo <= _STALL_SPREAD * hi
-
-
 @dataclass(frozen=True)
 class Iterate:
-    """One evaluated point of an SQP run: the objective and every constraint
-    value, computed once and shared by the line search, the convergence test
-    and the callback.  Bounds always hold at an iterate."""
+    """One evaluated point of an SQP run: its row block, with the objective
+    and every constraint value split out once for the line search and the
+    convergence test.  Bounds always hold at an iterate."""
 
     x: np.ndarray
+    rows: RowBlock
     fun: float
     eq_values: np.ndarray
     ineq_values: np.ndarray
@@ -288,15 +278,18 @@ class Iterate:
         return self.fun + rho * self.l1_violation
 
 
-def _evaluate(problem: NlpProblem, x: np.ndarray) -> Iterate:
-    eq = [float(c.fun(x)) for c in problem.eq_constraints]
-    ineq = [float(c.fun(x)) for c in problem.ineq_constraints]
-    off = [abs(v) for v in eq] + [-v for v in ineq if v < 0.0]
+def _evaluate(rows: RowBlock, p: int, x: np.ndarray) -> Iterate:
+    """The iterate of the block ``rows`` at ``x``, whose rows after the
+    objective are ``p`` equality rows, then inequality rows."""
+    values = rows.values
+    eq, ineq = values[1 : 1 + p], values[1 + p :]
+    off = [abs(v) for v in eq.tolist()] + [-v for v in ineq.tolist() if v < 0.0]
     return Iterate(
         x=x,
-        fun=float(problem.objective(x)),
-        eq_values=np.array(eq),
-        ineq_values=np.array(ineq),
+        rows=rows,
+        fun=float(values[0]),
+        eq_values=eq,
+        ineq_values=ineq,
         violation=max(off, default=0.0),
         l1_violation=sum(off),
     )
@@ -536,20 +529,19 @@ def _convexify(w: np.ndarray, rows: np.ndarray):
     return b if shift is None else b + shift, shift
 
 
-def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, options=None):
+def minimize(rows, x0, *, bounds, constraints=None, options=None):
     """Dense active-set SQP with exact Hessians (Nocedal & Wright 2006,
     Algorithm 18.3).
 
-    Minimizes ``fun`` from ``x0`` within ``bounds = (lb, ub)`` subject to
-    ``constraints = {"eq": (...), "ineq": (...)}`` (:class:`ConstraintSpec`
-    rows, inequalities ``g(x) >= 0``); feasibility restoration omits
-    ``constraints``.  ``jac`` and ``hess`` give the exact gradient and
-    Hessian of ``fun``.  ``callback(it)`` receives each accepted
-    :class:`Iterate`; raising ``StopIteration`` ends the run there.
-    ``options={"maxiter": k}`` caps the iterations.
+    Minimizes row 0 of the row block ``rows(x)`` from ``x0`` within ``bounds
+    = (lb, ub)`` subject to its other rows: with ``constraints = (p, q)``,
+    rows ``1 .. p`` are equality rows and the ``q`` rows after them
+    inequality rows ``g(x) >= 0``.  Feasibility restoration, whose block is
+    its objective alone, omits ``constraints``.  ``options={"maxiter": k}``
+    caps the iterations.
 
-    Each iteration solves one QP at the iterate ``x``: the gradient of
-    ``fun``, the Hessian of the Lagrangian at the last multipliers, and the
+    Each iteration solves one QP at the iterate ``x``: the gradient of the
+    objective, the Hessian of the Lagrangian at the last multipliers, and the
     linearized rows, predicting the last QP's working set (at ``x0``: the
     rows within ``_ACTIVE_TOL`` of their bound, with least-squares
     multipliers).  Where the Newton step on that working set is the QP's
@@ -562,28 +554,22 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
     KKT point within ``_STOP_KKT`` and ``_STOP_FEAS`` (checked first with
     the last QP's multipliers, which after a Newton step usually suffice),
     when the step falls below rounding, when no step decreases the merit,
-    after ``_STALL_WINDOW`` feasibility steps in a row, or at the cap.
+    after ``_MAX_FEASIBILITY_STEPS`` feasibility steps in a row, or at the
+    cap.
     """
-    cons = constraints or {}
-    problem = NlpProblem(
-        objective=fun,
-        gradient=jac,
-        hessian=hess,
-        x0=x0,
-        eq_constraints=cons.get("eq", ()),
-        ineq_constraints=cons.get("ineq", ()),
-        lb=bounds[0],
-        ub=bounds[1],
-    )
+    p, q = constraints or (0, 0)
+    problem = NlpProblem(rows=rows, x0=x0, n_eq=p, n_ineq=q, lb=bounds[0], ub=bounds[1])
     maxiter = int((options or {}).get("maxiter", _MAX_ITER))
-    n, p, q = problem.n, len(problem.eq_constraints), len(problem.ineq_constraints)
-    rows, lo, hi, bound_grads = _candidate_rows(problem)
+    candidates, lo, hi, bound_grads = _candidate_rows(problem)
     lb, ub = problem.lb, problem.ub
+
+    def evaluate(x: np.ndarray) -> Iterate:
+        return _evaluate(rows(x), p, x)
 
     def row_values(it: Iterate) -> np.ndarray:
         return np.concatenate([it.ineq_values, it.x[lo] - lb[lo], ub[hi] - it.x[hi]])
 
-    it = _evaluate(problem, np.clip(problem.x0, lb, ub))
+    it = evaluate(np.clip(problem.x0, lb, ub))
     working = lam = nu = None
     rho = 0.0
     nit = 0
@@ -593,9 +579,9 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
     message = "iteration cap reached"
     while True:
         x = it.x
-        grad = np.asarray(problem.gradient(x), dtype=float)
-        ae = np.array([c.jac(x) for c in problem.eq_constraints]).reshape(p, n)
-        ai = np.vstack([np.array([c.jac(x) for c in problem.ineq_constraints]).reshape(q, n), bound_grads])
+        jac = it.rows.jacobian
+        grad, ae = jac[0], jac[1 : 1 + p]
+        ai = np.vstack([jac[1 + p :], bound_grads])
         vals = row_values(it)
         if nit and infeasible_steps == 0 and it.violation <= _STOP_FEAS:
             # after a Newton step the last QP's multipliers are accurate to
@@ -610,21 +596,15 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
             # the rows active at x0, or after a feasibility step the rows it
             # held or penalized, kept independent
             if working is None:
-                working = [j for j in range(len(rows)) if vals[j] <= _ACTIVE_TOL]
+                working = [j for j in range(len(candidates)) if vals[j] <= _ACTIVE_TOL]
             start = np.vstack([ae, ai[working]])
             if start.shape[0] > 1 and np.linalg.matrix_rank(start) < start.shape[0]:
                 working = _independent(ae, ai, working)
         if lam is None:
             u = np.linalg.lstsq(np.vstack([ae, ai[working]]).T, grad, rcond=None)[0]
-            lam, nu = -u[:p], np.zeros(len(rows))
+            lam, nu = -u[:p], np.zeros(len(candidates))
             nu[working] = np.maximum(u[p:], 0.0)
-        w = np.array(problem.hessian(x), dtype=float)
-        for j, c in enumerate(problem.eq_constraints):
-            if lam[j] != 0.0:
-                w += lam[j] * c.hess(x)
-        for i, c in enumerate(problem.ineq_constraints):
-            if nu[i] != 0.0:
-                w -= nu[i] * c.hess(x)
+        w = it.rows.hessian(np.concatenate([[1.0], lam, -nu[:q]]))
         predicted = working
         active = np.vstack([ae, ai[working]])
         qp = shift = None
@@ -659,7 +639,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
                 if fit < kkt and (u.size == p or u[p:].min() >= 0.0):
                     u_eq, u_rows, kkt = u[:p], u[p:], fit
             lam = -u_eq
-            nu = np.zeros(len(rows))
+            nu = np.zeros(len(candidates))
             nu[working] = u_rows
             comp = _amax(u_rows * vals[working])
         else:
@@ -673,7 +653,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
             active = np.vstack([ae, ai[working]])
             kkt = comp = np.inf
             infeasible_steps += 1
-            if infeasible_steps > _STALL_WINDOW:
+            if infeasible_steps > _MAX_FEASIBILITY_STEPS:
                 message = "linearization inconsistent"
                 break
         if max(kkt, comp) <= _STOP_KKT and it.violation <= _STOP_FEAS:
@@ -710,7 +690,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
         if not (slope < 0.0 or blind):
             message = "no descent direction"
             break
-        trial = _evaluate(problem, np.clip(x + d, lb, ub))
+        trial = evaluate(np.clip(x + d, lb, ub))
         accepted = trial if trial.merit(rho) <= phi0 + _ARMIJO * slope else None
         if accepted is None and blind:
             if blind_kkt is not None and kkt > 0.5 * blind_kkt:
@@ -721,7 +701,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
             # second-order correction: back onto the linearized working set
             res = np.concatenate([trial.eq_values, row_values(trial)[working]])
             fix = np.linalg.lstsq(active, res, rcond=None)[0]
-            soc = _evaluate(problem, np.clip(x + d - fix, lb, ub))
+            soc = evaluate(np.clip(x + d - fix, lb, ub))
             if soc.merit(rho) <= phi0 + _ARMIJO * slope:
                 accepted = soc
         alpha = 1.0
@@ -729,7 +709,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
             # safeguarded quadratic interpolation of the merit along d
             drop = trial.merit(rho) - phi0 - slope * alpha
             alpha = min(0.5 * alpha, max(0.1 * alpha, -slope * alpha * alpha / (2.0 * drop)))
-            trial = _evaluate(problem, np.clip(x + alpha * d, lb, ub))
+            trial = evaluate(np.clip(x + alpha * d, lb, ub))
             if trial.merit(rho) <= phi0 + _ARMIJO * alpha * slope:
                 accepted = trial
         if accepted is None:
@@ -737,12 +717,6 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
             break
         it = accepted
         nit += 1
-        if callback is not None:
-            try:
-                callback(it)
-            except StopIteration:
-                message = "stopped by callback"
-                break
     return SqpResult(
         x=it.x,
         fun=it.fun,
@@ -750,7 +724,7 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
         nit=nit,
         message=message,
         eq_multipliers=lam,
-        rows=[rows[j] for j in working],
+        rows=[candidates[j] for j in working],
         row_multipliers=nu[working],
         kkt_residual=kkt,
         comp_slackness=comp,
@@ -758,82 +732,43 @@ def minimize(fun, x0, *, jac, hess, bounds, constraints=None, callback=None, opt
 
 
 def _restore_feasibility(problem: NlpProblem, x0: np.ndarray) -> SqpResult:
-    """Minimize the squared constraint violation subject to bounds only,
-    with the same SQP."""
+    """Minimize the summed squared violation ``|v|**2`` of the violated rows
+    (every equality row, and the inequality rows below zero) subject to
+    bounds only, with the same SQP: its gradient is ``2 J'v`` and its
+    Hessian ``2 J'J`` plus the rows' Hessians weighted by ``2 v``."""
+    p = problem.n_eq
 
-    def violated(x):
-        out = [(float(c.fun(x)), c) for c in problem.eq_constraints]
-        for c in problem.ineq_constraints:
-            v = float(c.fun(x))
-            if v < 0.0:
-                out.append((v, c))
-        return out
+    def rows(x):
+        inner = problem.rows(x)
+        values = inner.values[1:]
+        violated = np.concatenate([np.ones(p, dtype=bool), values[p:] < 0.0])
+        v = values[violated]
 
-    def phi(x):
-        return sum(v * v for v, _ in violated(x))
+        def jacobian():
+            return 2.0 * (v @ inner.jacobian[1:][violated])[None, :]
 
-    def phi_grad(x):
-        g = np.zeros(problem.n)
-        for v, c in violated(x):
-            g += 2.0 * v * c.jac(x)
-        return g
+        def hessian(c):
+            j = inner.jacobian[1:][violated]
+            weights = np.zeros(inner.values.size)
+            weights[1:][violated] = 2.0 * v
+            return c[0] * (2.0 * (j.T @ j) + inner.hessian(weights))
 
-    def phi_hess(x):
-        h = np.zeros((problem.n, problem.n))
-        for v, c in violated(x):
-            j = c.jac(x)
-            h += 2.0 * (np.outer(j, j) + v * c.hess(x))
-        return h
+        return RowBlock(np.array([float(v @ v)]), jacobian, hessian)
 
     return minimize(
-        phi,
-        x0,
-        jac=phi_grad,
-        hess=phi_hess,
-        bounds=(problem.lb, problem.ub),
-        options={"maxiter": _RESTORE_MAX_ITER},
+        rows, x0, bounds=(problem.lb, problem.ub), options={"maxiter": _RESTORE_MAX_ITER}
     )
 
 
-def _run_sqp(problem: NlpProblem, x0: np.ndarray, stall_above: Optional[float] = None):
-    """One :func:`minimize` run from ``x0``; returns its result and the
-    iteration at which a stagnated run was stopped (``None`` if it was not).
-
-    With ``stall_above`` set, the run is stopped once :func:`_stagnated`
-    holds for the violations of its iterates after the first
-    ``_STALL_SKIP``, read from the iterates the run evaluated itself.  A
-    watched run that ends above ``stall_above`` before the cap, because no
-    step reduces its merit any more, has stagnated too.
-    """
-    callback = None
-    stalled = []
-    if stall_above is not None:
-        iterations = itertools.count(1)
-        violations: list[float] = []
-
-        def callback(it: Iterate):
-            k = next(iterations)
-            if k <= _STALL_SKIP:
-                return
-            violations.append(it.violation)
-            if _stagnated(violations, stall_above):
-                stalled.append(k)
-                raise StopIteration
-
-    res = minimize(
-        problem.objective,
+def _run_sqp(problem: NlpProblem, x0: np.ndarray) -> SqpResult:
+    """One :func:`minimize` run of ``problem`` from ``x0``."""
+    return minimize(
+        problem.rows,
         x0,
-        jac=problem.gradient,
-        hess=problem.hessian,
         bounds=(problem.lb, problem.ub),
-        constraints={"eq": problem.eq_constraints, "ineq": problem.ineq_constraints},
-        callback=callback,
+        constraints=(problem.n_eq, problem.n_ineq),
         options={"maxiter": _MAX_ITER},
     )
-    if stall_above is not None and not stalled and res.violation > stall_above:
-        if res.nit < _MAX_ITER:  # ended by the SQP itself: no step reduces the merit
-            stalled.append(res.nit)
-    return res, (stalled[0] if stalled else None)
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSolution:
@@ -843,38 +778,27 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     measured residuals, not by the SQP's own stopping reason: ``converged``
     requires stationarity <= tol_kkt and violation <= tol_feas;
     ``infeasible`` is declared only after a failed feasibility restoration.
-
-    When ``x0`` is infeasible, the first SQP run is stopped as soon as its
-    constraint violation stagnates above the restoration threshold
-    ``max(_INFEASIBLE_TOL, 10 * tol_feas)``;
-    restoration then follows as it does after a run that ends infeasible at
-    the iteration cap.  ``info["sqp_stalled"]`` records the iteration of
-    such a stop.
+    A run that ends above the restoration threshold ``max(_INFEASIBLE_TOL,
+    10 * tol_feas)`` is followed by restoration from ``problem.x0`` and, if
+    that reaches feasibility, by a second run from the restored point.
     """
     opts = options or SolverOptions()
     restore_above = max(_INFEASIBLE_TOL, 10.0 * opts.tol_feas)
-    # a run from a feasible start is not watched: restoration would return
-    # that start, so a second run would only repeat the first
-    watch = _violation(problem, problem.x0) > restore_above
-    res, stalled = _run_sqp(problem, problem.x0, stall_above=restore_above if watch else None)
+    res = _run_sqp(problem, problem.x0)
     n_iter = res.nit
     if res.violation > restore_above:
-        # restoration starts from problem.x0, not from where the first run
-        # ended, so stopping an infeasible first run early changes neither
-        # the restored point nor the outcome; only the infeasible point
-        # reported when restoration fails is the earlier iterate
         restored = _restore_feasibility(problem, problem.x0).x
         restored_viol = _violation(problem, restored)
         if restored_viol <= _INFEASIBLE_TOL:
-            res, _ = _run_sqp(problem, restored)
+            res = _run_sqp(problem, restored)
             n_iter += res.nit
         else:
             zeros = np.zeros(problem.n)
             return ScalarSolution(
                 x=res.x,
                 value=res.fun,
-                eq_multipliers=np.zeros(len(problem.eq_constraints)),
-                ineq_multipliers=np.zeros(len(problem.ineq_constraints)),
+                eq_multipliers=np.zeros(problem.n_eq),
+                ineq_multipliers=np.zeros(problem.n_ineq),
                 lb_multipliers=zeros,
                 ub_multipliers=zeros,
                 status=SolveStatus.INFEASIBLE,
@@ -883,7 +807,6 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
                 comp_slackness=float("nan"),
                 n_iter=n_iter,
                 message="restoration could not reach feasibility",
-                info={"sqp_stalled": stalled},
             )
 
     x, viol, kkt = res.x, res.violation, res.kkt_residual
@@ -920,7 +843,6 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
         comp_slackness=res.comp_slackness,
         n_iter=n_iter,
         message=message,
-        info={"sqp_stalled": stalled},
     )
 
 

@@ -201,21 +201,27 @@ def utility_hessian(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
     )
 
 
-def _simplex_constraint(n: int) -> nlp.ConstraintSpec:
-    """The budget row sum(x[:n]) = 1 over a variable vector whose first n
-    entries are the weights (any trailing entries are auxiliary)."""
+def _budget_row(x: np.ndarray, n: int, total: float = 1.0) -> tuple[float, np.ndarray]:
+    """The budget row ``sum(x[:n]) - total`` and its gradient, over a
+    variable vector whose first n entries are the weights (any trailing
+    entries are auxiliary).  The row is linear: its Hessian is zero."""
+    grad = np.zeros(x.size)
+    grad[:n] = 1.0
+    return float(x[:n].sum() - total), grad
 
-    def jac(x):
-        j = np.zeros(x.size)
-        j[:n] = 1.0
-        return j
 
-    return nlp.ConstraintSpec(
-        fun=lambda x: float(x[:n].sum() - 1.0),
-        jac=jac,
-        hess=lambda x: np.zeros((x.size, x.size)),
-        name="budget",
-    )
+def _budget_problem(x0, fun, jac, hess, lb) -> nlp.NlpProblem:
+    """Minimize ``fun`` over the weights subject to the budget row alone."""
+
+    def rows(x):
+        budget, budget_grad = _budget_row(x, x.size)
+        return nlp.RowBlock(
+            np.array([fun(x), budget]),
+            lambda: np.vstack([jac(x), budget_grad]),
+            lambda c: c[0] * hess(x),
+        )
+
+    return nlp.NlpProblem(rows=rows, x0=x0, n_eq=1, lb=lb)
 
 
 def utility_optimize(
@@ -231,13 +237,12 @@ def utility_optimize(
     n = p.n
     rng = np.random.default_rng(seed)
     starts = [equal_weights(n)] + dirichlet_starts(n, n_starts - 1, rng)
-    problem = nlp.NlpProblem(
-        objective=lambda x: utility_objective(x, p, u),
-        gradient=lambda x: utility_gradient(x, p, u),
-        hessian=lambda x: utility_hessian(x, p, u),
-        x0=equal_weights(n),
-        eq_constraints=(_simplex_constraint(n),),
-        lb=p.lower_bounds(),
+    problem = _budget_problem(
+        equal_weights(n),
+        lambda x: utility_objective(x, p, u),
+        lambda x: utility_gradient(x, p, u),
+        lambda x: utility_hessian(x, p, u),
+        p.lower_bounds(),
     )
     result = nlp.solve_multistart(problem, starts)
     best = result.best
@@ -269,15 +274,7 @@ def _mean_variance_qp(
     def hess(x):
         return 2.0 * lambda1 * sigma
 
-    problem = nlp.NlpProblem(
-        objective=fun,
-        gradient=jac,
-        hessian=hess,
-        x0=x0,
-        eq_constraints=(_simplex_constraint(p.n),),
-        lb=p.lower_bounds(),
-    )
-    return nlp.solve(problem)
+    return nlp.solve(_budget_problem(x0, fun, jac, hess, p.lower_bounds()))
 
 
 def iterative_utility_optimize(p: PortfolioMop, schedule) -> list[tuple[float, np.ndarray]]:

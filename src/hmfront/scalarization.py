@@ -43,7 +43,7 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .problem import OBJECTIVE_SENSES, PortfolioMop, _mean_variance_qp, _simplex_constraint
+from .problem import OBJECTIVE_SENSES, PortfolioMop, _budget_row, _mean_variance_qp
 from .quality import distances
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
@@ -226,7 +226,6 @@ class _Goal:
     sign: float
     target: float
     coef: float = 0.0
-    name: str = ""
 
 
 def _grad_scale(grad_row: np.ndarray) -> float:
@@ -241,7 +240,7 @@ def _scaled_problem(
     objective: tuple[int, float] | None = None,
     aux: tuple[float, float] | None = None,
     equality: bool = False,
-    extra_eq: tuple[nlp.ConstraintSpec, ...] = (),
+    extra_eq=None,
 ):
     """Assemble a well-scaled subproblem over the simplex from goal rows.
 
@@ -249,8 +248,9 @@ def _scaled_problem(
     sign)`` minimizes ``sign * F_index(w)`` over the weights alone.
     ``aux=(sense, aux0)`` appends an aux variable (delta, s or t) starting
     at ``aux0`` and minimizes ``sense * aux``.  The goal rows are
-    inequalities ``>= 0``, or equalities with ``equality=True``; the rows of
-    ``extra_eq`` are further equalities, left unscaled.
+    inequalities ``>= 0``, or equalities with ``equality=True``;
+    ``extra_eq(z)`` is the row block of one further equality row, left
+    unscaled.
 
     Moment objectives span several orders of magnitude (mean ~1e-2,
     skewness ~1e-6 on typical data), so each goal row is divided by its
@@ -258,81 +258,102 @@ def _scaled_problem(
     ``k``: the objective's gradient magnitude at ``w0``, or for the aux
     methods the aux reparameterization ``aux = k * aux'``, with ``k`` chosen
     so the most sensitive row sees an O(1) aux column.  Neither scaling
-    moves the optimum.
+    moves the optimum.  The goal rows are one elementwise affine map of
+    ``F(w)``, ``(sign * (F[index] - target) + coef * k * aux') / s``, so
+    every row is read from one evaluation of F, its Jacobian and its
+    Hessian stack.  The block's rows are the objective, the budget row,
+    the ``extra_eq`` row, then the goal rows.
 
     Returns the problem and ``finish(sol)``, which maps a solve back to raw
     units: value, weights, aux and every multiplier (budget row,
-    ``extra_eq`` rows and bounds times ``k``, goal row ``i`` times
+    ``extra_eq`` row and bounds times ``k``, goal row ``i`` times
     ``k / s_i``).
     """
     n = p.n
     w0 = np.asarray(w0, dtype=float)
     jac0 = p.objective_jacobian(w0)
-    scales = [_grad_scale(jac0[g.index]) for g in goals]
+    index = np.array([g.index for g in goals], dtype=int)
+    sign = np.array([g.sign for g in goals])
+    target = np.array([g.target for g in goals])
+    coef = np.array([g.coef for g in goals])
+    scales = np.array([_grad_scale(jac0[i]) for i in index])
     if aux is None:
-        index, sign = objective
-        k = _grad_scale(jac0[index])
+        obj_index, obj_sign = objective
+        k = _grad_scale(jac0[obj_index])
         total = n
-        problem_objective = lambda z: sign * float(p.objective_values(z)[index]) / k
-        problem_gradient = lambda z: sign * p.objective_jacobian(z)[index] / k
-        problem_hessian = lambda z: sign * p.objective_hessians(z)[index] / k
         x0 = w0
         lb = p.lower_bounds()
     else:
         sense, aux0 = float(aux[0]), float(aux[1])
-        cands = [s / abs(g.coef) for g, s in zip(goals, scales) if abs(g.coef) > 1e-14]
+        cands = [s / abs(c) for c, s in zip(coef, scales) if abs(c) > 1e-14]
         k = min(cands) if cands else 1.0
         total = n + 1
-        obj_grad = np.zeros(total)
-        obj_grad[-1] = sense
-        problem_objective = lambda z: sense * float(z[-1])
-        problem_gradient = lambda z: obj_grad.copy()
-        problem_hessian = lambda z: np.zeros((total, total))
         x0 = np.concatenate([w0, [aux0 / k]])
         lb = np.concatenate([p.lower_bounds(), [-np.inf]])
+    col = coef * k  # the aux column in scaled units, times s
+    extra = 0 if extra_eq is None else 1
 
-    def goal_row(g: _Goal, s: float) -> nlp.ConstraintSpec:
-        col = g.coef * k  # the aux column in scaled units, times s
+    def rows(z):
+        w = z[:n]
+        f = p.objective_values(w)
+        goal = sign * (f[index] - target)
+        if aux is None:
+            head = obj_sign * float(f[obj_index]) / k
+        else:
+            head = sense * float(z[-1])
+            goal = goal + col * z[-1]
+        budget, budget_grad = _budget_row(z, n)
+        extra_rows = None if extra_eq is None else extra_eq(z)
+        extra_values = [] if extra_rows is None else extra_rows.values
 
-        def fun(z):
-            val = g.sign * (float(p.objective_values(z[:n])[g.index]) - g.target)
-            if total > n:
-                val = val + col * z[-1]
-            return val / s
-
-        def jac(z):
-            out = np.empty(total)
-            out[:n] = g.sign * p.objective_jacobian(z[:n])[g.index] / s
-            if total > n:
-                out[-1] = col / s
+        def jacobian():
+            jac = p.objective_jacobian(w)
+            out = np.zeros((2 + extra + index.size, total))
+            if aux is None:
+                out[0] = obj_sign * jac[obj_index] / k
+            else:
+                out[0, -1] = sense
+            out[1] = budget_grad
+            if extra_rows is not None:
+                out[2] = extra_rows.jacobian[0]
+            out[2 + extra :, :n] = sign[:, None] * jac[index] / scales[:, None]
+            if aux is not None:
+                out[2 + extra :, -1] = col / scales
             return out
 
-        def hess(z):
-            out = np.zeros((total, total))
-            out[:n, :n] = g.sign * p.objective_hessians(z[:n])[g.index] / s
+        def hessian(c):
+            hess = p.objective_hessians(w)
+            if aux is None:
+                out = c[0] * (obj_sign * hess[obj_index] / k)
+            else:
+                out = np.zeros((total, total))
+            if extra_rows is not None and c[2] != 0.0:
+                out += extra_rows.hessian(c[2:3])
+            for ci, i, si, sc in zip(c[2 + extra :], index, sign, scales):
+                if ci != 0.0:
+                    out[:n, :n] += ci * (si * hess[i] / sc)
             return out
 
-        return nlp.ConstraintSpec(fun=fun, jac=jac, hess=hess, name=g.name)
+        values = np.concatenate([[head, budget], extra_values, goal / scales])
+        return nlp.RowBlock(values, jacobian, hessian)
 
-    rows = tuple(goal_row(g, s) for g, s in zip(goals, scales))
+    n_goal_eq = index.size if equality else 0
     problem = nlp.NlpProblem(
-        objective=problem_objective,
-        gradient=problem_gradient,
-        hessian=problem_hessian,
+        rows=rows,
         x0=x0,
-        eq_constraints=(_simplex_constraint(n),) + (rows if equality else ()) + tuple(extra_eq),
-        ineq_constraints=() if equality else rows,
+        n_eq=1 + extra + n_goal_eq,
+        n_ineq=index.size - n_goal_eq,
         lb=lb,
     )
-    row_factors = [k / s for s in scales]
-    eq_factors = np.array([k] + (row_factors if equality else []) + [k] * len(extra_eq))
-    ineq_factors = np.array([] if equality else row_factors)
+    row_factors = k / scales
+    eq_factors = np.concatenate([[k] * (1 + extra), row_factors[:n_goal_eq]])
+    ineq_factors = row_factors[n_goal_eq:]
 
     def finish(sol: nlp.ScalarSolution) -> nlp.ScalarSolution:
         w = sol.x[:n]
         values = p.objective_values(w)
         if aux is None:
-            value, aux_value = sign * float(values[index]), None
+            value, aux_value = obj_sign * float(values[obj_index]), None
         else:
             aux_value = k * float(sol.x[-1])
             value = sense * aux_value
@@ -357,10 +378,10 @@ def minimize_objective(
     *,
     sign: float = 1.0,
     starts,
-    extra_eq: tuple[nlp.ConstraintSpec, ...] = (),
+    extra_eq=None,
 ) -> nlp.ScalarSolution:
     """Multistart minimize ``sign * F_index`` over the simplex, subject also
-    to the equality rows ``extra_eq``.
+    to the equality row whose row block is ``extra_eq(x)``, if given.
 
     The objective is normalized by its gradient magnitude at equal weights
     (the minimizer is unchanged).  The reported value is the raw objective
@@ -443,7 +464,7 @@ def _sf_goals(p: PortfolioMop, sf: SfParams) -> list[_Goal]:
         raise ShapeError("direction g must have length %d" % m)
     c = _resolve_reference(p, sf)
     return [
-        _Goal(i, -1.0, float(c[i]), coef=-float(sf.g[i]), name="goal_%d" % i) for i in range(m)
+        _Goal(i, -1.0, float(c[i]), coef=-float(sf.g[i])) for i in range(m)
     ]
 
 
@@ -539,8 +560,7 @@ def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolu
         raise ShapeError("beta must have length %d" % m)
     hull = nbi.hull_point
     goals = [
-        _Goal(i, 1.0, float(hull[i]), coef=-float(nbi.nbar[i]), name="ray_%d" % i)
-        for i in range(m)
+        _Goal(i, 1.0, float(hull[i]), coef=-float(nbi.nbar[i])) for i in range(m)
     ]
     if nbi.anchor_weights is not None:
         start = nbi.beta @ nbi.anchor_weights
@@ -572,8 +592,7 @@ def solve_sp(
     if sp.a.shape != (m,):
         raise ShapeError("reference a must have length %d" % m)
     goals = [
-        _Goal(i, -1.0, float(sp.a[i]), coef=float(sp.r[i]), name="cone_%d" % i)
-        for i in range(m)
+        _Goal(i, -1.0, float(sp.a[i]), coef=float(sp.r[i])) for i in range(m)
     ]
 
     def t_start(w0):
@@ -658,27 +677,25 @@ def _stat_index(p: PortfolioMop, name: str) -> int:
         raise ParameterError("PGP needs objective %r in the problem" % name) from None
 
 
-def _unit_variance_constraint(p: PortfolioMop) -> nlp.ConstraintSpec:
-    """The row w'Sigma w = 1 over a variable vector whose first n entries
-    are the weights (any trailing entries are auxiliary)."""
+def _unit_variance_rows(p: PortfolioMop, x: np.ndarray) -> nlp.RowBlock:
+    """The row block of the one row w'Sigma w = 1, over a variable vector x
+    whose first n entries are the weights (any trailing entries are
+    auxiliary).  Variance need not be an objective, so the row reads the
+    moment point directly."""
     n = p.n
+    pt = p.point(x[:n])
 
-    def jac(x):
-        j = np.zeros(x.size)
-        j[:n] = p.point(x[:n]).gradient("variance")
-        return j
+    def jacobian():
+        out = np.zeros((1, x.size))
+        out[0, :n] = pt.gradient("variance")
+        return out
 
-    def hess(x):
-        h = np.zeros((x.size, x.size))
-        h[:n, :n] = p.point(x[:n]).hessian("variance")
-        return h
+    def hessian(c):
+        out = np.zeros((x.size, x.size))
+        out[:n, :n] = pt.hessian("variance")
+        return c[0] * out
 
-    return nlp.ConstraintSpec(
-        fun=lambda x: p.point(x[:n]).value("variance") - 1.0,
-        jac=jac,
-        hess=hess,
-        name="unit_variance",
-    )
+    return nlp.RowBlock(np.array([pt.value("variance") - 1.0]), jacobian, hessian)
 
 
 def _pgp_bound_problem(p: PortfolioMop, name: str, seed: int):
@@ -696,10 +713,80 @@ def _pgp_bound_problem(p: PortfolioMop, name: str, seed: int):
         p,
         _stat_index(p, name),
         starts=starts,
-        extra_eq=(_unit_variance_constraint(p),),
+        extra_eq=lambda x: _unit_variance_rows(p, x),
     )
     # convert back to the raw (maximized) statistic
     return float(OBJECTIVE_SENSES[name] * best.value), best.x
+
+
+def _pgp_problem(p: PortfolioMop, z_stars, exponents, x0) -> nlp.NlpProblem:
+    """PGP's main program over ``(w, d1, d3)``: minimize ``d1**alpha +
+    d3**beta`` subject to the budget row, ``mean + d1 = z1*``, ``variance =
+    1`` and ``skewness + d3 = z3*``, in that order, with ``d >= 0``."""
+    n = p.n
+    total = n + 2
+    alpha, beta = exponents
+    # the goal rows raw_stat(w) + d = z*, expressed through the minimization
+    # form: OBJECTIVE_SENSES is involutive, so it also maps minimization
+    # values back to raw statistics
+    goals = [
+        (_stat_index(p, "mean"), OBJECTIVE_SENSES["mean"], z_stars[0]),
+        (_stat_index(p, "skewness"), OBJECTIVE_SENSES["skewness"], z_stars[1]),
+    ]
+
+    def _pow(d: float, e: float) -> float:
+        return max(d, 0.0) ** e
+
+    def _dpow(d: float, e: float) -> float:
+        base = max(d, 1e-16)
+        return e * base ** (e - 1.0)
+
+    def _ddpow(d: float, e: float) -> float:
+        base = max(d, 1e-16)
+        return e * (e - 1.0) * base ** (e - 2.0)
+
+    def rows(z):
+        w, d = z[:n], z[n:]
+        f = p.objective_values(w)
+        budget, budget_grad = _budget_row(z, n)
+        variance = _unit_variance_rows(p, z)
+        mean_row, skew_row = (
+            sense * float(f[i]) + dj - target for (i, sense, target), dj in zip(goals, d)
+        )
+        values = [_pow(d[0], alpha) + _pow(d[1], beta), budget, mean_row]
+        values += [variance.values[0], skew_row]
+
+        def jacobian():
+            jac = p.objective_jacobian(w)
+            out = np.zeros((5, total))
+            out[0, n] = _dpow(d[0], alpha)
+            out[0, n + 1] = _dpow(d[1], beta)
+            out[1] = budget_grad
+            out[3] = variance.jacobian[0]
+            for row, (i, sense, _), pos in zip((2, 4), goals, (n, n + 1)):
+                out[row, :n] = sense * jac[i]
+                out[row, pos] = 1.0
+            return out
+
+        def hessian(c):
+            hess = p.objective_hessians(w)
+            out = np.zeros((total, total))
+            out[n, n] = _ddpow(d[0], alpha)
+            out[n + 1, n + 1] = _ddpow(d[1], beta)
+            out = c[0] * out
+            (mean_index, mean_sense, _), (skew_index, skew_sense, _) = goals
+            if c[2] != 0.0:
+                out[:n, :n] += c[2] * (mean_sense * hess[mean_index])
+            if c[3] != 0.0:
+                out += variance.hessian(c[3:4])
+            if c[4] != 0.0:
+                out[:n, :n] += c[4] * (skew_sense * hess[skew_index])
+            return out
+
+        return nlp.RowBlock(np.array(values), jacobian, hessian)
+
+    lb = np.concatenate([p.lower_bounds(), [0.0, 0.0]])
+    return nlp.NlpProblem(rows=rows, x0=x0, n_eq=4, lb=lb)
 
 
 def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolution:
@@ -711,8 +798,8 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
     variance pinned to 1, over the simplex.
     """
     n = p.n
-    mean_idx = _stat_index(p, "mean")
-    skew_idx = _stat_index(p, "skewness")
+    for name in ("mean", "skewness"):
+        _stat_index(p, name)  # a missing objective fails before any solve
     min_var, max_var = _variance_slice_bounds(p)
     if min_var > 1.0 + 1e-9 or max_var < 1.0 - 1e-9:
         sol = nlp.ScalarSolution(
@@ -740,76 +827,12 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
         z1_star, w_mean = _pgp_bound_problem(p, "mean", seed)
         z3_star, _ = _pgp_bound_problem(p, "skewness", seed + 1)
 
-    total = n + 2  # variables (w, d1, d3)
-    alpha, beta = float(g.alpha), float(g.beta)
-
-    def _pow(d: float, e: float) -> float:
-        return max(d, 0.0) ** e
-
-    def _dpow(d: float, e: float) -> float:
-        base = max(d, 1e-16)
-        return e * base ** (e - 1.0)
-
-    def _ddpow(d: float, e: float) -> float:
-        base = max(d, 1e-16)
-        return e * (e - 1.0) * base ** (e - 2.0)
-
-    def fun(z):
-        return _pow(z[n], alpha) + _pow(z[n + 1], beta)
-
-    def jac(z):
-        out = np.zeros(total)
-        out[n] = _dpow(z[n], alpha)
-        out[n + 1] = _dpow(z[n + 1], beta)
-        return out
-
-    def hess(z):
-        out = np.zeros((total, total))
-        out[n, n] = _ddpow(z[n], alpha)
-        out[n + 1, n + 1] = _ddpow(z[n + 1], beta)
-        return out
-
-    def goal_row(stat_idx, d_pos, target, sense):
-        # raw_stat(w) + d = target  expressed through the minimization form
-        def cfun(z):
-            raw = sense * float(p.objective_values(z[:n])[stat_idx])
-            return raw + z[d_pos] - target
-
-        def cjac(z):
-            out = np.zeros(total)
-            out[:n] = sense * p.objective_jacobian(z[:n])[stat_idx]
-            out[d_pos] = 1.0
-            return out
-
-        def chess(z):
-            out = np.zeros((total, total))
-            out[:n, :n] = sense * p.objective_hessians(z[:n])[stat_idx]
-            return out
-
-        return nlp.ConstraintSpec(fun=cfun, jac=cjac, hess=chess, name="goal")
-
-    # OBJECTIVE_SENSES is involutive, so it also maps minimization values
-    # back to raw statistics inside the goal rows.
-    mean_row = goal_row(mean_idx, n, float(z1_star), OBJECTIVE_SENSES["mean"])
-    skew_row = goal_row(skew_idx, n + 1, float(z3_star), OBJECTIVE_SENSES["skewness"])
     stats0 = p.raw_stats(w_mean)
     x0 = np.concatenate(
         [w_mean, [max(z1_star - stats0.mean, 0.0), max(z3_star - stats0.skewness, 0.0)]]
     )
-    lb = np.concatenate([p.lower_bounds(), [0.0, 0.0]])
-    problem = nlp.NlpProblem(
-        objective=fun,
-        gradient=jac,
-        hessian=hess,
-        x0=x0,
-        eq_constraints=(
-            _simplex_constraint(n),
-            mean_row,
-            _unit_variance_constraint(p),
-            skew_row,
-        ),
-        lb=lb,
-    )
+    z_stars = (float(z1_star), float(z3_star))
+    problem = _pgp_problem(p, z_stars, (float(g.alpha), float(g.beta)), x0)
     sol = nlp.solve(problem)
     w = sol.x[:n]
     out = replace(
@@ -818,7 +841,6 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
         aux_value=None,
         objective_values=p.objective_values(w),
         info={
-            **sol.info,
             "z1_star": float(z1_star),
             "z3_star": float(z3_star),
             "d1": float(sol.x[n]),

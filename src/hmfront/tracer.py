@@ -43,7 +43,7 @@ import numpy as np
 from . import nlp
 from .errors import CorrectorStallError, ParameterError, SolverError
 from .fronts import FrontApproximation, FrontPoint
-from .problem import PortfolioMop
+from .problem import PortfolioMop, _budget_row
 from .scalarization import compute_anchors
 from .util import parallel_map, project_to_simplex, sum_zero_basis
 
@@ -237,13 +237,16 @@ def corrector(point: np.ndarray, problem, tol: float = 1e-8) -> KktPoint:
     raise CorrectorStallError("corrector iteration cap reached")
 
 
-def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
-    """min t over (s, t) with quadratic model rows and feasibility of x + s.
+def _corrector_problem(mop: SmoothMop, x, grads, hessians, delta):
+    """The corrector subproblem at ``x``: minimize t over (s, t) subject to
+    the quadratic model rows ``(c_t t - grad F_j's - s'hess F_j s / 2) / s_j
+    >= 0``, the budget row on s when the problem has one, and the bounds
+    that keep ``x + s`` feasible within the trust region ``|s| <= delta``.
 
-    The rows are normalized by their gradient magnitudes and t is solved in
-    units of the smallest row scale, so objectives of very different
-    magnitudes (mean vs skewness) condition the subproblem equally.  The
-    returned certificate pair is (raw t*, scaled t*).
+    The rows are normalized by their gradient magnitudes ``s_j`` and t is
+    solved in units of the smallest row scale ``c_t``, so objectives of very
+    different magnitudes (mean vs skewness) condition the subproblem
+    equally.  Returns the problem, the row scales and ``c_t``.
     """
     n, m = mop.n, mop.m
     total = n + 1
@@ -251,45 +254,37 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
         [max(float(np.max(np.abs(grads[j]))), 1e-12) for j in range(m)]
     )
     c_t = float(row_scales.min())
-    rows = []
-    for j in range(m):
-        gj = grads[j]
-        hj = hessians[j]
-        s_j = float(row_scales[j])
+    models = list(zip(grads, hessians, row_scales.tolist()))
+    budget = 1 if mop.sum_constraint else 0
 
-        def fun(z, gj=gj, hj=hj, s_j=s_j):
-            s = z[:n]
-            return float(c_t * z[-1] - gj @ s - 0.5 * (s @ hj @ s)) / s_j
+    def rows(z):
+        s = z[:n]
+        values = [float(z[-1])]
+        if budget:
+            values.append(_budget_row(z, n, 0.0)[0])
+        values += [
+            float(c_t * z[-1] - gj @ s - 0.5 * (s @ hj @ s)) / s_j for gj, hj, s_j in models
+        ]
 
-        def jac(z, gj=gj, hj=hj, s_j=s_j):
-            s = z[:n]
-            out = np.empty(total)
-            out[:n] = (-gj - hj @ s) / s_j
-            out[-1] = c_t / s_j
+        def jacobian():
+            out = np.zeros((1 + budget + m, total))
+            out[0, -1] = 1.0
+            if budget:
+                out[1] = _budget_row(z, n, 0.0)[1]
+            for row, (gj, hj, s_j) in zip(out[1 + budget :], models):
+                row[:n] = (-gj - hj @ s) / s_j
+                row[-1] = c_t / s_j
             return out
 
-        def hess(z, hj=hj, s_j=s_j):
+        def hessian(c):
             out = np.zeros((total, total))
-            out[:n, :n] = -hj / s_j
+            for cj, (_, hj, s_j) in zip(c[1 + budget :], models):
+                if cj != 0.0:
+                    out[:n, :n] += cj * (-hj / s_j)
             return out
 
-        rows.append(nlp.ConstraintSpec(fun=fun, jac=jac, hess=hess, name="model_%d" % j))
-    eq = ()
-    if mop.sum_constraint:
+        return nlp.RowBlock(np.array(values), jacobian, hessian)
 
-        def bfun(z):
-            return float(z[:n].sum())
-
-        def bjac(z):
-            out = np.zeros(total)
-            out[:n] = 1.0
-            return out
-
-        eq = (
-            nlp.ConstraintSpec(
-                fun=bfun, jac=bjac, hess=lambda z: np.zeros((total, total)), name="budget"
-            ),
-        )
     lb = np.full(total, -delta)
     ub = np.full(total, delta)
     if mop.lower is not None:
@@ -297,15 +292,20 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
     lb[-1] = -np.inf
     ub[-1] = np.inf
     problem = nlp.NlpProblem(
-        objective=lambda z: float(z[-1]),
-        gradient=lambda z: _unit_last(total),
-        hessian=lambda z: np.zeros((total, total)),
-        x0=np.zeros(total),
-        eq_constraints=eq,
-        ineq_constraints=tuple(rows),
-        lb=lb,
-        ub=ub,
+        rows=rows, x0=np.zeros(total), n_eq=budget, n_ineq=m, lb=lb, ub=ub
     )
+    return problem, row_scales, c_t
+
+
+def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
+    """Solve the corrector subproblem (:func:`_corrector_problem`) at ``x``.
+
+    Returns the step s, the certificate pair (raw t*, scaled t*), the
+    weights alpha from the model rows' multipliers and whether the trust
+    region is active.
+    """
+    n, m = mop.n, mop.m
+    problem, row_scales, c_t = _corrector_problem(mop, x, grads, hessians, delta)
     sol = nlp.solve(problem, _SUBPROBLEM_OPTIONS)
     s = sol.x[:n]
     t_scaled = float(sol.x[-1])
@@ -318,12 +318,6 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
         at_problem_bound = np.abs(s - (mop.lower - x)) <= 1e-12
         at_tr = at_tr & ~at_problem_bound
     return s, t_raw, t_scaled, alphas, bool(at_tr.any())
-
-
-def _unit_last(total: int) -> np.ndarray:
-    out = np.zeros(total)
-    out[-1] = 1.0
-    return out
 
 
 def _make_kkt_point(mop: SmoothMop, x, alphas, t_star) -> KktPoint:

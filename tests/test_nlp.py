@@ -1,14 +1,16 @@
 """Backend solver contract: KKT residuals, multipliers, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmfront import (
-    ConstraintSpec,
     MultistartError,
     NlpProblem,
+    RowBlock,
     SolveStatus,
     solve,
     solve_multistart,
@@ -18,44 +20,31 @@ from hmfront import scalarization as sc
 from hmfront.util import equal_weights
 from oracles import qp_simplex_bruteforce
 
-# restoration threshold max(_INFEASIBLE_TOL, 10 * tol_feas) at default options
-_RESTORE_ABOVE = 1e-7
-
-
-def _simplex_eq(n):
-    return ConstraintSpec(
-        fun=lambda x: float(x.sum() - 1.0),
-        jac=lambda x: np.ones(n),
-        hess=lambda x: np.zeros((n, n)),
-    )
-
 
 def _quadratic_problem(Q, c, x0, lb=None):
+    """min x'Qx + c'x subject to the budget row sum(x) = 1."""
     n = c.size
-    return NlpProblem(
-        objective=lambda x: float(x @ Q @ x + c @ x),
-        gradient=lambda x: 2.0 * (Q @ x) + c,
-        hessian=lambda x: 2.0 * Q,
-        x0=x0,
-        eq_constraints=(_simplex_eq(n),),
-        lb=np.zeros(n) if lb is None else lb,
-    )
+
+    def rows(x):
+        return RowBlock(
+            np.array([float(x @ Q @ x + c @ x), float(x.sum() - 1.0)]),
+            lambda: np.vstack([2.0 * (Q @ x) + c, np.ones(n)]),
+            lambda w: w[0] * (2.0 * Q),
+        )
+
+    return NlpProblem(rows=rows, x0=x0, n_eq=1, lb=np.zeros(n) if lb is None else lb)
 
 
 def test_textbook_inequality_multiplier():
-    prob = NlpProblem(
-        objective=lambda x: float(x[0] ** 2),
-        gradient=lambda x: np.array([2.0 * x[0]]),
-        hessian=lambda x: np.array([[2.0]]),
-        x0=np.array([3.0]),
-        ineq_constraints=(
-            ConstraintSpec(
-                fun=lambda x: float(x[0] - 1.0),
-                jac=lambda x: np.array([1.0]),
-                hess=lambda x: np.zeros((1, 1)),
-            ),
-        ),
-    )
+    # min x^2 s.t. x - 1 >= 0
+    def rows(x):
+        return RowBlock(
+            np.array([x[0] ** 2, x[0] - 1.0]),
+            lambda: np.array([[2.0 * x[0]], [1.0]]),
+            lambda w: np.array([[2.0 * w[0]]]),
+        )
+
+    prob = NlpProblem(rows=rows, x0=np.array([3.0]), n_ineq=1)
     sol = solve(prob)
     assert sol.status is SolveStatus.CONVERGED
     assert sol.x[0] == pytest.approx(1.0, abs=1e-10)
@@ -65,19 +54,14 @@ def test_textbook_inequality_multiplier():
 def test_minimum_variance_equal_weights_multiplier():
     # min w'w s.t. 1 - sum(w) = 0 gives w = 1/3 and multiplier 2/3 for the
     # constraint as written
-    prob = NlpProblem(
-        objective=lambda x: float(x @ x),
-        gradient=lambda x: 2.0 * x,
-        hessian=lambda x: 2.0 * np.eye(3),
-        x0=np.array([0.7, 0.2, 0.1]),
-        eq_constraints=(
-            ConstraintSpec(
-                fun=lambda x: float(1.0 - x.sum()),
-                jac=lambda x: -np.ones(3),
-                hess=lambda x: np.zeros((3, 3)),
-            ),
-        ),
-    )
+    def rows(x):
+        return RowBlock(
+            np.array([float(x @ x), float(1.0 - x.sum())]),
+            lambda: np.vstack([2.0 * x, -np.ones(3)]),
+            lambda w: w[0] * 2.0 * np.eye(3),
+        )
+
+    prob = NlpProblem(rows=rows, x0=np.array([0.7, 0.2, 0.1]), n_eq=1)
     sol = solve(prob)
     assert sol.status is SolveStatus.CONVERGED
     assert np.allclose(sol.x, 1.0 / 3.0, atol=1e-10)
@@ -146,38 +130,39 @@ def test_stationarity_invariant_on_converged(rng):
 
 def _merit_value(problem, x, rho):
     """L1 exact-penalty merit of ``x``."""
-    pen = 0.0
-    for c in problem.eq_constraints:
-        pen += abs(float(c.fun(x)))
-    for c in problem.ineq_constraints:
-        pen += max(0.0, -float(c.fun(x)))
+    values = problem.rows(x).values
+    pen = float(np.sum(np.abs(values[1 : 1 + problem.n_eq])))
+    pen += float(np.sum(np.maximum(-values[1 + problem.n_eq :], 0.0)))
     pen += float(np.sum(np.maximum(problem.lb - x, 0.0)))
     pen += float(np.sum(np.maximum(x - problem.ub, 0.0)))
-    return float(problem.objective(x)) + rho * pen
+    return float(values[0]) + rho * pen
 
 
-def test_merit_monotone_over_accepted_phases(rng, monkeypatch):
+def test_merit_monotone_over_accepted_phases(rng):
     # the SQP accepts a step only when the l1 exact-penalty merit does not
-    # increase; read the accepted iterates through the SQP's callback
+    # increase; it reads the Jacobian once per iteration, at the accepted
+    # iterate (and once at the start), so record the iterates there
     iterates = []
-    minimize = nlp.minimize
 
-    def recording_minimize(*args, callback=None, **kwargs):
-        def record(it):
-            iterates.append(it.x.copy())
-            if callback is not None:
-                callback(it)
+    def recording(problem):
+        def rows(x):
+            block = problem.rows(x)
 
-        return minimize(*args, callback=record, **kwargs)
+            def jacobian():
+                iterates.append(x.copy())
+                return block.jacobian
 
-    monkeypatch.setattr(nlp, "minimize", recording_minimize)
+            return RowBlock(block.values, jacobian, block.hessian)
+
+        return replace(problem, rows=rows)
+
     for trial in range(4):
         a = rng.normal(size=(4, 4))
         Q = a @ a.T + np.eye(4)
         c = rng.normal(size=4)
         prob = _quadratic_problem(Q, c, np.array([0.7, 0.1, 0.1, 0.1]))
         iterates.clear()
-        sol = solve(prob)
+        sol = solve(recording(prob))
         assert sol.converged and iterates
         rho = 2.0 * max(
             1.0,
@@ -194,14 +179,16 @@ def test_upper_and_lower_bound_multipliers():
     # c3 - lam, 0) with lam = (c2 + c3 - 0.5) / 2, upper-bound multiplier
     # c1 - 0.5 - lam on x1 and lower-bound multiplier lam - c4 on x4
     c = np.array([1.0, 0.4, 0.3, -0.5])
+
+    def rows(x):
+        return RowBlock(
+            np.array([float(0.5 * (x - c) @ (x - c)), float(x.sum() - 1.0)]),
+            lambda: np.vstack([x - c, np.ones(4)]),
+            lambda w: w[0] * np.eye(4),
+        )
+
     prob = NlpProblem(
-        objective=lambda x: float(0.5 * (x - c) @ (x - c)),
-        gradient=lambda x: x - c,
-        hessian=lambda x: np.eye(4),
-        x0=np.full(4, 0.25),
-        eq_constraints=(_simplex_eq(4),),
-        lb=np.zeros(4),
-        ub=np.full(4, 0.5),
+        rows=rows, x0=np.full(4, 0.25), n_eq=1, lb=np.zeros(4), ub=np.full(4, 0.5)
     )
     sol = solve(prob)
     assert sol.status is SolveStatus.CONVERGED
@@ -215,31 +202,23 @@ def test_upper_and_lower_bound_multipliers():
     assert sol.lb_multipliers[3] == pytest.approx(lam - c[3], abs=1e-8)
 
 
-def _contradictory_bounds():
-    """x >= 2 and x <= 1 as inequality constraints."""
-    return (
-        ConstraintSpec(
-            fun=lambda x: float(x[0] - 2.0),
-            jac=lambda x: np.array([1.0]),
-            hess=lambda x: np.zeros((1, 1)),
-        ),
-        ConstraintSpec(
-            fun=lambda x: float(1.0 - x[0]),
-            jac=lambda x: np.array([-1.0]),
-            hess=lambda x: np.zeros((1, 1)),
-        ),
-    )
+def _contradictory_bounds(fun, grad, curvature):
+    """min ``fun`` (gradient ``grad``, constant second derivative
+    ``curvature``) subject to x >= 2 and x <= 1 as inequality rows."""
+
+    def rows(x):
+        return RowBlock(
+            np.array([fun(x), x[0] - 2.0, 1.0 - x[0]]),
+            lambda: np.array([[grad(x)], [1.0], [-1.0]]),
+            lambda w: np.array([[w[0] * curvature]]),
+        )
+
+    return NlpProblem(rows=rows, x0=np.array([0.0]), n_ineq=2)
 
 
 def test_infeasible_detection():
     # x >= 2 and x <= 1 cannot hold together
-    prob = NlpProblem(
-        objective=lambda x: float(x[0] ** 2),
-        gradient=lambda x: np.array([2.0 * x[0]]),
-        hessian=lambda x: np.array([[2.0]]),
-        x0=np.array([0.0]),
-        ineq_constraints=_contradictory_bounds(),
-    )
+    prob = _contradictory_bounds(lambda x: x[0] ** 2, lambda x: 2.0 * x[0], 2.0)
     sol = solve(prob)
     assert sol.status is SolveStatus.INFEASIBLE
 
@@ -261,18 +240,16 @@ def _recording_minimize(monkeypatch):
 
 def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     sqp_iters = _recording_minimize(monkeypatch)
-    circle = ConstraintSpec(
-        fun=lambda x: float(x @ x - 1.0),
-        jac=lambda x: 2.0 * x,
-        hess=lambda x: 2.0 * np.eye(2),
-    )
-    prob = NlpProblem(
-        objective=lambda x: float(x[0] + 2.0 * x[1]),
-        gradient=lambda x: np.array([1.0, 2.0]),
-        hessian=lambda x: np.zeros((2, 2)),
-        x0=np.array([30.0, -20.0]),
-        eq_constraints=(circle,),
-    )
+
+    def rows(x):
+        # min x0 + 2 x1 on the circle x'x = 1
+        return RowBlock(
+            np.array([x[0] + 2.0 * x[1], float(x @ x - 1.0)]),
+            lambda: np.array([[1.0, 2.0], 2.0 * x]),
+            lambda w: w[1] * 2.0 * np.eye(2),
+        )
+
+    prob = NlpProblem(rows=rows, x0=np.array([30.0, -20.0]), n_eq=1)
     # ten iterations cannot reach the circle from this start, so the solve
     # restores feasibility and runs SQP a second time, which needs eight
     monkeypatch.setattr(nlp, "_MAX_ITER", 10)
@@ -280,46 +257,6 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
     assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
-
-
-def test_stagnation_rule_stops_flat_trace():
-    # a missed NBI ray: the violation sits at 4.02e-3 from iteration 4 to
-    # the 300-iteration cap
-    flat = [4.02e-3] * nlp._STALL_WINDOW
-    assert not nlp._stagnated(flat[1:], _RESTORE_ABOVE)
-    assert nlp._stagnated(flat, _RESTORE_ABOVE)
-    # flat but below the restoration threshold is not a stall
-    assert not nlp._stagnated([1e-8] * 20, _RESTORE_ABOVE)
-
-
-def test_stagnation_rule_keeps_spike_and_recover_trace():
-    # an epsilon-grid solve that converges after leaving the feasible set:
-    # the violation jumps from 2e-16 to 11 and comes back within 12 iterations
-    trace = [
-        5.7e-2, 4.4e-3, 3.7e-5, 2.2e-16, 2.9e-6, 8.7e-4, 9.1e-2, 1.1e1, 5.9e-1,
-        1.4e-1, 2.4e-2, 1.2e-3, 2.2e-4, 6.4e-3, 1.4e-3, 4.1e-6, 0.0, 1.3e-16,
-    ]
-    for k in range(len(trace) + 1):
-        assert not nlp._stagnated(trace[:k], _RESTORE_ABOVE)
-
-
-def test_only_runs_from_infeasible_starts_are_watched(monkeypatch):
-    watched = []
-    minimize = nlp.minimize
-
-    def recording_minimize(*args, **kwargs):
-        if kwargs.get("constraints"):
-            watched.append(kwargs.get("callback") is not None)
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(nlp, "minimize", recording_minimize)
-    Q = np.eye(4)
-    c = np.array([0.3, -0.1, 0.2, 0.0])
-    on_simplex = solve(_quadratic_problem(Q, c, np.full(4, 0.25)))
-    off_simplex = solve(_quadratic_problem(Q, c, np.array([0.7, 0.1, 0.1, 0.0])))
-    assert on_simplex.converged and off_simplex.converged
-    assert watched == [False, True]
-    assert on_simplex.info["sqp_stalled"] is off_simplex.info["sqp_stalled"] is None
 
 
 def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):
@@ -345,7 +282,7 @@ def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):
     assert len(solutions) == len(sqp_iters) == 2  # restoration failed: no re-run
     for run, start_sol in zip(sqp_iters, solutions):
         assert start_sol.status is SolveStatus.INFEASIBLE
-        assert start_sol.info["sqp_stalled"] == start_sol.n_iter == run
+        assert start_sol.n_iter == run
         assert run <= 30 < nlp._MAX_ITER
 
 
@@ -384,9 +321,12 @@ def test_multistart_bimodal_finds_both_basins():
         return np.array([2.0 * (x[0] - 2.0)])
 
     # each well has curvature 2
-    prob = NlpProblem(
-        objective=f, gradient=g, hessian=lambda x: np.array([[2.0]]), x0=np.array([0.0])
-    )
+    def rows(x):
+        return RowBlock(
+            np.array([f(x)]), lambda: g(x)[None, :], lambda w: np.array([[2.0 * w[0]]])
+        )
+
+    prob = NlpProblem(rows=rows, x0=np.array([0.0]))
     result = solve_multistart(prob, [np.array([-1.5]), np.array([2.5])])
     locals_x = sorted(round(float(s.x[0]), 3) for s in result.solutions)
     assert locals_x == [-1.0, 2.0]
@@ -405,13 +345,7 @@ def test_multistart_single_start_equals_solve(rng):
 
 
 def test_multistart_all_fail_raises():
-    prob = NlpProblem(
-        objective=lambda x: float(x[0]),
-        gradient=lambda x: np.array([1.0]),
-        hessian=lambda x: np.zeros((1, 1)),
-        x0=np.array([0.0]),
-        ineq_constraints=_contradictory_bounds(),
-    )
+    prob = _contradictory_bounds(lambda x: x[0], lambda x: 1.0, 0.0)
     with pytest.raises(MultistartError):
         solve_multistart(prob, [np.array([0.0]), np.array([5.0])])
 
