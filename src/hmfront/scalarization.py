@@ -474,6 +474,12 @@ def _sf_start(p: PortfolioMop, sf: SfParams) -> np.ndarray:
     return equal_weights(p.n)
 
 
+def _ray_start(f0: np.ndarray, origin: np.ndarray, direction: np.ndarray) -> float:
+    """The aux start on the ray ``origin + aux * direction``: the aux of the
+    ray point nearest to the image ``f0`` of the start weights."""
+    return float(direction @ (f0 - origin)) / float(direction @ direction)
+
+
 def _best_of_starts(solve_one, starts):
     """Multistart an aux-valued solve: the :func:`nlp.best_converged` merge
     of the starts (value = sense * aux, so every method minimizes it), or
@@ -568,8 +574,7 @@ def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolu
         start = equal_weights(p.n)
 
     def s_start(w0):
-        # the point of the ray nearest to F(w0)
-        return float(nbi.nbar @ (p.objective_values(w0) - hull)) / float(nbi.nbar @ nbi.nbar)
+        return _ray_start(p.objective_values(w0), hull, nbi.nbar)
 
     return _solve_aux(
         p, goals, sense=-1.0, equality=True, start=start, starts=starts, aux0=s_start
@@ -586,7 +591,8 @@ def solve_sp(
     """Pascoletti-Serafini: minimize t with a + t r - F(x) in the orthant.
 
     With ``modified=True`` the cone inclusion becomes the equality
-    ``a + t r - F(x) = 0``.
+    ``a + t r - F(x) = 0``, and t starts on that ray, at the point nearest
+    to F(w0); the inequality form starts at the least t that satisfies it.
     """
     m = p.m
     if sp.a.shape != (m,):
@@ -597,6 +603,8 @@ def solve_sp(
 
     def t_start(w0):
         f0 = p.objective_values(w0)
+        if modified:
+            return _ray_start(f0, sp.a, sp.r)
         cands = [
             (float(f0[i]) - float(sp.a[i])) / float(sp.r[i])
             for i in range(m)

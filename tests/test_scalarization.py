@@ -211,6 +211,34 @@ def test_nbi_modified_sp_agreement(convex_mop, anchors, rng):
     assert checked >= 4
 
 
+def test_modified_sp_on_acceptance_rays_needs_no_capped_restoration(
+    convex_mop, anchors, monkeypatch
+):
+    # the rays of acceptance criterion 03: modified SP starts t on its ray,
+    # so no restoration runs to its iteration cap
+    capped = []
+    minimize = nlp.minimize
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        if not kwargs.get("constraints") and res.nit >= kwargs["options"]["maxiter"]:
+            capped.append(res.nit)
+        return res
+
+    monkeypatch.setattr(nlp, "minimize", recording_minimize)
+    rng = np.random.default_rng(5)
+    betas = [np.eye(3)[i] for i in range(3)] + [rng.dirichlet(np.ones(3)) for _ in range(17)]
+    for beta in betas:
+        nbi = sc.nbi_params(anchors, beta)
+        sc.solve_sp(
+            convex_mop,
+            sc.SpParams(a=nbi.hull_point, r=-anchors.nbar),
+            modified=True,
+            starts=[beta @ anchors.weights, equal_weights(3)],
+        )
+    assert capped == []
+
+
 def test_sp_attainable_reference_gives_nonpositive_t(convex_mop, direction):
     w_hat = np.array([0.25, 0.4, 0.35])
     a = convex_mop.objective_values(w_hat)
