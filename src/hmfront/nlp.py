@@ -102,6 +102,7 @@ _QP_MAX_STEPS = 50  # QP working-set changes, plus two per row
 _PENALTY_WEIGHT = 1e4  # relative weight of the violation in the penalty QP
 
 
+@dataclass(eq=False)
 class RowBlock:
     """Twice-differentiable rows evaluated together at one point.
 
@@ -112,19 +113,13 @@ class RowBlock:
     inequality rows ``g(x) >= 0``.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        jacobian_fn: Callable[[], np.ndarray],
-        hessian: Callable[[np.ndarray], np.ndarray],
-    ) -> None:
-        self.values = values
-        self._jacobian_fn = jacobian_fn
-        self.hessian = hessian
+    values: np.ndarray
+    jacobian_fn: Callable[[], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
 
     @functools.cached_property
     def jacobian(self) -> np.ndarray:
-        return self._jacobian_fn()
+        return self.jacobian_fn()
 
 
 @dataclass(frozen=True)

@@ -298,9 +298,9 @@ def _scaled_problem(
         f = p.objective_values(w)
         goal = sign * (f[index] - target)
         if aux is None:
-            head = obj_sign * float(f[obj_index]) / k
+            obj = obj_sign * float(f[obj_index]) / k
         else:
-            head = sense * float(z[-1])
+            obj = sense * float(z[-1])
             goal = goal + col * z[-1]
         budget, budget_grad = _budget_row(z, n)
         extra_rows = None if extra_eq is None else extra_eq(z)
@@ -334,7 +334,7 @@ def _scaled_problem(
                     out[:n, :n] += ci * (si * hess[i] / sc)
             return out
 
-        values = np.concatenate([[head, budget], extra_values, goal / scales])
+        values = np.concatenate([[obj, budget], extra_values, goal / scales])
         return nlp.RowBlock(values, jacobian, hessian)
 
     n_goal_eq = index.size if equality else 0
@@ -734,13 +734,12 @@ def _pgp_problem(p: PortfolioMop, z_stars, exponents, x0) -> nlp.NlpProblem:
     n = p.n
     total = n + 2
     alpha, beta = exponents
-    # the goal rows raw_stat(w) + d = z*, expressed through the minimization
-    # form: OBJECTIVE_SENSES is involutive, so it also maps minimization
-    # values back to raw statistics
-    goals = [
-        (_stat_index(p, "mean"), OBJECTIVE_SENSES["mean"], z_stars[0]),
-        (_stat_index(p, "skewness"), OBJECTIVE_SENSES["skewness"], z_stars[1]),
-    ]
+    z1_star, z3_star = z_stars
+    # the goal rows raw_stat(w) + d = z*, through the minimization form:
+    # OBJECTIVE_SENSES is involutive, so it also maps minimization values
+    # back to raw statistics
+    mean_index, skew_index = _stat_index(p, "mean"), _stat_index(p, "skewness")
+    mean_sense, skew_sense = OBJECTIVE_SENSES["mean"], OBJECTIVE_SENSES["skewness"]
 
     def _pow(d: float, e: float) -> float:
         return max(d, 0.0) ** e
@@ -754,35 +753,33 @@ def _pgp_problem(p: PortfolioMop, z_stars, exponents, x0) -> nlp.NlpProblem:
         return e * (e - 1.0) * base ** (e - 2.0)
 
     def rows(z):
-        w, d = z[:n], z[n:]
+        w, d1, d3 = z[:n], z[n], z[n + 1]
         f = p.objective_values(w)
         budget, budget_grad = _budget_row(z, n)
         variance = _unit_variance_rows(p, z)
-        mean_row, skew_row = (
-            sense * float(f[i]) + dj - target for (i, sense, target), dj in zip(goals, d)
-        )
-        values = [_pow(d[0], alpha) + _pow(d[1], beta), budget, mean_row]
-        values += [variance.values[0], skew_row]
+        values = [
+            _pow(d1, alpha) + _pow(d3, beta),
+            budget,
+            mean_sense * float(f[mean_index]) + d1 - z1_star,
+            variance.values[0],
+            skew_sense * float(f[skew_index]) + d3 - z3_star,
+        ]
 
         def jacobian():
             jac = p.objective_jacobian(w)
             out = np.zeros((5, total))
-            out[0, n] = _dpow(d[0], alpha)
-            out[0, n + 1] = _dpow(d[1], beta)
+            out[0, n], out[0, n + 1] = _dpow(d1, alpha), _dpow(d3, beta)
             out[1] = budget_grad
+            out[2, :n], out[2, n] = mean_sense * jac[mean_index], 1.0
             out[3] = variance.jacobian[0]
-            for row, (i, sense, _), pos in zip((2, 4), goals, (n, n + 1)):
-                out[row, :n] = sense * jac[i]
-                out[row, pos] = 1.0
+            out[4, :n], out[4, n + 1] = skew_sense * jac[skew_index], 1.0
             return out
 
         def hessian(c):
             hess = p.objective_hessians(w)
             out = np.zeros((total, total))
-            out[n, n] = _ddpow(d[0], alpha)
-            out[n + 1, n + 1] = _ddpow(d[1], beta)
+            out[n, n], out[n + 1, n + 1] = _ddpow(d1, alpha), _ddpow(d3, beta)
             out = c[0] * out
-            (mean_index, mean_sense, _), (skew_index, skew_sense, _) = goals
             if c[2] != 0.0:
                 out[:n, :n] += c[2] * (mean_sense * hess[mean_index])
             if c[3] != 0.0:

@@ -9,7 +9,6 @@ from hmfront import PortfolioMop, compute_moments, nlp, synthetic_returns
 from hmfront import epsilon as em
 from hmfront import scalarization as sc
 from hmfront import tracer as tr
-from hmfront.problem import PortfolioMop as _Mop
 from hmfront.util import equal_weights
 
 _H = 1e-5  # finite-difference step, in the problem's scaled units
@@ -130,7 +129,7 @@ def test_epsilon_cell_reads_moments_at_most_four_times_per_sqp_iteration(
     # one read each for the values at a trial point and for the Jacobian and
     # the Hessian stack at an accepted iterate, whatever the number of rows
     calls, iterations = [0], [0]
-    evaluate, minimize = _Mop._evaluate, nlp.minimize
+    evaluate, minimize = PortfolioMop._evaluate, nlp.minimize
 
     def counting_evaluate(self, w, kind):
         calls[0] += 1
@@ -142,7 +141,7 @@ def test_epsilon_cell_reads_moments_at_most_four_times_per_sqp_iteration(
         return res
 
     grid = em.build_grid(convex_mop, (6, 6), seed=0)
-    monkeypatch.setattr(_Mop, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(PortfolioMop, "_evaluate", counting_evaluate)
     monkeypatch.setattr(nlp, "minimize", counting_minimize)
     sol = em._solve_cell(
         convex_mop, grid.centers[0], grid.constrained, grid.minimized, equal_weights(3)
