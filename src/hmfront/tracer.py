@@ -256,6 +256,14 @@ def _corrector_problem(mop: SmoothMop, x, grads, hessians, delta):
     c_t = float(row_scales.min())
     models = list(zip(grads, hessians, row_scales.tolist()))
     budget = 1 if mop.sum_constraint else 0
+    # the rows are quadratic in s: their Hessians and the t column of the
+    # Jacobian are constant
+    model_hessians = [-hj / s_j for _, hj, s_j in models]
+    fixed = np.zeros((1 + budget + m, total))
+    fixed[0, -1] = 1.0
+    if budget:
+        fixed[1] = _budget_row(np.zeros(total), n, 0.0)[1]
+    fixed[1 + budget :, -1] = [c_t / s_j for _, _, s_j in models]
 
     def rows(z):
         s = z[:n]
@@ -267,20 +275,16 @@ def _corrector_problem(mop: SmoothMop, x, grads, hessians, delta):
         ]
 
         def jacobian():
-            out = np.zeros((1 + budget + m, total))
-            out[0, -1] = 1.0
-            if budget:
-                out[1] = _budget_row(z, n, 0.0)[1]
+            out = fixed.copy()
             for row, (gj, hj, s_j) in zip(out[1 + budget :], models):
                 row[:n] = (-gj - hj @ s) / s_j
-                row[-1] = c_t / s_j
             return out
 
         def hessian(c):
             out = np.zeros((total, total))
-            for cj, (_, hj, s_j) in zip(c[1 + budget :], models):
+            for cj, h in zip(c[1 + budget :], model_hessians):
                 if cj != 0.0:
-                    out[:n, :n] += cj * (-hj / s_j)
+                    out[:n, :n] += cj * h
             return out
 
         return nlp.RowBlock(np.array(values), jacobian, hessian)
