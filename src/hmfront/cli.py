@@ -278,7 +278,7 @@ def _run_tracer(cfg: RunConfig, mop: PortfolioMop):
 def _run_epsilon(cfg: RunConfig, mop: PortfolioMop):
     params = dict(cfg.method_params)
     n = (params.pop("n1", eps_mod.GRID_N[0]), params.pop("n2", eps_mod.GRID_N[1]))
-    archive = eps_mod.run_adaptive_epsilon(mop, n, seed=cfg.seed, **params)
+    archive = eps_mod.run_adaptive_epsilon(mop, n, **params)
     points = [
         FrontPoint.at(
             mop,
@@ -603,7 +603,7 @@ def _verify_cases(
         sp = scalarization.map_sf_to_sp(sf, mop)
         sp_sol = scalarization.solve_sp(mop, sp, starts=[ref, equal])
         cases.append(_compare("sf_vs_mapped_sp", {"reference": i}, sf_sol, sp_sol, 1e-8))
-    grid = eps_mod.build_grid(mop, (10, 10), seed=cfg.seed)
+    grid = eps_mod.build_grid(mop, (10, 10))
     for eps in grid.centers:
         cell = eps_mod._solve_cell(mop, eps, grid.constrained, grid.minimized, equal)
         sp = eps_mod.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
@@ -716,10 +716,13 @@ def cmd_quality(cfg: RunConfig) -> int:
     if not cfg.front_path:
         raise ConfigError("--front is required for the quality command")
     front = read_front_csv(cfg.front_path)
+    missing = [name for name in cfg.objectives if name not in front.objectives]
+    if missing:
+        raise DataError("front %s has no %s column" % (cfg.front_path, ", ".join(missing)))
     if len(front.points) < 2:
         raise MeasureUndefinedError("front has fewer than 2 points")
     mop = _build_mop(cfg)
-    archive = eps_mod.run_adaptive_epsilon(mop, cfg.reference_n, rounds=0, seed=cfg.seed)
+    archive = eps_mod.run_adaptive_epsilon(mop, cfg.reference_n, rounds=0)
     reference = archive.image()
     image = np.array(
         [

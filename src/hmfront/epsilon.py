@@ -3,8 +3,12 @@
 The driver covers three-objective problems: two objectives are bounded by a
 grid of epsilon values and the third is minimized (skewness is always the
 minimized objective, in minimization form -skewness, with the other two
-constrained).  Grid ranges come from per-objective min/max solves, cells
-are laid out at
+constrained).  Each bounded objective (-mean, variance or kurtosis) is
+convex on the simplex: -mean is linear, and variance and kurtosis are means
+of (c_t'w)^2 and (c_t'w)^4 over the centered returns c_t.  So a grid range
+needs no multistart: the maximum of a convex function over the simplex is
+at a vertex, read there without a solve, and the minimum is one local solve
+from equal weights.  Cells are laid out at
 
     eps_i = eps_min_i + L_i/2 + l_i * L_i,   L_i = (eps_max_i - eps_min_i)/N_i
 
@@ -45,7 +49,7 @@ from .errors import ParameterError, SolverError
 from .problem import PortfolioMop
 from .quality import nearest_gaps
 from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
-from .util import dirichlet_starts, equal_weights, parallel_map, simplex_vertices
+from .util import equal_weights, parallel_map, simplex_vertices
 
 # default grid counts (N1, N2) of run_adaptive_epsilon
 GRID_N = (50, 50)
@@ -88,7 +92,6 @@ class ArchiveEntry:
     x: np.ndarray
     multipliers: np.ndarray
     image: np.ndarray
-    solution: nlp.ScalarSolution
 
 
 @dataclass
@@ -141,7 +144,6 @@ class FrontArchive:
                 x=sol.x.copy(),
                 multipliers=sol.ineq_multipliers.copy(),
                 image=sol.objective_values,
-                solution=sol,
             )
         )
 
@@ -177,30 +179,25 @@ def _check_refinement(alpha: float | None, k: int) -> None:
         raise ParameterError("k must be >= 1")
 
 
-def _range_solves(p: PortfolioMop, idx: int, seed: int) -> tuple[float, float]:
-    """Exact objective range over the simplex via multistart min and max.
-
-    Vertices are included among the starts so the concave max solves reach
-    the vertex maxima of convex objectives.
-    """
-    n = p.n
-    rng = np.random.default_rng(seed)
-    starts = [equal_weights(n)] + simplex_vertices(n) + dirichlet_starts(n, 2, rng)
-    out = []
-    for sign in (1.0, -1.0):
-        best = minimize_objective(p, idx, sign=sign, starts=starts)
-        out.append(sign * best.value)
-    lo, hi = out
+def _range_solves(p: PortfolioMop, idx: int) -> tuple[float, float]:
+    """Range of the convex objective ``idx`` over the simplex: the largest
+    vertex value, and the minimum from one solve started at equal weights."""
+    hi = max(float(p.objective_values(v)[idx]) for v in simplex_vertices(p.n))
+    lo = minimize_objective(p, idx, starts=[equal_weights(p.n)]).value
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise SolverError("objective range solve returned non-finite bound")
     if hi - lo <= 1e-15:
         raise SolverError("objective %d is constant on the simplex; grid degenerate" % idx)
-    return float(lo), float(hi)
+    return float(lo), hi
 
 
-def build_grid(p: PortfolioMop, N: tuple[int, int], *, seed: int = 0) -> EpsilonGrid:
-    """Lay out the epsilon grid from per-objective range solves; skewness is
-    the minimized objective."""
+def build_grid(p: PortfolioMop, N: tuple[int, int]) -> EpsilonGrid:
+    """Lay out the epsilon grid; skewness is the minimized objective.
+
+    The two bounded objectives are convex (see the module docstring): each
+    range is the largest vertex value and one minimize solve, so a grid
+    takes two solves and draws no random starts.
+    """
     if p.m != 3:
         raise ParameterError("the epsilon grid driver needs exactly 3 objectives")
     n1, n2 = int(N[0]), int(N[1])
@@ -213,7 +210,7 @@ def build_grid(p: PortfolioMop, N: tuple[int, int], *, seed: int = 0) -> Epsilon
     eps_min = np.zeros(2)
     eps_max = np.zeros(2)
     for pos, idx in enumerate(constrained):
-        eps_min[pos], eps_max[pos] = _range_solves(p, idx, seed + pos)
+        eps_min[pos], eps_max[pos] = _range_solves(p, idx)
     counts = (n1, n2)
     L = np.array([(eps_max[i] - eps_min[i]) / counts[i] for i in range(2)])
     centers = np.empty((n1 * n2, 2))
@@ -342,7 +339,6 @@ def run_adaptive_epsilon(
     alpha: float | None = None,
     k: int = 1,
     rounds: int = 5,
-    seed: int = 0,
 ) -> FrontArchive:
     """Grid sweep plus ``rounds`` batch refinements at the widest image gap.
 
@@ -352,7 +348,7 @@ def run_adaptive_epsilon(
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
     _check_refinement(alpha, k)
-    grid = build_grid(p, N, seed=seed)
+    grid = build_grid(p, N)
     archive = solve_grid(p, grid)
     if not archive.entries:
         return archive

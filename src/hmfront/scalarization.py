@@ -376,19 +376,18 @@ def minimize_objective(
     p: PortfolioMop,
     index: int,
     *,
-    sign: float = 1.0,
     starts,
     extra_eq=None,
 ) -> nlp.ScalarSolution:
-    """Multistart minimize ``sign * F_index`` over the simplex, subject also
-    to the equality row whose row block is ``extra_eq(x)``, if given.
+    """Multistart minimize ``F_index`` over the simplex, subject also to the
+    equality row whose row block is ``extra_eq(x)``, if given.
 
     The objective is normalized by its gradient magnitude at equal weights
     (the minimizer is unchanged).  The reported value is the raw objective
-    ``sign * F_index`` and every multiplier is in raw units.
+    ``F_index`` and every multiplier is in raw units.
     """
     problem, finish = _scaled_problem(
-        p, equal_weights(p.n), (), objective=(index, sign), extra_eq=extra_eq
+        p, equal_weights(p.n), (), objective=(index, 1.0), extra_eq=extra_eq
     )
     return finish(nlp.solve_multistart(problem, starts).best)
 

@@ -133,7 +133,7 @@ def test_criterion_04_sf_sp_duality(convex_mop):
 
 def test_criterion_05_epsilon_equals_sp(convex_mop):
     with criterion(5, "P3(eps) equals SP(a,r) on every feasible 10x10 cell at 1e-6", 60):
-        grid = em.build_grid(convex_mop, (10, 10), seed=0)
+        grid = em.build_grid(convex_mop, (10, 10))
         feasible_cells = 0
         for row in range(grid.size):
             eps = grid.centers[row]
@@ -155,7 +155,7 @@ def test_criterion_05_epsilon_equals_sp(convex_mop):
 
 def test_criterion_06_grid_structural_reproduction(convex_mop):
     with criterion(6, "50x50 driver attempts 2500 cells, >=80% feasible converge, no dominance at 1e-7", 600):
-        grid = em.build_grid(convex_mop, (50, 50), seed=0)
+        grid = em.build_grid(convex_mop, (50, 50))
         archive = em.solve_grid(convex_mop, grid)
         assert archive.attempted == 2500
         feasible = archive.attempted - archive.infeasible_count
@@ -168,7 +168,7 @@ def test_criterion_06_grid_structural_reproduction(convex_mop):
 
 def test_criterion_07_refinement_lattice(convex_mop):
     with criterion(7, "refinement lattice exact: +-alpha at mu=0, alpha/(1+mu^2) otherwise", 60):
-        grid = em.build_grid(convex_mop, (6, 6), seed=0)
+        grid = em.build_grid(convex_mop, (6, 6))
         archive = em.solve_grid(convex_mop, grid)
         alpha = 0.3 * float(grid.L[0])
         zero_entry = next(e for e in archive.entries if np.all(e.multipliers == 0.0))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hmfront import cli, nlp, problem, scalarization
+from hmfront import cli, nlp, problem, scalarization, synthetic_returns
 from hmfront.cli import (
     EXIT_INPUT,
     EXIT_MEASURE,
@@ -30,19 +30,54 @@ def run(args):
     return main(args)
 
 
-def test_cli_import_loads_no_scipy():
-    # the set-up every CLI run pays: importing the CLI must not pull in scipy
+def _epsilon_and_quality_runs(tmp_path) -> str:
+    """Code for a small ``front --method epsilon`` run from a returns CSV and
+    a ``quality`` run of its front at a 4 x 4 reference."""
+    csv = tmp_path / "r.csv"
+    returns = synthetic_returns(3, 400, 28, 0.4)
+    rows = [",".join(returns.assets)]
+    rows += [",".join(map(repr, r)) for r in returns.observations.tolist()]
+    csv.write_text("\n".join(rows), encoding="utf-8")
+    front, quality = str(tmp_path / "f"), str(tmp_path / "q")
+    inp = ["--input", str(csv)]
+    front_argv = ["front", *inp, "--method", "epsilon", "--out", front]
+    front_argv += ["--param", "n1=4", "--param", "n2=4", "--param", "rounds=1"]
+    quality_argv = ["quality", *inp, "--front", os.path.join(front, "front.csv")]
+    quality_argv += ["--reference-n", "4", "4", "--out", quality]
+    return (
+        "from hmfront.cli import main; "
+        "assert main(%r) == 0; assert main(%r) == 0" % (front_argv, quality_argv)
+    )
+
+
+@pytest.mark.parametrize(
+    "package, runs",
+    [
+        # the set-up every CLI run pays: importing the CLI must not pull in scipy
+        ("scipy", lambda tmp_path: "import hmfront.cli"),
+        # numpy 2 loads numpy.random lazily, for about 5 MB; the epsilon
+        # driver and the quality reference draw no random numbers
+        ("numpy.random", _epsilon_and_quality_runs),
+    ],
+    ids=["cli-import-no-scipy", "epsilon-and-quality-no-numpy-random"],
+)
+def test_run_leaves_package_unloaded(tmp_path, package, runs):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, hmfront.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = "sorted(m for m in sys.modules if m == %r or m.startswith(%r))" % (
+        package,
+        package + ".",
     )
+    code = "import sys, numpy; print(%s); %s; print(%s)" % (loaded, runs(tmp_path), loaded)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    after_numpy, after_runs = lines[0], lines[-1]
+    if after_numpy != "[]":
+        pytest.skip("import numpy already loads %s" % package)
+    assert after_runs == "[]"
 
 
 def test_moments_writes_report(tmp_path):
@@ -465,6 +500,23 @@ def test_unsupported_objectives_exit_2_before_any_solve(tmp_path, capsys, monkey
     out = tmp_path / "f"
     assert run([argv[0], *SYN, *argv[1:], "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_quality_front_without_an_objective_column_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # a three-objective front has no kurtosis column
+    front_dir = tmp_path / "f"
+    params = ["--param", "max_points=10", "--param", "n_starts=2"]
+    run(["front", *SYN, "--method", "tracer", *params, "--out", str(front_dir)])
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    out = tmp_path / "q"
+    argv = ["quality", *SYN, "--objectives", "mean,skewness,kurtosis"]
+    argv += ["--front", str(front_dir / "front.csv"), "--out", str(out)]
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kurtosis" in err
     assert not out.exists()
 
 

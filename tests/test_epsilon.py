@@ -2,17 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmfront import ParameterError, PortfolioMop, SolveStatus, compute_moments, synthetic_returns
+from hmfront import (
+    ParameterError,
+    PortfolioMop,
+    SolveStatus,
+    compute_moments,
+    nlp,
+    synthetic_returns,
+)
 from hmfront import epsilon as em
 from hmfront import scalarization as sc
+from hmfront.problem import OBJECTIVE_SENSES
 from hmfront.util import equal_weights
-from oracles import brute_nondominated_mask, full_sweep, relative_stationarity, simplex_sweep
+from oracles import (
+    brute_nondominated_mask,
+    full_sweep,
+    qp_simplex_bruteforce,
+    relative_stationarity,
+    simplex_sweep,
+)
 
 
 @pytest.fixture(scope="module")
 def grid(convex_mop):
-    return em.build_grid(convex_mop, (6, 6), seed=0)
+    return em.build_grid(convex_mop, (6, 6))
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +67,7 @@ def test_build_grid_centers_match_formula(convex_mop, grid):
 
 
 def test_build_grid_single_cell(convex_mop):
-    g = em.build_grid(convex_mop, (1, 1), seed=0)
+    g = em.build_grid(convex_mop, (1, 1))
     assert g.size == 1
     assert g.centers[0, 0] == g.eps_min[0] + g.L[0] / 2.0
 
@@ -70,6 +86,67 @@ def test_grid_ranges_cover_dense_sweep(convex_mop, grid):
     # every center strictly inside the range
     assert np.all(grid.centers[:, 0] > grid.eps_min[0])
     assert np.all(grid.centers[:, 0] < grid.eps_max[0])
+
+
+# the objective sets the grid accepts: skewness is minimized, the other two
+# are bounded
+_GRID_OBJECTIVES = (
+    ("mean", "variance", "skewness"),
+    ("mean", "skewness", "kurtosis"),
+    ("variance", "skewness", "kurtosis"),
+)
+# lattice resolution per n, about 3,000 sweep points at most
+_SWEEP_RESOLUTION = {2: 400, 3: 60, 4: 20, 5: 12, 6: 10, 7: 8}
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**16),
+    objectives=st.sampled_from(_GRID_OBJECTIVES),
+)
+def test_grid_ranges_are_vertex_maxima_and_convex_minima(n, seed, objectives):
+    returns = synthetic_returns(n, 200, seed, 0.5)
+    moments = compute_moments(returns)
+    p = PortfolioMop(moments=moments, objectives=objectives)
+    grid = em.build_grid(p, (1, 1))
+    vertices = np.eye(n)
+    # the sweep's statistics straight from the observations
+    sweep = simplex_sweep(n, _SWEEP_RESOLUTION[n])
+    obs = returns.observations
+    centered = (obs - obs.mean(axis=0)) @ sweep.T
+    raw = {
+        "mean": obs.mean(axis=0) @ sweep.T,
+        "variance": np.mean(centered ** 2, axis=0),
+        "kurtosis": np.mean(centered ** 4, axis=0),
+    }
+    for pos, idx in enumerate(grid.constrained):
+        name = objectives[idx]
+        lo, hi = grid.eps_min[pos], grid.eps_max[pos]
+        assert hi == max(p.objective_values(v)[idx] for v in vertices)
+        tol = 1e-12 * (hi - lo)
+        assert lo <= np.min(OBJECTIVE_SENSES[name] * raw[name]) + tol
+        if name == "mean":
+            assert abs(lo - (-np.max(moments.mu))) <= tol
+        if name == "variance":
+            assert abs(lo - qp_simplex_bruteforce(moments.sigma, np.zeros(n))[0]) <= tol
+
+
+def test_build_grid_takes_one_solve_per_bounded_objective(convex_mop, monkeypatch):
+    calls = []
+    real_solve = nlp.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("build_grid drew random numbers")
+
+    monkeypatch.setattr(nlp, "solve", counting_solve)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    em.build_grid(convex_mop, (6, 6))
+    assert len(calls) == 2
 
 
 def test_corner_cell_with_slack_constraints_hits_unconstrained_min(convex_mop, grid):
@@ -143,7 +220,7 @@ def _skewed_mop():
 @pytest.mark.parametrize("instance", ["convex", "skewed"])
 def test_row_bypass_matches_full_sweep(convex_mop, monkeypatch, instance):
     p = convex_mop if instance == "convex" else _skewed_mop()
-    grid = em.build_grid(p, (6, 6), seed=0)
+    grid = em.build_grid(p, (6, 6))
     solves_per_row = {}
     real_solve_cell = em._solve_cell
 
@@ -232,7 +309,6 @@ def test_refinement_rejects_foreign_center(convex_mop, archive):
         x=equal_weights(3),
         multipliers=np.zeros(2),
         image=np.zeros(3),
-        solution=archive.entries[0].solution,
     )
     with pytest.raises(ParameterError):
         em.refine(archive, em.RefinementRequest(center=foreign, alpha=0.1, k=1))
@@ -256,7 +332,7 @@ def test_cell_value_equals_sp_value(convex_mop, grid, archive):
         sp = em.epsilon_as_sp(entry.eps, minimized_index=grid.minimized, m=3)
         sol = sc.solve_sp(convex_mop, sp, starts=[entry.x, equal_weights(3)])
         assert sol.converged
-        assert abs(entry.solution.value - sol.aux_value) < 1e-6
+        assert abs(entry.image[grid.minimized] - sol.aux_value) < 1e-6
 
 
 def test_infeasible_cell_maps_to_infeasible_sp(convex_mop, grid):
@@ -280,14 +356,14 @@ def test_default_alpha_is_computed_only_for_refinement_rounds(convex_mop, monkey
         return real(pts)
 
     monkeypatch.setattr(em, "nearest_gaps", spy)
-    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=0, seed=0)
+    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=0)
     assert calls == []
-    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=1, seed=0)
+    em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=1)
     assert calls  # the default alpha, then the widest gap
 
 
 def test_run_adaptive_epsilon_driver(convex_mop):
-    arch = em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=2, k=1, seed=0)
+    arch = em.run_adaptive_epsilon(convex_mop, (5, 5), rounds=2, k=1)
     assert arch.attempted >= 25  # grid plus refinement attempts
     pts = arch.image()
     assert brute_nondominated_mask(pts, tol=1e-7).all()

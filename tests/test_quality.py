@@ -130,7 +130,7 @@ def test_traced_front_covers_epsilon_reference(convex_mop):
     from hmfront import epsilon as em
     from hmfront import tracer as tr
 
-    reference = em.run_adaptive_epsilon(convex_mop, (20, 20), rounds=0, seed=0).image()
+    reference = em.run_adaptive_epsilon(convex_mop, (20, 20), rounds=0).image()
     tau = 2e-5
     front = tr.trace(
         convex_mop, tr.TracerConfig(tau=tau, n_starts=8, max_points=600), seed=0

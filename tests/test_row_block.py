@@ -140,7 +140,7 @@ def test_epsilon_cell_reads_moments_at_most_four_times_per_sqp_iteration(
         iterations[0] += res.nit
         return res
 
-    grid = em.build_grid(convex_mop, (6, 6), seed=0)
+    grid = em.build_grid(convex_mop, (6, 6))
     monkeypatch.setattr(PortfolioMop, "_evaluate", counting_evaluate)
     monkeypatch.setattr(nlp, "minimize", counting_minimize)
     sol = em._solve_cell(
