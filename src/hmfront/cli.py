@@ -73,8 +73,9 @@ EXIT_SOLVE = 3
 EXIT_VERIFY = 4
 EXIT_MEASURE = 5
 
-# most lambda values (one QP each) a utility_iterative schedule may hold
-_MAX_LAMBDA_SCHEDULE = 10_000
+# most subproblems one front run may schedule: the lambda values of a
+# utility_iterative schedule (one QP each), the rays of an nbi or sp lattice
+_MAX_SUBPROBLEMS = 10_000
 
 
 @dataclass
@@ -247,7 +248,8 @@ def _beta_lattice(m: int, divisions: int) -> list[np.ndarray]:
 
 def _ray_starts(anchors: scalarization.AnchorSet, beta) -> list[np.ndarray]:
     """Starts of the NBI and SP ray solves at hull weights ``beta``: the
-    matching mix of the anchor portfolios, then equal weights."""
+    matching mix of the anchor portfolios, then equal weights as the
+    fallback, tried only when the mix does not converge."""
     return [beta @ anchors.weights, equal_weights(anchors.weights.shape[1])]
 
 
@@ -308,6 +310,12 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
     divisions = params.get("divisions", 10)
     if divisions < 1:
         raise ParameterError("divisions must be >= 1")
+    # the lattice has C(divisions + m - 1, m - 1) rays
+    if math.comb(divisions + mop.m - 1, mop.m - 1) > _MAX_SUBPROBLEMS:
+        raise ParameterError(
+            "divisions=%d would give a lattice of more than %d rays"
+            % (divisions, _MAX_SUBPROBLEMS)
+        )
     anchors = scalarization.compute_anchors(mop, seed=cfg.seed)
     points = []
     failures = []
@@ -412,9 +420,9 @@ def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
     if not (math.isfinite(lam) and math.isfinite(stop)):
         raise ParameterError("lambda_start and lambda_stop must be finite")
     # the schedule has floor((lam - stop + 1e-12) / step) + 1 values
-    if (lam - stop + 1e-12) / step >= _MAX_LAMBDA_SCHEDULE:
+    if (lam - stop + 1e-12) / step >= _MAX_SUBPROBLEMS:
         raise ParameterError(
-            "the lambda schedule would have more than %d values" % _MAX_LAMBDA_SCHEDULE
+            "the lambda schedule would have more than %d values" % _MAX_SUBPROBLEMS
         )
     schedule = []
     while lam >= stop - 1e-12:

@@ -846,24 +846,15 @@ def best_converged(solutions: Sequence[ScalarSolution]) -> Optional[ScalarSoluti
     value, or ``None`` when no solution converged.
 
     Values within 1e-15 of each other tie, and a tie goes to the
-    lexicographically smaller ``weights`` (``x`` when ``weights`` is unset).
-    Aux-valued scalarizations carry ``aux / c_aux`` at the end of ``x`` with
-    a scale ``c_aux`` that differs per start, so their ties are decided on
-    the portfolio alone.
+    lexicographically smaller ``x``.
     """
-
-    def tie_key(sol):
-        return sol.x if sol.weights is None else sol.weights
-
     best = None
     for sol in solutions:
         if not sol.converged:
             continue
         if best is None or sol.value < best.value - 1e-15:
             best = sol
-        elif abs(sol.value - best.value) <= 1e-15 and lexicographic_less(
-            tie_key(sol), tie_key(best)
-        ):
+        elif abs(sol.value - best.value) <= 1e-15 and lexicographic_less(sol.x, best.x):
             best = sol
     return best
 

@@ -30,8 +30,12 @@ optimize.  Each method builds its own goal rows (:class:`_Goal`), so its
 parameter map stays what is tested, and :func:`_scaled_problem` is the one
 assembler: it scales every row and the objective to unit gradient size and
 maps the solve back to raw units, multipliers included.  The aux methods
-share one multistart path, :func:`_solve_aux`.  PGP's main solve is
-assembled separately and is not scaled.
+share one multistart path, :func:`_solve_aux`, which keeps the first start
+that converges and runs later starts only as fallbacks.  The anchors and
+the PGP bound problems keep the best of all their starts instead
+(:func:`nlp.solve_multistart`): the skewness anchor and the unit-variance
+row are not convex.  PGP's main solve is assembled separately and is not
+scaled.
 """
 
 from __future__ import annotations
@@ -480,12 +484,20 @@ def _ray_start(f0: np.ndarray, origin: np.ndarray, direction: np.ndarray) -> flo
 
 
 def _best_of_starts(solve_one, starts):
-    """Multistart an aux-valued solve: the :func:`nlp.best_converged` merge
-    of the starts (value = sense * aux, so every method minimizes it), or
-    the first start's solution when none converged."""
-    solutions = [solve_one(np.asarray(s, dtype=float)) for s in starts]
-    best = nlp.best_converged(solutions)
-    return best if best is not None else solutions[0]
+    """Multistart an aux-valued solve: solve from ``starts`` in order and
+    return the first converged solution, so later starts run only as
+    fallbacks; when none converged, return the first start's solution.
+    Every caller lists its best-informed start first (the hull-point mix
+    for a ray, the reference for SF against SP, the cell's weights for an
+    epsilon cell against SP)."""
+    first = None
+    for s in starts:
+        sol = solve_one(np.asarray(s, dtype=float))
+        if sol.converged:
+            return sol
+        if first is None:
+            first = sol
+    return first
 
 
 def _solve_aux(
@@ -501,10 +513,10 @@ def _solve_aux(
 ) -> nlp.ScalarSolution:
     """The one multistart path of the aux-valued scalarizations.
 
-    Solves the scaled problem of ``goals`` from each of ``starts``, or from
-    the method's default ``start`` alone when ``starts`` is None, and
-    merges them with :func:`_best_of_starts`.  ``aux0(w0)`` is the aux
-    start for weights ``w0``; ``check(sol)`` may reject a raw solve.
+    Solves the scaled problem of ``goals`` from ``starts`` in order until
+    one converges (:func:`_best_of_starts`), or from the method's default
+    ``start`` alone when ``starts`` is None.  ``aux0(w0)`` is the aux start
+    for weights ``w0``; ``check(sol)`` may reject a raw solve.
     """
 
     def solve_one(w0):
@@ -525,7 +537,8 @@ def solve_sf(p: PortfolioMop, sf: SfParams, *, starts=None) -> nlp.ScalarSolutio
     delta* is 0 exactly when the reference is efficient and positive when it
     is dominated; ``aux_value`` carries delta*.  Goal-row multipliers appear
     in ``ineq_multipliers`` in objective order.  ``starts`` optionally
-    multistarts the solve from the given weight vectors (best delta kept).
+    lists start weights to try in order: the first converged solve is kept,
+    and later starts are fallbacks.
     """
 
     def check(sol):

@@ -574,7 +574,7 @@ def test_verify_reports_a_failing_identity(tmp_path, monkeypatch):
     ],
 )
 def test_lambda_schedule_is_bounded(tmp_path, capsys, monkeypatch, params, cap, error):
-    monkeypatch.setattr(cli, "_MAX_LAMBDA_SCHEDULE", cap)
+    monkeypatch.setattr(cli, "_MAX_SUBPROBLEMS", cap)
     argv = ["front", *SYN, "--method", "utility_iterative", "--out", str(tmp_path / "f")]
     for item in params:
         argv += ["--param", item]
@@ -583,6 +583,35 @@ def test_lambda_schedule_is_bounded(tmp_path, capsys, monkeypatch, params, cap, 
     else:
         assert run(argv) == EXIT_INPUT
         assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "objectives, largest",
+    [("mean,variance,skewness", 139), ("mean,variance,skewness,kurtosis", 37)],
+    ids=["m3", "m4"],
+)
+def test_ray_lattice_is_bounded_before_any_solve(
+    tmp_path, capsys, monkeypatch, objectives, largest
+):
+    # a lattice of C(divisions + m - 1, m - 1) rays may hold at most 10,000
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    argv = ["front", *SYN, "--method", "nbi", "--objectives", objectives]
+    argv += ["--out", str(tmp_path / "f")]
+    for divisions in (largest + 1, 100_000):
+        assert run([*argv, "--param", "divisions=%d" % divisions]) == EXIT_INPUT
+        assert "more than 10000 rays" in capsys.readouterr().err
+    # the largest lattice allowed passes the check and reaches the solver
+    with pytest.raises(AssertionError, match="a solve ran"):
+        run([*argv, "--param", "divisions=%d" % largest])
+
+
+@pytest.mark.parametrize("method", ["nbi", "sp"])
+def test_ray_front_keeps_its_counts(tmp_path, method):
+    out = tmp_path / "f"
+    assert run(["front", *SYN, "--method", method, "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "front.json").read_text())
+    assert len(doc["points"]) == 53
+    assert doc["metadata"]["missed_rays"] == 13
 
 
 @pytest.mark.parametrize(

@@ -368,16 +368,19 @@ def _merge_candidate(value, weights, aux_tail, status=SolveStatus.CONVERGED):
     )
 
 
-def test_merge_breaks_an_exact_tie_on_weights():
-    first = _merge_candidate(-0.5, [0.6, 0.4], 3.0)
-    second = _merge_candidate(-0.5, [0.4, 0.6], 5.0)
+def test_merge_breaks_an_exact_tie_on_x():
+    first = _merge_candidate(-0.5, [0.6, 0.4], [])
+    second = _merge_candidate(-0.5, [0.4, 0.6], [])
     assert nlp.best_converged([first, second]) is second
     assert nlp.best_converged([second, first]) is second
-    # the same portfolio reached from two starts: the scaled aux entries at
-    # the end of x differ, and the first start keeps it
-    again = _merge_candidate(-0.5, [0.4, 0.6], 2.0)
-    assert nlp.best_converged([second, again]) is second
-    third = _merge_candidate(-0.5 - 1e-12, [0.9, 0.1], 9.0)
+    # values within 1e-15 tie too
+    close = _merge_candidate(-0.5 + 4e-16, [0.1, 0.9], [])
+    assert nlp.best_converged([second, close]) is close
+    # x decides to its last entry; weights play no part
+    tail = _merge_candidate(-0.5, [0.4, 0.6], 5.0)
+    lower_tail = _merge_candidate(-0.5, [0.4, 0.6], 2.0)
+    assert nlp.best_converged([tail, lower_tail]) is lower_tail
+    third = _merge_candidate(-0.5 - 1e-12, [0.9, 0.1], [])
     assert nlp.best_converged([first, second, third]) is third
 
 
@@ -390,3 +393,33 @@ def test_aux_merge_falls_back_to_the_first_solution():
     by_start = {0.5: failed[0], 0.2: failed[1]}
     starts = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
     assert sc._best_of_starts(lambda w0: by_start[w0[0]], starts) is failed[0]
+
+
+def _spy(solutions):
+    """A ``solve_one`` that returns ``solutions`` in turn and records the
+    starts it was called with."""
+    calls = []
+
+    def solve_one(w0):
+        calls.append(w0)
+        return solutions[len(calls) - 1]
+
+    return solve_one, calls
+
+
+def test_aux_merge_stops_at_a_converged_first_start():
+    converged = _merge_candidate(-1.0, [0.5, 0.5], 1.0)
+    better = _merge_candidate(-2.0, [0.2, 0.8], 1.0)
+    solve_one, calls = _spy([converged, better])
+    starts = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+    assert sc._best_of_starts(solve_one, starts) is converged
+    assert len(calls) == 1
+
+
+def test_aux_merge_falls_back_to_a_later_converged_start():
+    failed = _merge_candidate(-2.0, [0.5, 0.5], 1.0, SolveStatus.MAX_ITER)
+    converged = _merge_candidate(-1.0, [0.2, 0.8], 1.0)
+    solve_one, calls = _spy([failed, converged])
+    starts = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+    assert sc._best_of_starts(solve_one, starts) is converged
+    assert len(calls) == 2

@@ -239,6 +239,34 @@ def test_modified_sp_on_acceptance_rays_needs_no_capped_restoration(
     assert capped == []
 
 
+def test_ray_whose_hull_start_converges_makes_one_solve(convex_mop, anchors, monkeypatch):
+    # the rays of acceptance criterion 03: equal weights is only a fallback
+    calls = []
+    solve = nlp.solve
+
+    def counting_solve(problem, *args, **kwargs):
+        calls.append(problem.x0)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(nlp, "solve", counting_solve)
+    rng = np.random.default_rng(5)
+    betas = [np.eye(3)[i] for i in range(3)] + [rng.dirichlet(np.ones(3)) for _ in range(17)]
+    one_solve = 0
+    for beta in betas:
+        nbi = sc.nbi_params(anchors, beta)
+        hull_start = beta @ anchors.weights
+        alone = sc.solve_nbi(convex_mop, nbi, starts=[hull_start])
+        calls.clear()
+        sol = sc.solve_nbi(convex_mop, nbi, starts=[hull_start, equal_weights(3)])
+        if alone.converged:
+            assert len(calls) == 1
+            assert np.array_equal(sol.x, alone.x)
+            one_solve += 1
+        else:
+            assert len(calls) == 2
+    assert one_solve >= 10
+
+
 def test_sp_attainable_reference_gives_nonpositive_t(convex_mop, direction):
     w_hat = np.array([0.25, 0.4, 0.35])
     a = convex_mop.objective_values(w_hat)
