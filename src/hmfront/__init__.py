@@ -25,7 +25,6 @@ from .moments import (
     MomentSet,
     ObjectiveVector,
     ReturnsMatrix,
-    Weights,
     compute_moments,
     load_returns_csv,
     portfolio_stats,
@@ -44,7 +43,6 @@ from .nlp import (
     NlpProblem,
     RowBlock,
     ScalarSolution,
-    SolverOptions,
     SolveStatus,
     solve,
     solve_multistart,

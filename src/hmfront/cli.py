@@ -18,7 +18,8 @@ seed.
 The ``front`` methods are listed once, in :data:`METHODS`, each with the
 types of its parameters and a runner.  A parameter value must be of its
 type without loss: an int takes no fraction and no boolean, a float no
-boolean, and a bool only a boolean or "true"/"false".
+boolean and no infinity or nan, and a bool only a boolean or
+"true"/"false".
 
 Exit codes: 0 success, 2 input error, 3 solve failure, 4 verification
 failure, 5 measure undefined.
@@ -110,7 +111,7 @@ class RunConfig:
             except (TypeError, ValueError):
                 raise ConfigError(
                     "parameter %r for method %s must be %s, got %r"
-                    % (key, self.method, want.__name__, val)
+                    % (key, self.method, "a finite float" if want is float else want.__name__, val)
                 ) from None
 
 
@@ -417,8 +418,6 @@ def _run_utility_iterative(cfg: RunConfig, mop: PortfolioMop):
     step = params.get("lambda_step", 2.0)
     if not step > 0:
         raise ParameterError("lambda_step must be positive")
-    if not (math.isfinite(lam) and math.isfinite(stop)):
-        raise ParameterError("lambda_start and lambda_stop must be finite")
     # the schedule has floor((lam - stop + 1e-12) / step) + 1 values
     if (lam - stop + 1e-12) / step >= _MAX_SUBPROBLEMS:
         raise ParameterError(
@@ -482,7 +481,8 @@ def _coerce(want: type, val):
     """Cast a method parameter to ``want`` without losing information.
 
     Raises ValueError for a bool where a number is wanted, a number where
-    a bool is wanted, and a non-integral value where an int is wanted.
+    a bool is wanted, a non-integral value where an int is wanted, and a
+    value that is not finite where a float is wanted.
     """
     if want is bool:
         if isinstance(val, bool):
@@ -494,7 +494,10 @@ def _coerce(want: type, val):
         raise ValueError(val)
     if want is int and isinstance(val, float) and not val.is_integer():
         raise ValueError(val)
-    return want(val)
+    out = want(val)
+    if want is float and not math.isfinite(out):
+        raise ValueError(val)
+    return out
 
 
 def _run_front(cfg: RunConfig, mop: PortfolioMop) -> tuple[FrontApproximation, list[str]]:
@@ -649,9 +652,7 @@ def _pgp_rows(
     )
     if not pgp_sol.info:
         return []
-    pgp_params = scalarization.PgpParams(
-        alpha=1.0, beta=1.0, z_stars=(pgp_sol.info["z1_star"], pgp_sol.info["z3_star"])
-    )
+    z_stars = (pgp_sol.info["z1_star"], pgp_sol.info["z3_star"])
     scaled_anchors = scalarization.compute_anchors(scaled_mop, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 11)
     rows: list[dict] = []
@@ -666,7 +667,7 @@ def _pgp_rows(
             rows.append({"beta": beta.tolist(), "applicable": False,
                          "reason": "nbi " + nbi_sol.status.value})
             continue
-        rep = scalarization.check_pgp_kkt(nbi_sol, pgp_params, nbi, scaled_mop)
+        rep = scalarization.check_pgp_kkt(nbi_sol, z_stars, nbi, scaled_mop)
         rows.append(
             {
                 "beta": [float(b) for b in beta],

@@ -53,6 +53,9 @@ from .util import equal_weights, parallel_map, simplex_vertices
 
 # default grid counts (N1, N2) of run_adaptive_epsilon
 GRID_N = (50, 50)
+# most cells one run_adaptive_epsilon may schedule, grid and refinements
+# together: a 500 x 500 grid
+_MAX_CELLS = 250_000
 
 __all__ = [
     "EpsilonGrid",
@@ -343,11 +346,20 @@ def run_adaptive_epsilon(
     """Grid sweep plus ``rounds`` batch refinements at the widest image gap.
 
     When ``alpha`` is not given and ``rounds > 0`` it defaults to the median
-    nearest-neighbour image gap of the initial archive.
+    nearest-neighbour image gap of the initial archive.  A run may schedule
+    at most ``_MAX_CELLS`` cells, the grid's N1 * N2 plus (2k+1)^2 - 1 per
+    round, counted before the grid is built.
     """
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
     _check_refinement(alpha, k)
+    # a count below 1 is left to build_grid to reject
+    cells = max(int(N[0]), 0) * max(int(N[1]), 0) + rounds * ((2 * k + 1) ** 2 - 1)
+    if cells > _MAX_CELLS:
+        raise ParameterError(
+            "the epsilon grid and its refinements would have %d cells, more than %d"
+            % (cells, _MAX_CELLS)
+        )
     grid = build_grid(p, N)
     archive = solve_grid(p, grid)
     if not archive.entries:

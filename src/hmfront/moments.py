@@ -49,7 +49,6 @@ from .errors import DataError, InsufficientDataError, ShapeError
 __all__ = [
     "ReturnsMatrix",
     "MomentSet",
-    "Weights",
     "ObjectiveVector",
     "MomentPoint",
     "load_returns_csv",
@@ -164,28 +163,6 @@ class MomentSet:
 
 
 @dataclass(frozen=True)
-class Weights:
-    """Portfolio allocation vector on the (possibly short-extended) simplex."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1:
-            raise ShapeError("weights must be a 1-D vector")
-        if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise DataError("weights must sum to 1 within 1e-10, got %r" % float(w.sum()))
-        object.__setattr__(self, "w", _readonly(w))
-
-    def check_short_bound(self, short_bound: float = 0.0) -> None:
-        if float(self.w.min()) < -short_bound - 1e-12:
-            raise DataError(
-                "weight %r below the short-selling bound -%r"
-                % (float(self.w.min()), float(short_bound))
-            )
-
-
-@dataclass(frozen=True)
 class ObjectiveVector:
     """Raw moment statistics of a single portfolio.
 
@@ -271,7 +248,7 @@ def compute_moments(returns: ReturnsMatrix) -> MomentSet:
 
 
 def _as_weight_vector(w, n: int) -> np.ndarray:
-    vec = w.w if isinstance(w, Weights) else np.asarray(w, dtype=float)
+    vec = np.asarray(w, dtype=float)
     if vec.shape != (n,):
         raise ShapeError("weight vector has shape %r, expected (%d,)" % (vec.shape, n))
     return vec
@@ -344,10 +321,8 @@ _STATS = ("mean", "variance", "skewness", "kurtosis")
 
 
 def portfolio_stats(w, m: MomentSet) -> ObjectiveVector:
-    """Mean, variance, skewness and kurtosis of a portfolio.
-
-    ``w`` may be a :class:`Weights` instance or a plain array of length n.
-    """
+    """Mean, variance, skewness and kurtosis of the portfolio ``w``, an
+    array of length n."""
     point = MomentPoint(w, m)
     return ObjectiveVector(*(point.value(name) for name in _STATS))
 

@@ -26,16 +26,17 @@ x_k >= 0``, gradient ``-e_k``), with the equality rows always held.  It is
 solved by the dual active-set method of Goldfarb and Idnani, warm-started
 from the previous QP's working set, and its multipliers are the reported
 Lagrange multipliers.  Steps are accepted by backtracking on the l1 exact
-penalty merit.  On convergence the stationarity residual of
+penalty merit.  A run stops once the stationarity residual of
 
     L(x) = f(x) - sum_i mu_i g_i(x) + sum_j lambda_j h_j(x),  mu_i >= 0
 
-is below ``tol_kkt`` and the constraint violation below ``tol_feas``.
-That sign convention is used everywhere in the package: inequality
-multipliers are reported nonnegative for constraints written ``g(x) >= 0``,
-and equality multipliers refer to the constraint exactly as written.
+is below ``_STOP_KKT`` (1e-10) and the constraint violation below
+``_STOP_FEAS`` (1e-11).  That sign convention is used everywhere in the
+package: inequality multipliers are reported nonnegative for constraints
+written ``g(x) >= 0``, and equality multipliers refer to the constraint
+exactly as written.
 
-A run that ends above the restoration threshold is followed by feasibility
+A run that ends above the infeasibility threshold is followed by feasibility
 restoration from the problem's ``x0``: the same SQP minimizes the summed
 squared violation of the violated rows under the bounds alone, and a
 restored point is solved again.  A ray that misses a non-convex image set
@@ -47,10 +48,11 @@ Each SQP run stops after ``_MAX_ITER`` (300) iterations, a restoration run
 after ``_RESTORE_MAX_ITER`` (200); rows within ``_ACTIVE_TOL`` (1e-7) of
 their bound start the first QP's working set; and a point still violating
 the constraints by more than ``_INFEASIBLE_TOL`` (1e-7) after restoration
-is infeasible.  Only the two convergence tolerances of
-:class:`SolverOptions` can be set, because the tracer's corrector
-subproblem needs tighter ones.  Solves are pure functions of their inputs,
-so identical problems produce bit-identical solutions.
+is infeasible.  A solve has converged when its final point is stationary
+within ``_TOL_KKT`` (1e-8) and feasible within ``_TOL_FEAS`` (1e-9).  A
+solve takes no settings: these tolerances decide only its status and
+message, and no caller wants other values.  Solves are pure functions of
+their inputs, so identical problems produce bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .util import lexicographic_less
 __all__ = [
     "NlpProblem",
     "RowBlock",
-    "SolverOptions",
     "SolveStatus",
     "ScalarSolution",
     "MultistartResult",
@@ -88,9 +89,11 @@ _INFEASIBLE_TOL = 1e-7
 _MAX_FEASIBILITY_STEPS = 10  # consecutive feasibility steps before a run gives up
 # a run stops once the QP's multipliers give a stationarity and
 # complementarity residual below _STOP_KKT and the violation is below
-# _STOP_FEAS: the tightest tolerances a caller sets (the tracer's corrector)
+# _STOP_FEAS, well inside the tolerances that decide a solve's status
 _STOP_KKT = 1e-10
 _STOP_FEAS = 1e-11
+_TOL_KKT = 1e-8  # largest stationarity residual of a converged solve
+_TOL_FEAS = 1e-9  # largest violation of a converged solve
 # least QP curvature, relative to max(1, max|Hessian of the Lagrangian|)
 _CURVATURE = 1e-8
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the merit's slope
@@ -155,20 +158,6 @@ class NlpProblem:
     @property
     def n(self) -> int:
         return self.x0.size
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Convergence tolerances of :func:`solve`: stationarity ``tol_kkt`` and
-    constraint violation ``tol_feas``.
-
-    They are the only settings, because the tracer's corrector subproblem
-    tightens both; the iteration caps, active-set tolerance, stopping
-    tolerances and infeasibility threshold are module constants.
-    """
-
-    tol_kkt: float = 1e-8
-    tol_feas: float = 1e-9
 
 
 class SolveStatus(str, Enum):
@@ -766,22 +755,21 @@ def _run_sqp(problem: NlpProblem, x0: np.ndarray) -> SqpResult:
     )
 
 
-def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSolution:
+def solve(problem: NlpProblem) -> ScalarSolution:
     """Local SQP solve with multiplier recovery.
 
     Returns a :class:`ScalarSolution` whose status is decided by the final
     measured residuals, not by the SQP's own stopping reason: ``converged``
-    requires stationarity <= tol_kkt and violation <= tol_feas;
-    ``infeasible`` is declared only after a failed feasibility restoration.
-    A run that ends above the restoration threshold ``max(_INFEASIBLE_TOL,
-    10 * tol_feas)`` is followed by restoration from ``problem.x0`` and, if
-    that reaches feasibility, by a second run from the restored point.
+    requires stationarity <= ``_TOL_KKT`` and violation <= ``_TOL_FEAS``;
+    ``infeasible`` means a violation above ``_INFEASIBLE_TOL``, after
+    feasibility restoration where it ran; anything else is ``max_iter``.  A
+    run that ends with a violation above ``_INFEASIBLE_TOL`` is followed by
+    restoration from ``problem.x0`` and, if that reaches feasibility, by a
+    second run from the restored point.
     """
-    opts = options or SolverOptions()
-    restore_above = max(_INFEASIBLE_TOL, 10.0 * opts.tol_feas)
     res = _run_sqp(problem, problem.x0)
     n_iter = res.nit
-    if res.violation > restore_above:
+    if res.violation > _INFEASIBLE_TOL:
         restored = _restore_feasibility(problem, problem.x0).x
         restored_viol = _violation(problem, restored)
         if restored_viol <= _INFEASIBLE_TOL:
@@ -812,7 +800,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> ScalarSo
     ]
     mu_full, nu_lo, nu_hi = _scatter(problem, res.rows, nus)
 
-    if viol <= opts.tol_feas and kkt <= opts.tol_kkt:
+    if viol <= _TOL_FEAS and kkt <= _TOL_KKT:
         status = SolveStatus.CONVERGED
         message = "converged"
     elif viol > _INFEASIBLE_TOL:

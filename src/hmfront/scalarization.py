@@ -183,12 +183,11 @@ class NbiParams:
 
 @dataclass(frozen=True)
 class PgpParams:
-    """Polynomial goal programming exponents plus the cached bound values
-    (z1*, z3*), which must be populated before the main solve."""
+    """Polynomial goal programming exponents ``alpha`` (on the mean
+    shortfall d1) and ``beta`` (on the skewness shortfall d3)."""
 
     alpha: float
     beta: float
-    z_stars: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0 and self.beta > 0):
@@ -507,7 +506,7 @@ def _solve_aux(
     sense: float,
     equality: bool,
     start: np.ndarray,
-    starts,
+    starts=None,
     aux0=lambda w0: 0.0,
     check=None,
 ) -> nlp.ScalarSolution:
@@ -531,14 +530,14 @@ def _solve_aux(
     return _best_of_starts(solve_one, [start] if starts is None else starts)
 
 
-def solve_sf(p: PortfolioMop, sf: SfParams, *, starts=None) -> nlp.ScalarSolution:
+def solve_sf(p: PortfolioMop, sf: SfParams) -> nlp.ScalarSolution:
     """Shortage function: maximal delta with F(x) + delta g <= F(reference).
 
     delta* is 0 exactly when the reference is efficient and positive when it
     is dominated; ``aux_value`` carries delta*.  Goal-row multipliers appear
-    in ``ineq_multipliers`` in objective order.  ``starts`` optionally
-    lists start weights to try in order: the first converged solve is kept,
-    and later starts are fallbacks.
+    in ``ineq_multipliers`` in objective order.  The solve starts from the
+    reference weights, or from equal weights when only the reference
+    objectives are given.
     """
 
     def check(sol):
@@ -550,7 +549,7 @@ def solve_sf(p: PortfolioMop, sf: SfParams, *, starts=None) -> nlp.ScalarSolutio
 
     return _solve_aux(
         p, _sf_goals(p, sf), sense=-1.0, equality=False, start=_sf_start(p, sf),
-        starts=starts, check=check,
+        check=check,
     )
 
 
@@ -810,9 +809,9 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
     """Two-phase polynomial goal program on the unit variance slice.
 
     Phase 1 computes z1* = max mean and z3* = max skewness subject to
-    variance = 1 (cached in the params when already supplied); phase 2
-    minimizes d1**alpha + d3**beta with d1 = z1* - mean, d3 = z3* - skew,
-    variance pinned to 1, over the simplex.
+    variance = 1; phase 2 minimizes d1**alpha + d3**beta with d1 = z1* -
+    mean, d3 = z3* - skew, variance pinned to 1, over the simplex.  ``info``
+    carries z1*, z3*, d1 and d3.
     """
     n = p.n
     for name in ("mean", "skewness"):
@@ -837,12 +836,8 @@ def solve_pgp(p: PortfolioMop, g: PgpParams, *, seed: int = 0) -> nlp.ScalarSolu
             ),
         )
         return sol
-    if g.z_stars is not None:
-        z1_star, z3_star = g.z_stars
-        w_mean = equal_weights(n)
-    else:
-        z1_star, w_mean = _pgp_bound_problem(p, "mean", seed)
-        z3_star, _ = _pgp_bound_problem(p, "skewness", seed + 1)
+    z1_star, w_mean = _pgp_bound_problem(p, "mean", seed)
+    z3_star, _ = _pgp_bound_problem(p, "skewness", seed + 1)
 
     stats0 = p.raw_stats(w_mean)
     x0 = np.concatenate(
@@ -919,28 +914,27 @@ def _power_root(target: float, d: float, hi: float = 10.0) -> Optional[float]:
 
 def check_pgp_kkt(
     nbi_solution: nlp.ScalarSolution,
-    g: PgpParams,
+    z_stars: tuple[float, float],
     nbi: NbiParams,
     p: PortfolioMop,
 ) -> PgpKktReport:
     """Transport an NBI solution into the PGP stationarity system.
 
-    Computes the shortfalls d1, d3 against the cached bound values, solves
+    Computes the shortfalls d1, d3 against the bound values ``z_stars =
+    (z1*, z3*)`` of :func:`solve_pgp` (its ``info``), solves
     the scalar fixed-point equations for the exponents (alpha appears on
     both sides; bisection on (0, 10]), rescales the NBI goal multipliers
     into PGP multipliers via the d1 stationarity row, and reports the
     resulting residual norms.  Degenerate shortfalls (d1 or d3 <= 0) yield a
     not-applicable report.
     """
-    if g.z_stars is None:
-        raise ParameterError("PgpParams.z_stars must be populated (run solve_pgp first)")
     if not nbi_solution.converged:
         return PgpKktReport(False, "NBI solution did not converge")
     w = nbi_solution.weights
     if w is None:
         w = nbi_solution.x[: p.n]
     stats = p.raw_stats(w)
-    z1_star, z3_star = g.z_stars
+    z1_star, z3_star = z_stars
     d1 = float(z1_star - stats.mean)
     d3 = float(z3_star - stats.skewness)
     if d1 <= 0 or d3 <= 0:

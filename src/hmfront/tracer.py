@@ -62,9 +62,6 @@ __all__ = [
 
 _RIDGE = 1e-8
 _CORRECTOR_MAX_ITER = 60
-# the corrector's certificate t* is read off the subproblem solution, so the
-# subproblem is solved tighter than the solver's defaults
-_SUBPROBLEM_OPTIONS = nlp.SolverOptions(tol_kkt=1e-10, tol_feas=1e-11)
 
 
 @dataclass(frozen=True)
@@ -310,7 +307,7 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
     """
     n, m = mop.n, mop.m
     problem, row_scales, c_t = _corrector_problem(mop, x, grads, hessians, delta)
-    sol = nlp.solve(problem, _SUBPROBLEM_OPTIONS)
+    sol = nlp.solve(problem)
     s = sol.x[:n]
     t_scaled = float(sol.x[-1])
     t_raw = c_t * t_scaled

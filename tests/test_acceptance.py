@@ -242,9 +242,7 @@ def test_criterion_11_pgp_diagnostic(convex_returns, convex_mop):
         mop = hf.PortfolioMop(moments=hf.compute_moments(scaled))
         base = sc.solve_pgp(mop, sc.PgpParams(alpha=1.0, beta=1.0), seed=0)
         assert base.converged
-        pgp = sc.PgpParams(
-            alpha=1.0, beta=1.0, z_stars=(base.info["z1_star"], base.info["z3_star"])
-        )
+        z_stars = (base.info["z1_star"], base.info["z3_star"])
         anchors2 = sc.compute_anchors(mop, seed=1)
         rng = np.random.default_rng(11)
         applicable = []
@@ -256,7 +254,7 @@ def test_criterion_11_pgp_diagnostic(convex_returns, convex_mop):
             )
             if not nsol.converged:
                 continue
-            rep = sc.check_pgp_kkt(nsol, pgp, nbi, mop)
+            rep = sc.check_pgp_kkt(nsol, z_stars, nbi, mop)
             if not rep.applicable:
                 continue
             applicable.append(rep)

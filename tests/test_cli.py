@@ -605,6 +605,65 @@ def test_ray_lattice_is_bounded_before_any_solve(
         run([*argv, "--param", "divisions=%d" % largest])
 
 
+@pytest.mark.parametrize(
+    "method, param",
+    [
+        ("tracer", "tau=inf"),
+        ("epsilon", "alpha=inf"),
+        ("pgp", "alpha=inf"),
+        ("tracer", "corrector_tol=inf"),
+    ],
+)
+def test_non_finite_float_param_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, method, param
+):
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    out = tmp_path / "f"
+    argv = ["front", *SYN, "--method", method, "--param", param, "--out", str(out)]
+    assert run(argv) == EXIT_INPUT
+    assert "must be a finite float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_float_in_config_method_params_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    cfg = tmp_path / "cfg.json"
+    # json writes nan as NaN, which json.load reads back as a float
+    cfg.write_text(json.dumps({"method": "tracer", "method_params": {"tau": float("nan")}}))
+    out = tmp_path / "f"
+    assert run(["front", *SYN, "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+    assert "must be a finite float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_epsilon_cells_are_bounded_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a grid of n1 * n2 cells plus (2k+1)^2 - 1 per round may hold at most
+    # 250,000 cells, for front --method epsilon and for the quality reference
+    front_dir = tmp_path / "front"
+    argv = ["front", *SYN, "--method", "utility_iterative", "--param", "lambda_start=6"]
+    assert run([*argv, "--out", str(front_dir)]) == EXIT_OK
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    front = ["front", *SYN, "--method", "epsilon", "--out", str(tmp_path / "f")]
+    for params in (
+        ["n1=100000", "n2=100000"],
+        ["n1=501", "n2=500", "rounds=0"],
+        ["n1=500", "n2=500", "rounds=1"],  # 250,000 + 8
+        ["n1=2", "n2=2", "k=1000"],
+    ):
+        argv = [*front, *(arg for item in params for arg in ("--param", item))]
+        assert run(argv) == EXIT_INPUT
+        assert "cells, more than 250000" in capsys.readouterr().err
+    quality = ["quality", *SYN, "--front", str(front_dir / "front.csv")]
+    quality += ["--out", str(tmp_path / "q"), "--reference-n"]
+    assert run([*quality, "501", "500"]) == EXIT_INPUT
+    assert "cells, more than 250000" in capsys.readouterr().err
+    # the largest grids allowed pass the check and reach the solver
+    with pytest.raises(AssertionError, match="a solve ran"):
+        run([*front, "--param", "n1=500", "--param", "n2=500", "--param", "rounds=0"])
+    with pytest.raises(AssertionError, match="a solve ran"):
+        run([*quality, "500", "500"])
+
+
 @pytest.mark.parametrize("method", ["nbi", "sp"])
 def test_ray_front_keeps_its_counts(tmp_path, method):
     out = tmp_path / "f"

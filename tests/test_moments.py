@@ -8,7 +8,6 @@ from hmfront import (
     InsufficientDataError,
     ReturnsMatrix,
     ShapeError,
-    Weights,
     compute_moments,
     load_returns_csv,
     portfolio_stats,
@@ -192,15 +191,6 @@ def test_returns_validation_errors():
     bad[1, 1] = np.nan
     with pytest.raises(DataError, match="row 2, column 2"):
         ReturnsMatrix(assets=("A", "B"), observations=bad)
-
-
-def test_weights_validation():
-    with pytest.raises(DataError):
-        Weights(w=np.array([0.5, 0.4]))
-    w = Weights(w=np.array([0.5, 0.5]))
-    w.check_short_bound(0.0)
-    with pytest.raises(DataError):
-        Weights(w=np.array([1.5, -0.5])).check_short_bound(0.0)
 
 
 def test_dimension_mismatch_raises():

@@ -238,18 +238,22 @@ def _recording_minimize(monkeypatch):
     return sqp_iters
 
 
-def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
-    sqp_iters = _recording_minimize(monkeypatch)
+def _circle_problem(x0):
+    """min x0 + 2 x1 on the circle x'x = 1."""
 
     def rows(x):
-        # min x0 + 2 x1 on the circle x'x = 1
         return RowBlock(
             np.array([x[0] + 2.0 * x[1], float(x @ x - 1.0)]),
             lambda: np.array([[1.0, 2.0], 2.0 * x]),
             lambda w: w[1] * 2.0 * np.eye(2),
         )
 
-    prob = NlpProblem(rows=rows, x0=np.array([30.0, -20.0]), n_eq=1)
+    return NlpProblem(rows=rows, x0=np.array(x0), n_eq=1)
+
+
+def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
+    sqp_iters = _recording_minimize(monkeypatch)
+    prob = _circle_problem([30.0, -20.0])
     # ten iterations cannot reach the circle from this start, so the solve
     # restores feasibility and runs SQP a second time, which needs eight
     monkeypatch.setattr(nlp, "_MAX_ITER", 10)
@@ -257,6 +261,39 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
     assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
+
+
+def test_iteration_cap_reports_max_iter_with_the_stopping_reason(monkeypatch):
+    # min sum(exp(x) - 2x) from (3, -2) takes eight Newton iterations, and
+    # no constraint can be violated
+    def rows(x):
+        return RowBlock(
+            np.array([float(np.sum(np.exp(x) - 2.0 * x))]),
+            lambda: (np.exp(x) - 2.0)[None, :],
+            lambda w: w[0] * np.diag(np.exp(x)),
+        )
+
+    prob = NlpProblem(rows=rows, x0=np.array([3.0, -2.0]))
+    assert solve(prob).status is SolveStatus.CONVERGED
+    monkeypatch.setattr(nlp, "_MAX_ITER", 1)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.MAX_ITER
+    assert sol.n_iter == 1
+    assert sol.constraint_violation == 0.0 and sol.kkt_residual > nlp._TOL_KKT
+    assert sol.message.startswith("best iterate returned")
+    assert sol.message.endswith(": iteration cap reached")
+
+
+def test_point_left_infeasible_after_restoration_is_infeasible(monkeypatch):
+    # restoration reaches the circle, but one SQP iteration from there steps
+    # off it again: the final point, not restoration, decides the status
+    sqp_iters = _recording_minimize(monkeypatch)
+    monkeypatch.setattr(nlp, "_MAX_ITER", 1)
+    sol = solve(_circle_problem([0.0, 3.0]))
+    assert sqp_iters == [1, 1]
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.constraint_violation > nlp._INFEASIBLE_TOL
+    assert sol.message.startswith("final point violates constraints")
 
 
 def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):

@@ -470,13 +470,13 @@ def test_pgp_quadratic_matches_slice_sweep_oracle(pgp_mop):
 def test_check_pgp_kkt_degenerate_shortfall_not_applicable(pgp_mop):
     anchors2 = sc.compute_anchors(pgp_mop, seed=1)
     base = sc.solve_pgp(pgp_mop, sc.PgpParams(alpha=1.0, beta=1.0), seed=0)
-    pgp = sc.PgpParams(alpha=1.0, beta=1.0, z_stars=(base.info["z1_star"], base.info["z3_star"]))
+    z_stars = (base.info["z1_star"], base.info["z3_star"])
     # vertex beta: the NBI solution sits at the max-mean anchor, whose mean
     # exceeds the slice bound, so d1 <= 0
     nbi = sc.nbi_params(anchors2, np.eye(3)[0])
     nsol = sc.solve_nbi(pgp_mop, nbi)
     assert nsol.converged
-    rep = sc.check_pgp_kkt(nsol, pgp, nbi, pgp_mop)
+    rep = sc.check_pgp_kkt(nsol, z_stars, nbi, pgp_mop)
     assert not rep.applicable
     assert "shortfall" in rep.reason
 
@@ -484,7 +484,7 @@ def test_check_pgp_kkt_degenerate_shortfall_not_applicable(pgp_mop):
 def test_check_pgp_kkt_interior_beta_finite_report(pgp_mop):
     anchors2 = sc.compute_anchors(pgp_mop, seed=1)
     base = sc.solve_pgp(pgp_mop, sc.PgpParams(alpha=1.0, beta=1.0), seed=0)
-    pgp = sc.PgpParams(alpha=1.0, beta=1.0, z_stars=(base.info["z1_star"], base.info["z3_star"]))
+    z_stars = (base.info["z1_star"], base.info["z3_star"])
     rng = np.random.default_rng(11)
     applicable = []
     for _ in range(16):
@@ -493,7 +493,7 @@ def test_check_pgp_kkt_interior_beta_finite_report(pgp_mop):
         nsol = sc.solve_nbi(pgp_mop, nbi, starts=[beta @ anchors2.weights, equal_weights(3)])
         if not nsol.converged:
             continue
-        rep = sc.check_pgp_kkt(nsol, pgp, nbi, pgp_mop)
+        rep = sc.check_pgp_kkt(nsol, z_stars, nbi, pgp_mop)
         if rep.applicable:
             applicable.append(rep)
     assert applicable, "no interior beta produced an applicable report"
