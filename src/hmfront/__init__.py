@@ -57,6 +57,7 @@ from .scalarization import (
     check_pgp_kkt,
     compute_anchors,
     map_nbi_to_msf,
+    map_nbi_to_sp,
     map_sf_to_sp,
     minimize_objective,
     nbi_params,

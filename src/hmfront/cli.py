@@ -75,7 +75,8 @@ EXIT_VERIFY = 4
 EXIT_MEASURE = 5
 
 # most subproblems one front run may schedule: the lambda values of a
-# utility_iterative schedule (one QP each), the rays of an nbi or sp lattice
+# utility_iterative schedule (one QP each), the rays of an nbi or sp lattice,
+# the references of sf or msf and the starts of tracer or utility
 _MAX_SUBPROBLEMS = 10_000
 
 
@@ -273,7 +274,14 @@ def _solution_multipliers(sol: nlp.ScalarSolution) -> dict:
     return _mult_dict("mu", sol.ineq_multipliers)
 
 
+def _check_count(cfg: RunConfig, name: str) -> None:
+    """Reject a count parameter outside 1.._MAX_SUBPROBLEMS before any solve."""
+    if not 1 <= cfg.method_params.get(name, 1) <= _MAX_SUBPROBLEMS:
+        raise ParameterError("%s must be from 1 to %d" % (name, _MAX_SUBPROBLEMS))
+
+
 def _run_tracer(cfg: RunConfig, mop: PortfolioMop):
+    _check_count(cfg, "n_starts")
     front = tracer.trace(mop, tracer.TracerConfig(**cfg.method_params), seed=cfg.seed)
     return front.points, front.metadata, []
 
@@ -328,7 +336,7 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
             sol = scalarization.solve_nbi(mop, nbi, starts=starts)
             aux_name = "s"
         else:
-            sp = scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar)
+            sp = scalarization.map_nbi_to_sp(nbi)
             sol = scalarization.solve_sp(
                 mop, sp, modified=params.get("modified", True), starts=starts
             )
@@ -352,9 +360,8 @@ def _run_rays(cfg: RunConfig, mop: PortfolioMop):
 
 def _run_shortage(cfg: RunConfig, mop: PortfolioMop):
     """Shortage-function (SF or MSF) solves from random reference portfolios."""
+    _check_count(cfg, "n_references")
     n_refs = cfg.method_params.get("n_references", 20)
-    if n_refs < 1:
-        raise ParameterError("n_references must be >= 1")
     g = _sf_direction(scalarization.compute_anchors(mop, seed=cfg.seed))
     rng = np.random.default_rng(cfg.seed)
     solver = scalarization.solve_sf if cfg.method == "sf" else scalarization.solve_msf
@@ -402,6 +409,7 @@ def _run_pgp(cfg: RunConfig, mop: PortfolioMop):
 
 def _run_utility(cfg: RunConfig, mop: PortfolioMop):
     params = cfg.method_params
+    _check_count(cfg, "n_starts")
     u = UtilityParams(lam=params.get("lam", 2.0))
     sol = utility_optimize(mop, u, n_starts=params.get("n_starts", 16), seed=cfg.seed)
     metadata = {"lambda": u.lam, "seed": cfg.seed}
@@ -599,7 +607,7 @@ def _verify_cases(
         nbi = scalarization.nbi_params(anchors, beta)
         starts = _ray_starts(anchors, beta)
         nbi_sol = scalarization.solve_nbi(mop, nbi, starts=starts)
-        sp = scalarization.SpParams(a=nbi.hull_point, r=-anchors.nbar)
+        sp = scalarization.map_nbi_to_sp(nbi)
         sp_sol = scalarization.solve_sp(mop, sp, modified=True, starts=starts)
         msf_sol = scalarization.solve_msf(mop, scalarization.map_nbi_to_msf(nbi), starts=starts)
         where = {"beta": [float(b) for b in beta]}

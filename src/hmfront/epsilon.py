@@ -4,11 +4,10 @@ The driver covers three-objective problems: two objectives are bounded by a
 grid of epsilon values and the third is minimized (skewness is always the
 minimized objective, in minimization form -skewness, with the other two
 constrained).  Each bounded objective (-mean, variance or kurtosis) is
-convex on the simplex: -mean is linear, and variance and kurtosis are means
-of (c_t'w)^2 and (c_t'w)^4 over the centered returns c_t.  So a grid range
-needs no multistart: the maximum of a convex function over the simplex is
-at a vertex, read there without a solve, and the minimum is one local solve
-from equal weights.  Cells are laid out at
+convex on the simplex (see :data:`hmfront.problem.CONVEX_OBJECTIVES`), so a
+grid range needs no multistart: its maximum is at a vertex, read there
+without a solve, and its minimum is one solve from equal weights.  Cells
+are laid out at
 
     eps_i = eps_min_i + L_i/2 + l_i * L_i,   L_i = (eps_max_i - eps_min_i)/N_i
 

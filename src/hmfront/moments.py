@@ -210,20 +210,11 @@ def load_returns_csv(path) -> ReturnsMatrix:
     return ReturnsMatrix(assets=assets, observations=np.array(data, dtype=float))
 
 
-def _symmetrize3(t3: np.ndarray) -> np.ndarray:
+def _symmetrize(t: np.ndarray) -> np.ndarray:
     # Replace every entry by its canonical (sorted-index) representative so
     # index symmetry holds exactly, not just to rounding.
-    n = t3.shape[0]
-    idx = np.indices((n, n, n)).reshape(3, -1)
-    idx = np.sort(idx, axis=0)
-    return t3[idx[0], idx[1], idx[2]].reshape(n, n, n)
-
-
-def _symmetrize4(t4: np.ndarray) -> np.ndarray:
-    n = t4.shape[0]
-    idx = np.indices((n, n, n, n)).reshape(4, -1)
-    idx = np.sort(idx, axis=0)
-    return t4[idx[0], idx[1], idx[2], idx[3]].reshape(n, n, n, n)
+    idx = np.sort(np.indices(t.shape).reshape(t.ndim, -1), axis=0)
+    return t[tuple(idx)].reshape(t.shape)
 
 
 def compute_moments(returns: ReturnsMatrix) -> MomentSet:
@@ -242,8 +233,8 @@ def compute_moments(returns: ReturnsMatrix) -> MomentSet:
     sigma = 0.5 * (sigma + sigma.T)
     t3 = np.einsum("ti,tj,tk->ijk", x, x, x, optimize=True) / t_count
     t4 = np.einsum("ti,tj,tk,tl->ijkl", x, x, x, x, optimize=True) / t_count
-    m3 = _symmetrize3(t3).reshape(n, n * n)
-    m4 = _symmetrize4(t4).reshape(n, n ** 3)
+    m3 = _symmetrize(t3).reshape(n, n * n)
+    m4 = _symmetrize(t4).reshape(n, n ** 3)
     return MomentSet(mu=mu, sigma=sigma, m3=m3, m4=m4, T=t_count, n=n)
 
 

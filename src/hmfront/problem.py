@@ -37,6 +37,7 @@ from .util import dirichlet_starts, equal_weights
 __all__ = [
     "OBJECTIVE_NAMES",
     "OBJECTIVE_SENSES",
+    "CONVEX_OBJECTIVES",
     "PortfolioMop",
     "UtilityParams",
     "utility_objective",
@@ -50,6 +51,10 @@ OBJECTIVE_NAMES = ("mean", "variance", "skewness", "kurtosis")
 
 # multiplier taking the raw statistic into the minimization form
 OBJECTIVE_SENSES = {"mean": -1.0, "variance": 1.0, "skewness": -1.0, "kurtosis": 1.0}
+# objectives convex on the simplex in minimization form: -mean is linear, and
+# variance and kurtosis are means of (c_t'w)^2 and (c_t'w)^4 over the centered
+# returns c_t.  Each has its maximum at a vertex and its minimum from one solve.
+CONVEX_OBJECTIVES = frozenset({"mean", "variance", "kurtosis"})
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,15 @@ phrased on the internal minimization image F (see :mod:`hmfront.problem`):
 * polynomial goal programming (PGP): two bound problems on the unit
   variance slice, then minimization of ``d1**alpha + d3**beta``.
 
-The parameter maps (:func:`map_nbi_to_msf`, :func:`map_sf_to_sp`) implement
-the substitutions that make these programs coincide; the dual-solve
-agreement they promise is exercised end to end by the verification command
-and the test suite.
+The parameter maps (:func:`map_nbi_to_msf`, :func:`map_nbi_to_sp`,
+:func:`map_sf_to_sp`) implement the substitutions that make these programs
+coincide; the dual-solve agreement they promise is exercised end to end by
+the verification command and the test suite.
+
+:func:`compute_anchors` takes one solve per convex anchor (see
+:data:`~hmfront.problem.CONVEX_OBJECTIVES`) and a multistart for skewness.
+:class:`AnchorSet` computes the hull normal on first use, so the SF and MSF
+fronts, which read only the anchor ranges, run where it is undefined.
 
 SF, MSF, NBI, SP, the epsilon cell and the single-objective solves are one
 program: goal rows ``sign * (F_i(w) - target_i)`` over the simplex, plus
@@ -31,23 +36,24 @@ parameter map stays what is tested, and :func:`_scaled_problem` is the one
 assembler: it scales every row and the objective to unit gradient size and
 maps the solve back to raw units, multipliers included.  The aux methods
 share one multistart path, :func:`_solve_aux`, which keeps the first start
-that converges and runs later starts only as fallbacks.  The anchors and
-the PGP bound problems keep the best of all their starts instead
-(:func:`nlp.solve_multistart`): the skewness anchor and the unit-variance
-row are not convex.  PGP's main solve is assembled separately and is not
-scaled.
+that converges and runs later starts only as fallbacks.  The skewness anchor
+and the PGP bound problems keep the best of all their starts instead
+(:func:`nlp.solve_multistart`): -skewness and the unit-variance row are not
+convex.  PGP's main solve is assembled separately and is not scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .problem import OBJECTIVE_SENSES, PortfolioMop, _budget_row, _mean_variance_qp
+from .problem import CONVEX_OBJECTIVES, OBJECTIVE_SENSES, PortfolioMop, _budget_row
+from .problem import _mean_variance_qp
 from .quality import distances
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
@@ -69,13 +75,14 @@ __all__ = [
     "pgp_scale_factor",
     "pgp_efficient_scale",
     "map_nbi_to_msf",
+    "map_nbi_to_sp",
     "map_sf_to_sp",
     "check_pgp_kkt",
 ]
 
-# multistart sizes: equal weights plus Dirichlet draws for each anchor; equal
-# weights, the simplex vertices and Dirichlet draws up to this total for each
-# PGP bound problem
+# multistart sizes: equal weights plus Dirichlet draws for the skewness
+# anchor; equal weights, the simplex vertices and Dirichlet draws up to this
+# total for each PGP bound problem
 _ANCHOR_STARTS = 4
 _PGP_STARTS = 8
 
@@ -148,37 +155,27 @@ class SpParams:
 
 @dataclass(frozen=True)
 class NbiParams:
-    """NBI parameters: hull weights beta, ideal point, anchor matrix Phi and
-    the unit hull normal oriented into the negative orthant."""
+    """NBI parameters: hull weights beta on the hull of ``anchors``, which
+    supplies the ideal point f*, Phi and the hull normal."""
 
     beta: np.ndarray
-    ideal: np.ndarray
-    phi: np.ndarray
-    nbar: np.ndarray
-    anchor_weights: Optional[np.ndarray] = None
+    anchors: AnchorSet
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
-        ideal = np.asarray(self.ideal, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        nbar = np.asarray(self.nbar, dtype=float)
-        m = beta.size
         if abs(float(beta.sum()) - 1.0) > 1e-9 or np.any(beta < -1e-12):
             raise ParameterError("beta must be nonnegative and sum to 1")
-        if ideal.shape != (m,) or phi.shape != (m, m) or nbar.shape != (m,):
-            raise ShapeError("inconsistent NBI parameter dimensions")
+        if beta.shape != self.anchors.ideal.shape:
+            raise ShapeError("beta must have one entry per anchor")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "nbar", nbar)
-        if self.anchor_weights is not None:
-            object.__setattr__(
-                self, "anchor_weights", np.asarray(self.anchor_weights, dtype=float)
-            )
 
     @property
     def hull_point(self) -> np.ndarray:
-        return self.ideal + self.phi @ self.beta
+        return self.anchors.ideal + self.anchors.phi @ self.beta
+
+    @property
+    def nbar(self) -> np.ndarray:
+        return self.anchors.nbar
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,34 @@ class AnchorSet:
     """Individual-minimizer anchors of a portfolio MOP.
 
     ``images`` holds F(x^i) by row; ``phi`` holds F(x^i) - f* by column.
+    The hull normal ``nbar`` is computed on first use, so a caller that
+    reads only the images works where the normal is undefined.
     """
 
     weights: np.ndarray
     ideal: np.ndarray
     images: np.ndarray
     phi: np.ndarray
-    nbar: Optional[np.ndarray]
+
+    @cached_property
+    def nbar(self) -> np.ndarray:
+        """Unit normal of the anchor hull, oriented into the negative orthant."""
+        images = self.images
+        diffs = images[1:] - images[0]
+        # scale rows so disparate objective magnitudes do not swamp the null space
+        norms = np.linalg.norm(diffs, axis=1)
+        scale = float(np.max(np.abs(images - images.mean(axis=0))))
+        if np.any(norms <= 1e-9 * max(scale, 1e-300)):
+            raise SolverError("anchor images coincide; hull normal undefined")
+        _, svals, vh = np.linalg.svd(diffs / norms[:, None])
+        if svals.min() < 1e-8:
+            raise SolverError("anchor images are affinely dependent; hull normal undefined")
+        # the last right singular vector spans the null space of the m - 1 rows
+        nbar = vh[-1] / np.linalg.norm(vh[-1])
+        total = float(nbar.sum())
+        if total > 0 or (total == 0 and nbar[np.nonzero(nbar)[0][0]] > 0):
+            nbar = -nbar
+        return nbar
 
     @property
     def image_diameter(self) -> float:
@@ -395,59 +413,30 @@ def minimize_objective(
     return finish(nlp.solve_multistart(problem, starts).best)
 
 
-def compute_anchors(p: PortfolioMop, *, seed: int = 0, hull: bool = True) -> AnchorSet:
-    """Solve the m individual minimizations and build the hull geometry.
+def compute_anchors(p: PortfolioMop, *, seed: int = 0) -> AnchorSet:
+    """Solve the m individual minimizations.
 
-    Each anchor solve is multistarted (equal weights plus
-    ``_ANCHOR_STARTS - 1`` Dirichlet draws) to reduce the local-minimum risk
-    of the skewness objective; this is a heuristic, not a global guarantee.
-    With ``hull=False`` the normal is skipped (and set to None), which
-    avoids failing on instances whose anchors are affinely dependent when
-    only the images are needed.
+    A convex objective (:data:`~hmfront.problem.CONVEX_OBJECTIVES`) takes
+    one solve from equal weights.  The skewness anchor is multistarted
+    (equal weights plus ``_ANCHOR_STARTS - 1`` Dirichlet draws from
+    ``seed``) to reduce its local-minimum risk; this is a heuristic, not a
+    global guarantee.
     """
     n, m = p.n, p.m
-    rng = np.random.default_rng(seed)
-    starts = [equal_weights(n)] + dirichlet_starts(n, _ANCHOR_STARTS - 1, rng)
     anchors = np.zeros((m, n))
-    for i in range(m):
+    for i, name in enumerate(p.objectives):
+        starts = [equal_weights(n)]
+        if name not in CONVEX_OBJECTIVES:
+            starts += dirichlet_starts(n, _ANCHOR_STARTS - 1, np.random.default_rng(seed))
         anchors[i] = minimize_objective(p, i, starts=starts).x
     images = np.array([p.objective_values(anchors[i]) for i in range(m)])
     ideal = images.min(axis=0)
     phi = (images - ideal).T  # columns are F(x^i) - f*
-    nbar = _hull_normal(images) if hull else None
-    return AnchorSet(weights=anchors, ideal=ideal, images=images, phi=phi, nbar=nbar)
-
-
-def _hull_normal(images: np.ndarray) -> np.ndarray:
-    """Unit normal of the anchor hull, oriented into the negative orthant."""
-    diffs = images[1:] - images[0]
-    # scale rows so disparate objective magnitudes do not swamp the null space
-    norms = np.linalg.norm(diffs, axis=1)
-    scale = float(np.max(np.abs(images - images.mean(axis=0))))
-    if np.any(norms <= 1e-9 * max(scale, 1e-300)):
-        raise SolverError("anchor images coincide; hull normal undefined")
-    scaled = diffs / norms[:, None]
-    _, svals, vh = np.linalg.svd(scaled)
-    if svals.min() < 1e-8:
-        raise SolverError("anchor images are affinely dependent; hull normal undefined")
-    # the last right singular vector spans the null space of the m - 1 rows
-    nbar = vh[-1] / np.linalg.norm(vh[-1])
-    total = float(nbar.sum())
-    if total > 0 or (total == 0 and nbar[np.nonzero(nbar)[0][0]] > 0):
-        nbar = -nbar
-    return nbar
+    return AnchorSet(weights=anchors, ideal=ideal, images=images, phi=phi)
 
 
 def nbi_params(anchors: AnchorSet, beta) -> NbiParams:
-    if anchors.nbar is None:
-        raise ParameterError("anchors were computed without the hull normal")
-    return NbiParams(
-        beta=np.asarray(beta, dtype=float),
-        ideal=anchors.ideal,
-        phi=anchors.phi,
-        nbar=anchors.nbar,
-        anchor_weights=anchors.weights,
-    )
+    return NbiParams(beta=beta, anchors=anchors)
 
 
 def _resolve_reference(p: PortfolioMop, sf: SfParams) -> np.ndarray:
@@ -579,10 +568,7 @@ def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolu
     goals = [
         _Goal(i, 1.0, float(hull[i]), coef=-float(nbi.nbar[i])) for i in range(m)
     ]
-    if nbi.anchor_weights is not None:
-        start = nbi.beta @ nbi.anchor_weights
-    else:
-        start = equal_weights(p.n)
+    start = nbi.beta @ nbi.anchors.weights
 
     def s_start(w0):
         return _ray_start(p.objective_values(w0), hull, nbi.nbar)
@@ -643,6 +629,16 @@ def map_nbi_to_msf(nbi: NbiParams) -> SfParams:
             "hull normal has a positive component; shortage direction undefined"
         )
     return SfParams(g=np.maximum(g, 0.0), reference_objectives=nbi.hull_point)
+
+
+def map_nbi_to_sp(nbi: NbiParams) -> SpParams:
+    """Parameter substitution sending an NBI subproblem to a modified SP one.
+
+    The SP reference is the hull point ``f* + Phi beta`` and the direction
+    is the reversed hull normal, so the modified SP reproduces the NBI
+    optimum with t = -s.
+    """
+    return SpParams(a=nbi.hull_point, r=-nbi.nbar)
 
 
 def map_sf_to_sp(sf: SfParams, p: PortfolioMop) -> SpParams:

@@ -482,7 +482,7 @@ def trace(
     if not isinstance(problem, PortfolioMop):
         raise ParameterError("trace expects a PortfolioMop")
     mop = as_smooth_mop(problem)
-    anchors = compute_anchors(problem, seed=seed, hull=False)
+    anchors = compute_anchors(problem, seed=seed)
     tau = cfg.tau
     if tau is None:
         tau = 0.01 * anchors.image_diameter
@@ -503,7 +503,7 @@ def trace(
     def correct_seed(w):
         try:
             return corrector(w, mop, cfg.corrector_tol)
-        except (CorrectorStallError, SolverError):
+        except SolverError:
             return None
 
     corrected = [pt for pt in parallel_map(correct_seed, seeds) if pt is not None]
@@ -528,7 +528,7 @@ def trace(
             for step in predictor(pt, frame, cfg, mop):
                 try:
                     out.append(corrector(step.point, mop, cfg.corrector_tol))
-                except (CorrectorStallError, SolverError):
+                except SolverError:
                     continue
             return out
 

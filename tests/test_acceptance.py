@@ -100,7 +100,7 @@ def test_criterion_03_nbi_equivalences(convex_mop):
             nsol = sc.solve_nbi(convex_mop, nbi, starts=starts)
             spsol = sc.solve_sp(
                 convex_mop,
-                sc.SpParams(a=nbi.hull_point, r=-anchors.nbar),
+                sc.map_nbi_to_sp(nbi),
                 modified=True,
                 starts=starts,
             )

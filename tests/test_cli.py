@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hmfront import cli, nlp, problem, scalarization, synthetic_returns
@@ -50,6 +51,23 @@ def _epsilon_and_quality_runs(tmp_path) -> str:
     )
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_front_runs_with_scipy_unimportable(tmp_path):
+    # numpy is the package's only dependency, although scipy is installed
+    # with the test extra; a None entry in sys.modules makes its import fail
+    argv = ["front", "--method", "nbi", *SYN, "--out", str(tmp_path / "f")]
+    code = "import sys; sys.modules['scipy'] = None; from hmfront.cli import main; "
+    out = _run_python(code + "sys.exit(main(%r))" % argv)
+    assert out.returncode == EXIT_OK, out.stderr
+
+
 @pytest.mark.parametrize(
     "package, runs",
     [
@@ -62,17 +80,13 @@ def _epsilon_and_quality_runs(tmp_path) -> str:
     ids=["cli-import-no-scipy", "epsilon-and-quality-no-numpy-random"],
 )
 def test_run_leaves_package_unloaded(tmp_path, package, runs):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     loaded = "sorted(m for m in sys.modules if m == %r or m.startswith(%r))" % (
         package,
         package + ".",
     )
     code = "import sys, numpy; print(%s); %s; print(%s)" % (loaded, runs(tmp_path), loaded)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
     lines = out.stdout.strip().splitlines()
     after_numpy, after_runs = lines[0], lines[-1]
     if after_numpy != "[]":
@@ -662,6 +676,60 @@ def test_epsilon_cells_are_bounded_before_any_solve(tmp_path, capsys, monkeypatc
         run([*front, "--param", "n1=500", "--param", "n2=500", "--param", "rounds=0"])
     with pytest.raises(AssertionError, match="a solve ran"):
         run([*quality, "500", "500"])
+
+
+@pytest.mark.parametrize(
+    "method, param",
+    [
+        ("tracer", "n_starts"),
+        ("utility", "n_starts"),
+        ("sf", "n_references"),
+        ("msf", "n_references"),
+    ],
+)
+def test_start_and_reference_counts_are_bounded_before_any_solve(
+    tmp_path, capsys, monkeypatch, method, param
+):
+    # at most 10,000 starts or references; the largest count reaches the solver
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    argv = ["front", *SYN, "--method", method, "--out", str(tmp_path / "f")]
+    assert run([*argv, "--param", "%s=10001" % param]) == EXIT_INPUT
+    assert "%s must be from 1 to 10000" % param in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="a solve ran"):
+        run([*argv, "--param", "%s=10000" % param])
+
+
+def _dominant_asset_csv(tmp_path) -> str:
+    """Returns of three assets where the first has the highest mean and,
+    since the others add noise uncorrelated with it, the lowest variance:
+    the mean and variance anchors coincide, so the hull normal is
+    undefined."""
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(400)
+    dz = z - z.mean()
+
+    def noise():
+        e = rng.standard_normal(400)
+        e -= e.mean()
+        return e - (e @ dz) / (dz @ dz) * dz
+
+    a1 = 0.02 + 0.01 * z
+    obs = np.column_stack([a1, a1 - 0.005 + 0.02 * noise(), a1 - 0.008 + 0.03 * noise()])
+    path = tmp_path / "dominant.csv"
+    rows = ["a1,a2,a3"] + [",".join(map(repr, r)) for r in obs.tolist()]
+    path.write_text("\n".join(rows), encoding="utf-8")
+    return str(path)
+
+
+def test_shortage_fronts_need_no_hull_normal(tmp_path, capsys):
+    argv = ["front", "--input", _dominant_asset_csv(tmp_path), "--out", str(tmp_path / "f")]
+    for method in ("sf", "msf"):
+        assert run([*argv, "--method", method]) == EXIT_OK
+        doc = json.loads((tmp_path / "f" / "front.json").read_text())
+        assert len(doc["points"]) == 20
+    capsys.readouterr()
+    assert run([*argv, "--method", "nbi"]) == EXIT_SOLVE
+    assert "anchor images coincide" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["nbi", "sp"])

@@ -14,7 +14,7 @@ from hmfront import (
     portfolio_stats_from_returns,
     synthetic_returns,
 )
-from hmfront.moments import MomentPoint
+from hmfront.moments import MomentPoint, _symmetrize
 from oracles import fd_gradient, fd_hessian, loop_stats
 
 
@@ -100,6 +100,17 @@ def test_tensor_index_symmetries_exact():
         assert np.array_equal(t3, np.transpose(t3, perm))
     for perm in ((0, 1, 3, 2), (1, 0, 2, 3), (3, 2, 1, 0)):
         assert np.array_equal(t4, np.transpose(t4, perm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetrize_gathers_each_canonical_entry(n):
+    # the gather of the former per-order helpers, written out for orders 3 and 4
+    rng = np.random.default_rng(n)
+    t3, t4 = rng.standard_normal((n,) * 3), rng.standard_normal((n,) * 4)
+    i3 = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+    i4 = np.sort(np.indices((n, n, n, n)).reshape(4, -1), axis=0)
+    assert np.array_equal(_symmetrize(t3), t3[i3[0], i3[1], i3[2]].reshape(n, n, n))
+    assert np.array_equal(_symmetrize(t4), t4[i4[0], i4[1], i4[2], i4[3]].reshape(n, n, n, n))
 
 
 def test_scale_covariance():

@@ -62,8 +62,11 @@ def test_anchor_images_are_individual_minima(convex_mop, anchors):
     ids=["collinear", "coincident"],
 )
 def test_hull_normal_of_degenerate_anchors_raises(images, message):
+    images = np.array(images)
+    ideal = images.min(axis=0)
+    anchors = sc.AnchorSet(weights=np.eye(3), ideal=ideal, images=images, phi=(images - ideal).T)
     with pytest.raises(SolverError, match=message):
-        sc._hull_normal(np.array(images))
+        anchors.nbar
 
 
 def test_sf_on_efficient_reference_gives_zero_delta(convex_mop, anchors, direction):
@@ -198,7 +201,7 @@ def test_nbi_modified_sp_agreement(convex_mop, anchors, rng):
         nsol = sc.solve_nbi(convex_mop, nbi, starts=starts)
         ssol = sc.solve_sp(
             convex_mop,
-            sc.SpParams(a=nbi.hull_point, r=-anchors.nbar),
+            sc.map_nbi_to_sp(nbi),
             modified=True,
             starts=starts,
         )
@@ -232,11 +235,39 @@ def test_modified_sp_on_acceptance_rays_needs_no_capped_restoration(
         nbi = sc.nbi_params(anchors, beta)
         sc.solve_sp(
             convex_mop,
-            sc.SpParams(a=nbi.hull_point, r=-anchors.nbar),
+            sc.map_nbi_to_sp(nbi),
             modified=True,
             starts=[beta @ anchors.weights, equal_weights(3)],
         )
     assert capped == []
+
+
+@pytest.mark.parametrize(
+    "objectives, solves",
+    [(("mean", "variance", "skewness"), 6), (("mean", "variance", "skewness", "kurtosis"), 7)],
+    ids=["m3", "m4"],
+)
+def test_convex_anchors_take_one_solve(convex_returns, monkeypatch, objectives, solves):
+    # one solve per convex anchor; _ANCHOR_STARTS for the skewness anchor
+    calls = []
+    solve = nlp.solve
+
+    def counting_solve(problem):
+        calls.append(problem.x0)
+        return solve(problem)
+
+    monkeypatch.setattr(nlp, "solve", counting_solve)
+    mop = PortfolioMop(moments=compute_moments(convex_returns), objectives=objectives)
+    sc.compute_anchors(mop, seed=1)
+    assert len(calls) == solves == len(objectives) - 1 + sc._ANCHOR_STARTS
+
+
+def test_map_nbi_to_sp_reverses_the_hull_normal(anchors):
+    beta = np.array([0.2, 0.3, 0.5])
+    nbi = sc.nbi_params(anchors, beta)
+    sp = sc.map_nbi_to_sp(nbi)
+    assert np.array_equal(sp.a, anchors.ideal + anchors.phi @ beta)
+    assert np.array_equal(sp.r, -anchors.nbar)
 
 
 def test_ray_whose_hull_start_converges_makes_one_solve(convex_mop, anchors, monkeypatch):
