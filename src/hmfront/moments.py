@@ -270,11 +270,11 @@ class MomentPoint:
         if out is None:
             w = self.w
             if self._kron2 is None:
-                self._kron2 = np.outer(w, w).ravel()
+                self._kron2 = (w[:, None] * w).ravel()
             if name == "skewness":
                 out = self.m.m3 @ self._kron2
             else:
-                out = self.m.m4 @ np.outer(self._kron2, w).ravel()
+                out = self.m.m4 @ (self._kron2[:, None] * w).ravel()
             self._folded[name] = out
         return out
 

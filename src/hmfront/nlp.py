@@ -36,6 +36,20 @@ package: inequality multipliers are reported nonnegative for constraints
 written ``g(x) >= 0``, and equality multipliers refer to the constraint
 exactly as written.
 
+An iteration is built for tiny problems, where numpy's per-call cost, not
+arithmetic, is the price.  A run lays out its QP rows once: one
+preallocated matrix holds the equality rows, then the candidate rows, with
+the constant bound rows written at the start and the block's Jacobian
+copied in above them once per iteration.  A working set is a list of
+indices into that matrix, not a stack of rows.  An iterate reads its row
+values out once, as Python floats: the objective, the largest and the summed
+violation.  A row whose value is not finite counts as violated by ``inf``,
+so a NaN row is never taken for a satisfied one.  The stopping, merit and
+line-search tests then run on Python floats.  The bookkeeping changes no
+arithmetic: every product, ``solve``, ``cholesky`` and ``lstsq`` takes the
+matrix that stacking the rows afresh would give, so iterates are the same
+to the last bit.
+
 A run that ends above the infeasibility threshold is followed by feasibility
 restoration from the problem's ``x0``: the same SQP minimizes the summed
 squared violation of the violated rows under the bounds alone, and a
@@ -57,8 +71,8 @@ their inputs, so identical problems produce bit-identical solutions.
 
 from __future__ import annotations
 
-import functools
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -105,24 +119,35 @@ _QP_MAX_STEPS = 50  # QP working-set changes, plus two per row
 _PENALTY_WEIGHT = 1e4  # relative weight of the violation in the penalty QP
 
 
-@dataclass(eq=False)
 class RowBlock:
     """Twice-differentiable rows evaluated together at one point.
 
     ``values`` holds every row's value.  ``jacobian``, their gradients as the
     rows of a matrix, is computed from ``jacobian_fn()`` on first use, and
-    ``hessian(c)`` returns ``sum_i c[i] * Hessian(row_i)``.  The rows of a
-    problem's block are its objective, then its equality rows, then its
+    ``hessian(c)`` returns ``sum_i c[i] * Hessian(row_i)``; the SQP rewrites
+    ``c`` in place between calls, so a block must not keep it.  The rows of
+    a problem's block are its objective, then its equality rows, then its
     inequality rows ``g(x) >= 0``.
     """
 
-    values: np.ndarray
-    jacobian_fn: Callable[[], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
+    __slots__ = ("values", "jacobian_fn", "hessian", "_jacobian")
 
-    @functools.cached_property
+    def __init__(
+        self,
+        values: np.ndarray,
+        jacobian_fn: Callable[[], np.ndarray],
+        hessian: Callable[[np.ndarray], np.ndarray],
+    ):
+        self.values = values
+        self.jacobian_fn = jacobian_fn
+        self.hessian = hessian
+        self._jacobian = None
+
+    @property
     def jacobian(self) -> np.ndarray:
-        return self.jacobian_fn()
+        if self._jacobian is None:
+            self._jacobian = self.jacobian_fn()
+        return self._jacobian
 
 
 @dataclass(frozen=True)
@@ -142,14 +167,14 @@ class NlpProblem:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1:
             raise ParameterError("x0 must be a vector")
-        if not np.all(np.isfinite(x0)):
+        if not np.isfinite(x0).all():
             raise ParameterError("x0 must be finite")
         n = x0.size
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if lb.shape != (n,) or ub.shape != (n,):
             raise ParameterError("bounds must match x0 length")
-        if np.any(lb > ub):
+        if (lb > ub).any():
             raise ParameterError("inconsistent bounds: lb > ub")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lb", lb)
@@ -207,27 +232,9 @@ class MultistartResult:
 
 
 def _violation(problem: NlpProblem, x: np.ndarray) -> float:
-    worst = _evaluate(problem.rows(x), problem.n_eq, x).violation
+    worst = Iterate(x, problem.rows(x), problem.n_eq).violation
     worst = max(worst, float(np.max(problem.lb - x, initial=0.0)))
     return max(worst, float(np.max(x - problem.ub, initial=0.0)))
-
-
-def _candidate_rows(problem: NlpProblem):
-    """The ordered active-row candidates and the constant gradients of the
-    bound rows.
-
-    The candidates are ``("ineq", i)``, then ``("lo", k)`` for every finite
-    lower bound, then ``("hi", k)`` for every finite upper bound, each by
-    ascending index; the bound rows have gradients ``e_k`` and ``-e_k``.
-    """
-    lo = np.flatnonzero(np.isfinite(problem.lb))
-    hi = np.flatnonzero(np.isfinite(problem.ub))
-    rows = [("ineq", i) for i in range(problem.n_ineq)]
-    rows += [("lo", int(k)) for k in lo] + [("hi", int(k)) for k in hi]
-    bound_grads = np.zeros((lo.size + hi.size, problem.n))
-    bound_grads[np.arange(lo.size), lo] = 1.0
-    bound_grads[lo.size + np.arange(hi.size), hi] = -1.0
-    return rows, lo, hi, bound_grads
 
 
 def _scatter(problem: NlpProblem, rows, values):
@@ -243,40 +250,30 @@ def _scatter(problem: NlpProblem, rows, values):
     return full["ineq"], full["lo"], full["hi"]
 
 
-@dataclass(frozen=True)
 class Iterate:
     """One evaluated point of an SQP run: its row block, with the objective
-    and every constraint value split out once for the line search and the
-    convergence test.  Bounds always hold at an iterate."""
+    and the violation of the constraint rows read out once, as Python
+    floats, for the line search and the convergence test.  A row whose
+    value is not finite counts as violated by ``inf``.  Bounds always hold
+    at an iterate."""
 
-    x: np.ndarray
-    rows: RowBlock
-    fun: float
-    eq_values: np.ndarray
-    ineq_values: np.ndarray
-    violation: float  # largest constraint violation
-    l1_violation: float  # summed constraint violation, the merit's penalty term
+    __slots__ = ("x", "rows", "fun", "violation", "l1_violation")
 
-    def merit(self, rho: float) -> float:
-        """The l1 exact-penalty merit ``f + rho * l1_violation``."""
-        return self.fun + rho * self.l1_violation
-
-
-def _evaluate(rows: RowBlock, p: int, x: np.ndarray) -> Iterate:
-    """The iterate of the block ``rows`` at ``x``, whose rows after the
-    objective are ``p`` equality rows, then inequality rows."""
-    values = rows.values
-    eq, ineq = values[1 : 1 + p], values[1 + p :]
-    off = [abs(v) for v in eq.tolist()] + [-v for v in ineq.tolist() if v < 0.0]
-    return Iterate(
-        x=x,
-        rows=rows,
-        fun=float(values[0]),
-        eq_values=eq,
-        ineq_values=ineq,
-        violation=max(off, default=0.0),
-        l1_violation=sum(off),
-    )
+    def __init__(self, x: np.ndarray, rows: RowBlock, p: int):
+        """The iterate of the block ``rows`` at ``x``, whose rows after the
+        objective are ``p`` equality rows, then inequality rows."""
+        values = rows.values.tolist()
+        cons = values[1:]
+        # |v| of each equality row and -v of each inequality row below zero,
+        # inf for a row that is not finite (written so that -0.0 gives 0.0,
+        # as abs does)
+        off = [v if v > 0.0 else 0.0 - v if v <= 0.0 else math.inf for v in cons[:p]]
+        off += [-v if v < 0.0 else math.inf for v in cons[p:] if not 0.0 <= v < math.inf]
+        self.x = x
+        self.rows = rows
+        self.fun = values[0]
+        self.violation = max(off, default=0.0)  # largest constraint violation
+        self.l1_violation = sum(off)  # summed violation, the merit's penalty term
 
 
 @dataclass(frozen=True)
@@ -302,103 +299,114 @@ class SqpResult:
     comp_slackness: float  # largest |multiplier * row value| at x
 
 
-def _kkt_matrix(b, rows) -> np.ndarray:
-    """``[[b, rows'], [rows, 0]]``."""
+def _kkt_solve(b, rows, rhs):
+    """Solve ``[[b, rows'], [rows, 0]] [y; v] = rhs`` and return ``(y, v)``."""
     n, k = b.shape[0], rows.shape[0]
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = b
     kkt[:n, n:] = rows.T
     kkt[n:, :n] = rows
-    return kkt
-
-
-def _kkt_solve(b, rows, top, bottom):
-    """Solve ``[[b, rows'], [rows, 0]] [y; v] = [top; bottom]``."""
-    sol = np.linalg.solve(_kkt_matrix(b, rows), np.concatenate([top, bottom]))
-    return sol[: b.shape[0]], sol[b.shape[0]:]
+    sol = np.linalg.solve(kkt, rhs)
+    return sol[:n], sol[n:]
 
 
 def _amax(v) -> float:
-    """``max |v|``, 0 for an empty array."""
-    return float(abs(v).max()) if v.size else 0.0
+    """``max |v|``, 0 for an empty array; a NaN entry gives NaN."""
+    return float(np.maximum.reduce(abs(v), axis=None, initial=0.0))
 
 
-def _independent(ae, ai, start) -> list:
-    """The rows of ``start`` that keep ``[ae; ai[kept]]`` of full row rank,
+def _amin(v) -> float:
+    """``min v``, ``inf`` for an empty vector; a NaN entry gives NaN."""
+    return float(np.minimum.reduce(v, initial=math.inf))
+
+
+def _independent(stacked, p, rows) -> list:
+    """The rows ``rows`` (indices into ``stacked``, after its ``p`` equality
+    rows) that keep the equality rows and the kept ones of full row rank,
     taken greedily in order."""
-    kept: list = []
-    for j in start:
-        rows = np.vstack([ae, ai[kept + [j]]])
-        if np.linalg.matrix_rank(rows) == rows.shape[0]:
+    kept = list(range(p))
+    for j in rows:
+        block = stacked[kept + [j]]
+        if np.linalg.matrix_rank(block) == block.shape[0]:
             kept.append(j)
     return kept
 
 
-def _qp(b, g, ae, be, ai, bi, start):
+def _qp(b, g, rows, rhs, p, start):
     """The dual active-set QP method of Goldfarb and Idnani (1983).
 
-    Minimizes ``0.5 d'b d + g'd`` subject to ``ae d = be`` and ``ai d >=
-    bi``, for positive definite ``b``.  The working set starts from the rows
-    ``start`` (indices into ``ai``, independent together with ``ae``),
-    dropping the one of most negative multiplier until every multiplier is
-    nonnegative; each violated row is then added, dropping rows whose
-    multipliers reach zero on the way.
+    Minimizes ``0.5 d'b d + g'd`` subject to ``rows[:p] d = rhs[:p]`` and
+    ``rows[p:] d >= rhs[p:]``, for positive definite ``b``.  The working set
+    starts from the inequality rows ``start`` (indices into ``rows[p:]``,
+    independent together with the equality rows), dropping the one of most
+    negative multiplier until every multiplier is nonnegative; each violated
+    row is then added, dropping rows whose multipliers reach zero on the way.
+    A working set is a list of row indices, and its rows are taken from
+    ``rows`` by that list.
 
-    Returns ``(d, eq_mult, active, active_mult)`` with ``g + b d = ae'eq_mult
-    + ai[active]'active_mult``, or ``None`` when the constraints are
-    inconsistent (or the iteration limit is reached).
+    Returns ``(d, u, active)``, with ``u`` the multipliers of the equality
+    rows, then of the inequality rows ``active`` (nonnegative), so that ``g +
+    b d = rows[:p]'u[:p] + rows[p:][active]'u[p:]``; or ``None`` when the
+    constraints are inconsistent (or the iteration limit is reached).
     """
-    n, p = g.size, be.size
+    ae, be = rows[:p], rhs[:p]
+    ai, bi = rows[p:], rhs[p:]
+    eq = list(range(p))
     active = list(start)
     bscale = max(1.0, _amax(b))
+    minus_g = -g
 
     def eqp():
-        rows = np.vstack([ae, ai[active]])
-        d, v = _kkt_solve(b, rows, -g, np.concatenate([be, bi[active]]))
+        sel = eq + [p + j for j in active]
+        d, v = _kkt_solve(b, rows[sel], np.concatenate((minus_g, rhs[sel])))
         return d, -v
 
     try:
         d, u = eqp()
-        while active and u[p:].min() < 0.0:
-            del active[int(np.argmin(u[p:]))]
+        while active and _amin(u[p:]) < 0.0:
+            del active[int(u[p:].argmin())]
             d, u = eqp()
         changed = False
         for _ in range(_QP_MAX_STEPS + 2 * ai.shape[0]):
             slack = ai @ d - bi
             slack[active] = np.inf
-            j = int(np.argmin(slack)) if slack.size else -1
+            j = int(slack.argmin()) if slack.size else -1
             if j < 0 or slack[j] >= -_QP_TOL * (1.0 + abs(bi[j])):
                 if changed:  # a clean solve on the final working set
                     d, u = eqp()
                 if _amax(ae @ d - be) > 1e-8 * (1.0 + _amax(be)):
                     return None  # dependent equality rows that disagree
-                return d, u[:p], active, np.maximum(u[p:], 0.0)
+                u[p:] = np.maximum(u[p:], 0.0)
+                return d, u, active
             changed = True
             a = ai[j]
             u_new = 0.0
             while True:
-                rows = np.vstack([ae, ai[active]])
-                z, r = _kkt_solve(b, rows, a, np.zeros(rows.shape[0]))
+                work = rows[eq + [p + i for i in active]]
+                k = work.shape[0]
+                unit = np.zeros(a.size + k)
+                unit[: a.size] = a
+                z, r = _kkt_solve(b, work, unit)
                 # z = 0 exactly when a depends on the working rows; only a
                 # small z needs the least-squares test
                 dependent = False
-                if float(z @ a) <= 1e-8 * float(a @ a) / bscale:
-                    fit = np.linalg.lstsq(rows.T, a, rcond=None)[0]
-                    if _amax(rows.T @ fit - a) <= 1e-10 * max(1.0, _amax(a)):
+                za = float(z @ a)
+                if za <= 1e-8 * float(a @ a) / bscale:
+                    fit = np.linalg.lstsq(work.T, a, rcond=None)[0]
+                    if _amax(work.T @ fit - a) <= 1e-10 * max(1.0, _amax(a)):
                         dependent, r = True, fit
                 ri = r[p:]
-                pos = np.flatnonzero(ri > 1e-13 * max(1.0, _amax(ri)))
+                pos = (ri > 1e-13 * max(1.0, _amax(ri))).nonzero()[0]
                 t1, drop = np.inf, -1
                 if pos.size:
                     ratios = u[p:][pos] / ri[pos]
-                    drop = int(pos[np.argmin(ratios)])
-                    t1 = float(ratios.min())
+                    drop = int(pos[ratios.argmin()])
+                    t1 = float(np.minimum.reduce(ratios))
                 if dependent:
                     if drop < 0:
                         return None
                     t = t1
                 else:
-                    za = float(z @ a)
                     if not za > 0.0:
                         return None
                     t2 = -(float(a @ d) - bi[j]) / za
@@ -408,51 +416,53 @@ def _qp(b, g, ae, be, ai, bi, start):
                 u_new += t
                 if not dependent and t2 <= t1:
                     active.append(j)
-                    u = np.append(u, u_new)
+                    u = np.concatenate((u, [u_new]))
                     break
                 del active[drop]
-                u = np.delete(u, p + drop)
+                u = np.concatenate((u[: p + drop], u[p + drop + 1 :]))
     except np.linalg.LinAlgError:
         return None
     return None
 
 
-def _penalty_qp(b, ae, ce, ai, vals, start):
+def _penalty_qp(b, rows, values, p, start):
     """The feasibility step for linearized rows that are inconsistent: the
     equality rows and the violated inequality rows become the objective
     ``0.5 * d'b d + 0.5 * M * |J d + c|**2``, and the rows that hold stay
     constraints, so ``d = 0`` is feasible and the QP has a solution.
 
-    For large ``M`` the step approaches the Gauss-Newton step that minimizes
-    the linearized violation within the bounds.  Returns the step and the
-    working set (the rows held at equality and the penalized ones, in
-    candidate order), or ``None``; its multipliers estimate nothing and are
-    not returned.
+    ``rows`` and ``values`` are the stacked rows of the QP and their values,
+    the ``p`` equality rows first; ``start`` is the working set, as indices
+    into the inequality rows.  For large ``M`` the step approaches the
+    Gauss-Newton step that minimizes the linearized violation within the
+    bounds.  Returns the step and the working set (the rows held at equality
+    and the penalized ones, in candidate order), or ``None``; its
+    multipliers estimate nothing and are not returned.
     """
-    n = b.shape[0]
+    vals = values[p:]
     bad = np.flatnonzero(vals < 0.0)  # bounds hold at every iterate
     good = np.flatnonzero(vals >= 0.0)
-    jac = np.vstack([ae, ai[bad]])
-    res = np.concatenate([ce, vals[bad]])
+    penalized = list(range(p)) + (p + bad).tolist()
+    jac = rows[penalized]
+    res = values[penalized]
     weight = _PENALTY_WEIGHT * max(1.0, _amax(b))
     out = _qp(
         b + weight * (jac.T @ jac),
         weight * (jac.T @ res),
-        np.zeros((0, n)),
-        np.zeros(0),
-        ai[good],
+        rows[p + good],
         -vals[good],
+        0,
         [pos for pos, j in enumerate(good) if j in start],
     )
     if out is None:
         return None
-    return out[0], sorted([int(good[pos]) for pos in out[2]] + [int(j) for j in bad])
+    return out[0], sorted([int(good[pos]) for pos in out[2]] + bad.tolist())
 
 
-def _newton_step(w, g, rows, rhs):
+def _newton_step(w, rows, rhs):
     """The QP step on the working set ``rows`` with the exact Hessian ``w``,
-    where that is the QP's local solution: ``(d, u)`` with ``rows d = rhs``
-    and ``g + w d = rows' u``, or ``None``.
+    where that is the QP's local solution: ``(d, u)`` with ``g + w d = rows'
+    u`` and ``rows d = c`` for ``rhs = [-g; c]``, or ``None``.
 
     The step is returned only when ``w`` is positive definite on the null
     space of ``rows`` (N&W 2006, Theorem 16.3), shown by a Cholesky factor
@@ -464,15 +474,16 @@ def _newton_step(w, g, rows, rhs):
     s = _FINSLER * max(1.0, _amax(w))
     try:
         np.linalg.cholesky(w + s * (rows.T @ rows))
-        d, v = _kkt_solve(w, rows, -g, rhs)
+        d, v = _kkt_solve(w, rows, rhs)
     except np.linalg.LinAlgError:
         return None
     return d, -v
 
 
-def _convexify(w: np.ndarray, rows: np.ndarray):
+def _convexify(w: np.ndarray, rows: np.ndarray, eye: np.ndarray):
     """A positive definite QP Hessian from the Lagrangian Hessian ``w``,
-    and the part of it added on the range of ``rows'`` (``None`` if none).
+    and the part of it added on the range of ``rows'`` (``None`` if none);
+    ``eye`` is the identity of w's order.
 
     On the null space of ``rows`` (the equality rows and the predicted
     working set) the curvature of ``w`` is raised by a multiple of the
@@ -489,19 +500,19 @@ def _convexify(w: np.ndarray, rows: np.ndarray):
     w = 0.5 * (w + w.T)
     floor = _CURVATURE * max(1.0, _amax(w))
     try:
-        np.linalg.cholesky(w - floor * np.eye(n))
+        np.linalg.cholesky(w - floor * eye)
         return w, None
     except np.linalg.LinAlgError:
         pass
     if rows.shape[0]:
         _, svals, vt = np.linalg.svd(rows)
-        r = int(np.sum(svals > 1e-10 * svals[0]))
+        r = int(np.count_nonzero(svals > 1e-10 * svals[0]))
     else:
-        vt, r = np.eye(n), 0
+        vt, r = eye, 0
     m = vt @ w @ vt.T  # the range block first, then the null block
     if r < n:
         low = float(np.linalg.eigvalsh(m[r:, r:])[0])
-        m[r:, r:] += max(0.0, floor - low, -2.0 * low) * np.eye(n - r)
+        m[r:, r:] += max(0.0, floor - low, -2.0 * low) * eye[r:, r:]
     shift = None
     if r:
         schur = m[:r, :r] - m[:r, r:] @ np.linalg.solve(m[r:, r:], m[r:, :r]) if r < n else m
@@ -518,11 +529,19 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
     Algorithm 18.3).
 
     Minimizes row 0 of the row block ``rows(x)`` from ``x0`` within ``bounds
-    = (lb, ub)`` subject to its other rows: with ``constraints = (p, q)``,
-    rows ``1 .. p`` are equality rows and the ``q`` rows after them
-    inequality rows ``g(x) >= 0``.  Feasibility restoration, whose block is
-    its objective alone, omits ``constraints``.  ``options={"maxiter": k}``
-    caps the iterations.
+    = (lb, ub)`` (vectors of x's length; ``None`` for no bound) subject to
+    its other rows: with ``constraints = (p, q)``, rows ``1 .. p`` are
+    equality rows and the ``q`` rows after them inequality rows ``g(x) >=
+    0``.  Feasibility restoration, whose block is its objective alone, omits
+    ``constraints``.  ``options={"maxiter": k}`` caps the iterations.
+
+    The rows of the QP are stacked once per run into one matrix: the ``p``
+    equality rows, then the active-row candidates (the ``q`` inequality
+    rows, then a lower-bound row ``e_k`` for every finite ``lb_k`` and an
+    upper-bound row ``-e_k`` for every finite ``ub_k``).  The bound rows are
+    written once; each iteration copies the block's Jacobian into the rows
+    above them.  A working set is a list of candidate indices, and its rows
+    are taken from the stacked matrix by that list.
 
     Each iteration solves one QP at the iterate ``x``: the gradient of the
     objective, the Hessian of the Lagrangian at the last multipliers, and the
@@ -539,34 +558,61 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
     the last QP's multipliers, which after a Newton step usually suffice),
     when the step falls below rounding, when no step decreases the merit,
     after ``_MAX_FEASIBILITY_STEPS`` feasibility steps in a row, or at the
-    cap.
+    cap.  The scalar tests run on Python floats.
     """
     p, q = constraints or (0, 0)
-    problem = NlpProblem(rows=rows, x0=x0, n_eq=p, n_ineq=q, lb=bounds[0], ub=bounds[1])
     maxiter = int((options or {}).get("maxiter", _MAX_ITER))
-    candidates, lo, hi, bound_grads = _candidate_rows(problem)
-    lb, ub = problem.lb, problem.ub
-
-    def evaluate(x: np.ndarray) -> Iterate:
-        return _evaluate(rows(x), p, x)
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    lb, ub = bounds
+    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+    lo = np.isfinite(lb).nonzero()[0]
+    hi = np.isfinite(ub).nonzero()[0]
+    # the stacked QP rows and, per bound row, its variable, sign and offset:
+    # its value x_k - lb_k or ub_k - x_k is sign * x_k + offset, to the bit
+    n_bound = lo.size + hi.size
+    stacked = np.zeros((p + q + n_bound, n))
+    bound_var = np.concatenate((lo, hi))
+    bound_sign = np.empty(n_bound)
+    bound_sign[: lo.size] = 1.0
+    bound_sign[lo.size :] = -1.0
+    bound_offset = np.concatenate((-lb[lo], ub[hi]))
+    stacked[p + q + np.arange(n_bound), bound_var] = bound_sign
+    ae, ai = stacked[:p], stacked[p:]
+    n_cand = q + n_bound
+    eq_rows = list(range(p))
+    eye = np.zeros((n, n))
+    eye.flat[:: n + 1] = 1.0
+    # the weights of the rows in the Hessian of the Lagrangian, rewritten
+    # in place each iteration
+    weights = np.empty(1 + p + q)
+    weights[0] = 1.0
 
     def row_values(it: Iterate) -> np.ndarray:
-        return np.concatenate([it.ineq_values, it.x[lo] - lb[lo], ub[hi] - it.x[hi]])
+        """The values of the stacked rows at the iterate ``it``."""
+        return np.concatenate((it.rows.values[1:], it.x[bound_var] * bound_sign + bound_offset))
 
-    it = evaluate(np.clip(problem.x0, lb, ub))
-    working = lam = nu = None
+    def rows_of(working) -> list:
+        """The stacked rows of a working set: the equality rows, then its own."""
+        return eq_rows + [p + j for j in working]
+
+    x = x0.clip(lb, ub)
+    it = Iterate(x, rows(x), p)
+    working = sel = lam = nu = None
     rho = 0.0
     nit = 0
-    kkt = comp = np.inf
+    kkt = comp = math.inf
     blind_kkt = None  # KKT residual before the last step taken unchecked
     infeasible_steps = 0  # consecutive iterations on feasibility steps
     message = "iteration cap reached"
     while True:
         x = it.x
         jac = it.rows.jacobian
-        grad, ae = jac[0], jac[1 : 1 + p]
-        ai = np.vstack([jac[1 + p :], bound_grads])
-        vals = row_values(it)
+        grad = jac[0]
+        stacked[: p + q] = jac[1:]
+        values = row_values(it)
+        vals = values[p:]
         if nit and infeasible_steps == 0 and it.violation <= _STOP_FEAS:
             # after a Newton step the last QP's multipliers are accurate to
             # second order, which usually settles convergence without a QP
@@ -580,62 +626,69 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             # the rows active at x0, or after a feasibility step the rows it
             # held or penalized, kept independent
             if working is None:
-                working = [j for j in range(len(candidates)) if vals[j] <= _ACTIVE_TOL]
-            start = np.vstack([ae, ai[working]])
-            if start.shape[0] > 1 and np.linalg.matrix_rank(start) < start.shape[0]:
-                working = _independent(ae, ai, working)
+                working = (vals <= _ACTIVE_TOL).nonzero()[0].tolist()
+            sel = rows_of(working)
+            if len(sel) > 1 and np.linalg.matrix_rank(stacked[sel]) < len(sel):
+                sel = _independent(stacked, p, sel[p:])
+                working = [j - p for j in sel[p:]]
+        active = stacked[sel]
         if lam is None:
-            u = np.linalg.lstsq(np.vstack([ae, ai[working]]).T, grad, rcond=None)[0]
-            lam, nu = -u[:p], np.zeros(len(candidates))
+            u = np.linalg.lstsq(active.T, grad, rcond=None)[0]
+            lam, nu = -u[:p], np.zeros(n_cand)
             nu[working] = np.maximum(u[p:], 0.0)
-        w = it.rows.hessian(np.concatenate([[1.0], lam, -nu[:q]]))
+        weights[1 : 1 + p] = lam
+        weights[1 + p :] = -nu[:q]
+        w = it.rows.hessian(weights)
         predicted = working
-        active = np.vstack([ae, ai[working]])
         qp = shift = None
-        step = _newton_step(w, grad, active, np.concatenate([-it.eq_values, -vals[working]]))
+        step = _newton_step(w, active, -np.concatenate((grad, values[sel])))
         if step is not None:
             # kept when it is the QP's solution: multipliers signed, no row
             # violated
             d, u = step
             slack = ai @ d + vals
             slack[working] = np.inf
-            if (u.size == p or u[p:].min() >= 0.0) and (not slack.size or slack.min() >= -_QP_TOL):
-                b, qp = w, (d, u[:p], working, u[p:])
+            if _amin(u[p:]) >= 0.0 and _amin(slack) >= -_QP_TOL:
+                b, qp = w, (d, u, working)
         if qp is None:
-            b, shift = _convexify(w, active)
-            qp = _qp(b, grad, ae, -it.eq_values, ai, -vals, working)
+            b, shift = _convexify(w, active, eye)
+            qp = _qp(b, grad, stacked, -values, p, working)
         if qp is not None:
             infeasible_steps = 0
-            d, u_eq, working, u_rows = qp
+            d, u, working = qp
             if working != predicted:
-                active = np.vstack([ae, ai[working]])
+                sel = rows_of(working)
+                active = stacked[sel]
             if shift is not None:
                 # the multipliers of the Hessian without the range shift
                 u = np.linalg.lstsq(active.T, grad + (b - shift) @ d, rcond=None)[0]
-                u_eq, u_rows = u[:p], np.maximum(u[p:], 0.0)
-            kkt = _amax(grad - active.T @ np.concatenate([u_eq, u_rows]))
-            if kkt > _STOP_KKT and _amax(d) <= 1e-8 * (1.0 + _amax(x)):
+                u[p:] = np.maximum(u[p:], 0.0)
+            kkt = _amax(grad - active.T @ u)
+            d_size, x_size = _amax(d), _amax(x)
+            if kkt > _STOP_KKT and d_size <= 1e-8 * (1.0 + x_size):
                 # the QP's multipliers leave the residual b @ d, which stays
                 # large where the stationarity system is ill-conditioned and b
                 # is large; a least-squares fit on the same rows may do better
-                u = np.linalg.lstsq(active.T, grad, rcond=None)[0]
-                fit = _amax(grad - active.T @ u)
-                if fit < kkt and (u.size == p or u[p:].min() >= 0.0):
-                    u_eq, u_rows, kkt = u[:p], u[p:], fit
-            lam = -u_eq
-            nu = np.zeros(len(candidates))
-            nu[working] = u_rows
-            comp = _amax(u_rows * vals[working])
+                fit_u = np.linalg.lstsq(active.T, grad, rcond=None)[0]
+                fit = _amax(grad - active.T @ fit_u)
+                if fit < kkt and _amin(fit_u[p:]) >= 0.0:
+                    u, kkt = fit_u, fit
+            lam = -u[:p]
+            nu = np.zeros(n_cand)
+            nu[working] = u[p:]
+            comp = _amax(u[p:] * vals[working])
         else:
             # inconsistent linearization: the multipliers stay as they were
-            qp = _penalty_qp(b, ae, it.eq_values, ai, vals, working)
+            qp = _penalty_qp(b, stacked, values, p, working)
             if qp is None:
                 message = "QP subproblem failed"
                 logger.debug("%s at iteration %d", message, nit)
                 break
             d, working = qp
-            active = np.vstack([ae, ai[working]])
-            kkt = comp = np.inf
+            sel = rows_of(working)
+            active = stacked[sel]
+            kkt = comp = math.inf
+            d_size, x_size = _amax(d), _amax(x)
             infeasible_steps += 1
             if infeasible_steps > _MAX_FEASIBILITY_STEPS:
                 message = "linearization inconsistent"
@@ -643,8 +696,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         if max(kkt, comp) <= _STOP_KKT and it.violation <= _STOP_FEAS:
             message = "converged"
             break
-        size = _amax(d)
-        if size <= 1e-15 * (1.0 + _amax(x)):
+        if d_size <= 1e-15 * (1.0 + x_size):
             message = "step below rounding"
             break
         if nit >= maxiter:
@@ -654,11 +706,13 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         # 18.32), relaxing towards it by Powell's rule as SLSQP does; raised
         # where needed so that d is a descent direction of the merit (eq.
         # 18.36), and well above that for a feasibility step
-        lin = abs(it.eq_values + ae @ d).sum() + np.maximum(-(it.ineq_values + ai[:q] @ d), 0.0).sum()
+        lin = np.add.reduce(abs(values[:p] + ae @ d)) + np.add.reduce(
+            np.maximum(-(values[p : p + q] + ai[:q] @ d), 0.0)
+        )
         pred = it.l1_violation - float(lin)
         gd = float(grad @ d)
-        if kkt < np.inf:
-            top = max(_amax(lam), float(nu[:q].max()) if q else 0.0)
+        if kkt < math.inf:
+            top = max(_amax(lam), float(np.maximum.reduce(nu[:q])) if q else 0.0)
             rho = max(top, 0.5 * (rho + top))
             if pred > 0.0 and gd - rho * pred >= 0.0:
                 rho = (gd + 0.5 * float(d @ b @ d)) / (0.9 * pred)
@@ -666,7 +720,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             # a feasibility step: the violation dominates the merit
             rho = max(rho, (abs(gd) + 0.5 * float(d @ b @ d)) / (0.1 * pred))
         slope = gd - rho * pred
-        phi0 = it.merit(rho)
+        phi0 = it.fun + rho * it.l1_violation  # the l1 exact-penalty merit
         # a slope this small is below what the merit resolves (its terms are
         # O(1) sums weighted by 1 and rho): the full (Newton) step is taken
         # unchecked, and the run ends if that does not shrink the KKT residual
@@ -674,33 +728,39 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         if not (slope < 0.0 or blind):
             message = "no descent direction"
             break
-        trial = evaluate(np.clip(x + d, lb, ub))
-        accepted = trial if trial.merit(rho) <= phi0 + _ARMIJO * slope else None
+        xt = (x + d).clip(lb, ub)
+        trial = Iterate(xt, rows(xt), p)
+        merit = trial.fun + rho * trial.l1_violation
+        accepted = trial if merit <= phi0 + _ARMIJO * slope else None
         if accepted is None and blind:
             if blind_kkt is not None and kkt > 0.5 * blind_kkt:
                 message = "converged to rounding"
                 break
             accepted, blind_kkt = trial, kkt
-        if accepted is None and active.shape[0]:
+        if accepted is None and sel and trial.l1_violation < math.inf:
             # second-order correction: back onto the linearized working set
-            res = np.concatenate([trial.eq_values, row_values(trial)[working]])
-            fix = np.linalg.lstsq(active, res, rcond=None)[0]
-            soc = evaluate(np.clip(x + d - fix, lb, ub))
-            if soc.merit(rho) <= phi0 + _ARMIJO * slope:
+            fix = np.linalg.lstsq(active, row_values(trial)[sel], rcond=None)[0]
+            xt = (x + d - fix).clip(lb, ub)
+            soc = Iterate(xt, rows(xt), p)
+            if soc.fun + rho * soc.l1_violation <= phi0 + _ARMIJO * slope:
                 accepted = soc
         alpha = 1.0
         while accepted is None and alpha > _MIN_STEP:
             # safeguarded quadratic interpolation of the merit along d
-            drop = trial.merit(rho) - phi0 - slope * alpha
+            drop = merit - phi0 - slope * alpha
             alpha = min(0.5 * alpha, max(0.1 * alpha, -slope * alpha * alpha / (2.0 * drop)))
-            trial = evaluate(np.clip(x + alpha * d, lb, ub))
-            if trial.merit(rho) <= phi0 + _ARMIJO * alpha * slope:
+            xt = (x + alpha * d).clip(lb, ub)
+            trial = Iterate(xt, rows(xt), p)
+            merit = trial.fun + rho * trial.l1_violation
+            if merit <= phi0 + _ARMIJO * alpha * slope:
                 accepted = trial
         if accepted is None:
             message = "line search failed"
             break
         it = accepted
         nit += 1
+    names = [("ineq", i) for i in range(q)]
+    names += [("lo", k) for k in lo.tolist()] + [("hi", k) for k in hi.tolist()]
     return SqpResult(
         x=it.x,
         fun=it.fun,
@@ -708,7 +768,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         nit=nit,
         message=message,
         eq_multipliers=lam,
-        rows=[candidates[j] for j in working],
+        rows=[names[j] for j in working],
         row_multipliers=nu[working],
         kkt_residual=kkt,
         comp_slackness=comp,

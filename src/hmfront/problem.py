@@ -57,6 +57,15 @@ OBJECTIVE_SENSES = {"mean": -1.0, "variance": 1.0, "skewness": -1.0, "kurtosis":
 CONVEX_OBJECTIVES = frozenset({"mean", "variance", "kurtosis"})
 
 
+class _MemoSlot(threading.local):
+    """One thread's memo: the last point read, its key and its arrays."""
+
+    def __init__(self):
+        self.key = None
+        self.point = None
+        self.arrays = {}
+
+
 @dataclass(frozen=True)
 class PortfolioMop:
     """Portfolio selection as a multi-objective problem over the simplex.
@@ -91,7 +100,7 @@ class PortfolioMop:
             if name not in OBJECTIVE_NAMES:
                 raise ParameterError("unknown objective %r" % name)
         object.__setattr__(self, "objectives", objs)
-        object.__setattr__(self, "_memo", threading.local())
+        object.__setattr__(self, "_memo", _MemoSlot())
 
     @property
     def m(self) -> int:
@@ -107,10 +116,10 @@ class PortfolioMop:
 
     def point(self, w) -> MomentPoint:
         """The moment kernel at w, from this thread's memo slot."""
-        vec = _as_weight_vector(w, self.n)
+        vec = _as_weight_vector(w, self.moments.n)
         key = vec.tobytes()
         slot = self._memo
-        if getattr(slot, "key", None) != key:
+        if slot.key != key:
             slot.point = MomentPoint(vec, self.moments)
             slot.arrays = {}
             slot.key = key
@@ -124,12 +133,14 @@ class PortfolioMop:
     def _evaluate(self, w, kind: str) -> np.ndarray:
         """``kind`` ("value", "gradient" or "hessian") of every objective at
         w, in minimization form, memoized with :meth:`point`."""
-        fn = getattr(self.point(w), kind)
+        pt = self.point(w)
         arrays = self._memo.arrays
         out = arrays.get(kind)
         if out is None:
+            fn = getattr(pt, kind)
+            # the sense is +1 or -1, and -v is exactly -1.0 * v
             out = arrays[kind] = np.array(
-                [OBJECTIVE_SENSES[name] * fn(name) for name in self.objectives]
+                [fn(n) if OBJECTIVE_SENSES[n] > 0.0 else -fn(n) for n in self.objectives]
             )
         return out.copy()
 
@@ -206,22 +217,29 @@ def utility_hessian(w, p: PortfolioMop, u: UtilityParams) -> np.ndarray:
     )
 
 
-def _budget_row(x: np.ndarray, n: int, total: float = 1.0) -> tuple[float, np.ndarray]:
-    """The budget row ``sum(x[:n]) - total`` and its gradient, over a
-    variable vector whose first n entries are the weights (any trailing
-    entries are auxiliary).  The row is linear: its Hessian is zero."""
-    grad = np.zeros(x.size)
+def _budget_row(x: np.ndarray, n: int, total: float = 1.0) -> float:
+    """The budget row ``sum(x[:n]) - total``, over a variable vector whose
+    first n entries are the weights (any trailing entries are auxiliary).
+    The row is linear: its gradient is the constant
+    :func:`_budget_gradient` and its Hessian is zero."""
+    return float(np.add.reduce(x[:n]) - total)
+
+
+def _budget_gradient(size: int, n: int) -> np.ndarray:
+    """The gradient of :func:`_budget_row` over a variable vector of
+    ``size`` entries."""
+    grad = np.zeros(size)
     grad[:n] = 1.0
-    return float(x[:n].sum() - total), grad
+    return grad
 
 
 def _budget_problem(x0, fun, jac, hess, lb) -> nlp.NlpProblem:
     """Minimize ``fun`` over the weights subject to the budget row alone."""
+    budget_grad = _budget_gradient(len(x0), len(x0))
 
     def rows(x):
-        budget, budget_grad = _budget_row(x, x.size)
         return nlp.RowBlock(
-            np.array([fun(x), budget]),
+            np.array([fun(x), _budget_row(x, x.size)]),
             lambda: np.vstack([jac(x), budget_grad]),
             lambda c: c[0] * hess(x),
         )

@@ -52,8 +52,8 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError, ShapeError, SolverError
-from .problem import CONVEX_OBJECTIVES, OBJECTIVE_SENSES, PortfolioMop, _budget_row
-from .problem import _mean_variance_qp
+from .problem import CONVEX_OBJECTIVES, OBJECTIVE_SENSES, PortfolioMop, _budget_gradient
+from .problem import _budget_row, _mean_variance_qp
 from .quality import distances
 from .util import dirichlet_starts, equal_weights, simplex_vertices
 
@@ -249,8 +249,9 @@ class _Goal:
     coef: float = 0.0
 
 
-def _grad_scale(grad_row: np.ndarray) -> float:
-    return max(float(np.max(np.abs(grad_row))), 1e-10)
+def _grad_scales(rows: np.ndarray) -> np.ndarray:
+    """The gradient magnitude ``max |row|`` of each row, at least 1e-10."""
+    return np.maximum(np.maximum.reduce(abs(rows), axis=1), 1e-10)
 
 
 def _scaled_problem(
@@ -262,6 +263,7 @@ def _scaled_problem(
     aux: tuple[float, float] | None = None,
     equality: bool = False,
     extra_eq=None,
+    f0=None,
 ):
     """Assemble a well-scaled subproblem over the simplex from goal rows.
 
@@ -285,6 +287,12 @@ def _scaled_problem(
     Hessian stack.  The block's rows are the objective, the budget row,
     the ``extra_eq`` row, then the goal rows.
 
+    The reads made while the problem is set up are not repeated: the
+    Jacobian read at ``w0`` for the scales, and ``f0 = F(w0)`` where the
+    caller has read it, serve the first block when the SQP starts at ``w0``
+    itself.  ``finish`` takes F at the solution from the last block, when
+    that block is the solution's.
+
     Returns the problem and ``finish(sol)``, which maps a solve back to raw
     units: value, weights, aux and every multiplier (budget row,
     ``extra_eq`` row and bounds times ``k``, goal row ``i`` times
@@ -297,10 +305,11 @@ def _scaled_problem(
     sign = np.array([g.sign for g in goals])
     target = np.array([g.target for g in goals])
     coef = np.array([g.coef for g in goals])
-    scales = np.array([_grad_scale(jac0[i]) for i in index])
+    all_scales = _grad_scales(jac0)
+    scales = all_scales[index]
     if aux is None:
         obj_index, obj_sign = objective
-        k = _grad_scale(jac0[obj_index])
+        k = float(all_scales[obj_index])
         total = n
         x0 = w0
         lb = p.lower_bounds()
@@ -313,33 +322,49 @@ def _scaled_problem(
         lb = np.concatenate([p.lower_bounds(), [-np.inf]])
     col = coef * k  # the aux column in scaled units, times s
     extra = 0 if extra_eq is None else 1
+    head = 2 + extra  # the objective, budget and extra_eq rows
+    # the Jacobian entries that do not depend on the point: the budget row
+    # and, with an aux variable, the aux column
+    fixed = np.zeros((head + index.size, total))
+    fixed[1] = _budget_gradient(total, n)
+    if aux is not None:
+        fixed[0, -1] = sense
+        fixed[head:, -1] = col / scales
+    goal_sign, goal_scales = sign[:, None], scales[:, None]
+    # each goal row's index, sign, target, aux column and scale as Python
+    # floats: the values of a trial point are computed elementwise on them
+    terms = list(
+        zip(index.tolist(), sign.tolist(), target.tolist(), col.tolist(), scales.tolist())
+    )
+    first = [w0.tobytes()]  # the key of w0, until the first block
+    last = [None, None]  # the last block's point and its F
 
     def rows(z):
         w = z[:n]
-        f = p.objective_values(w)
-        goal = sign * (f[index] - target)
+        at_w0 = bool(first) and w.tobytes() == first.pop()
+        jac = jac0 if at_w0 else None
+        f = (f0 if at_w0 and f0 is not None else p.objective_values(w)).tolist()
+        last[:] = z, f
         if aux is None:
-            obj = obj_sign * float(f[obj_index]) / k
+            values = [obj_sign * f[obj_index] / k, _budget_row(z, n)]
+            goals = [si * (f[i] - ti) / sc for i, si, ti, _, sc in terms]
         else:
-            obj = sense * float(z[-1])
-            goal = goal + col * z[-1]
-        budget, budget_grad = _budget_row(z, n)
+            a = float(z[-1])
+            values = [sense * a, _budget_row(z, n)]
+            goals = [(si * (f[i] - ti) + ci * a) / sc for i, si, ti, ci, sc in terms]
         extra_rows = None if extra_eq is None else extra_eq(z)
-        extra_values = [] if extra_rows is None else extra_rows.values
+        if extra_rows is not None:
+            values += extra_rows.values.tolist()
+        values = np.array(values + goals)
 
         def jacobian():
-            jac = p.objective_jacobian(w)
-            out = np.zeros((2 + extra + index.size, total))
+            jac_w = p.objective_jacobian(w) if jac is None else jac
+            out = fixed.copy()
             if aux is None:
-                out[0] = obj_sign * jac[obj_index] / k
-            else:
-                out[0, -1] = sense
-            out[1] = budget_grad
+                out[0] = obj_sign * jac_w[obj_index] / k
             if extra_rows is not None:
                 out[2] = extra_rows.jacobian[0]
-            out[2 + extra :, :n] = sign[:, None] * jac[index] / scales[:, None]
-            if aux is not None:
-                out[2 + extra :, -1] = col / scales
+            out[head:, :n] = goal_sign * jac_w[index] / goal_scales
             return out
 
         def hessian(c):
@@ -350,12 +375,11 @@ def _scaled_problem(
                 out = np.zeros((total, total))
             if extra_rows is not None and c[2] != 0.0:
                 out += extra_rows.hessian(c[2:3])
-            for ci, i, si, sc in zip(c[2 + extra :], index, sign, scales):
+            for ci, (i, si, _, _, sc) in zip(c[head:].tolist(), terms):
                 if ci != 0.0:
                     out[:n, :n] += ci * (si * hess[i] / sc)
             return out
 
-        values = np.concatenate([[obj, budget], extra_values, goal / scales])
         return nlp.RowBlock(values, jacobian, hessian)
 
     n_goal_eq = index.size if equality else 0
@@ -372,7 +396,7 @@ def _scaled_problem(
 
     def finish(sol: nlp.ScalarSolution) -> nlp.ScalarSolution:
         w = sol.x[:n]
-        values = p.objective_values(w)
+        values = np.array(last[1]) if sol.x is last[0] else p.objective_values(w)
         if aux is None:
             value, aux_value = obj_sign * float(values[obj_index]), None
         else:
@@ -496,20 +520,23 @@ def _solve_aux(
     equality: bool,
     start: np.ndarray,
     starts=None,
-    aux0=lambda w0: 0.0,
+    aux0=None,
     check=None,
 ) -> nlp.ScalarSolution:
     """The one multistart path of the aux-valued scalarizations.
 
     Solves the scaled problem of ``goals`` from ``starts`` in order until
     one converges (:func:`_best_of_starts`), or from the method's default
-    ``start`` alone when ``starts`` is None.  ``aux0(w0)`` is the aux start
-    for weights ``w0``; ``check(sol)`` may reject a raw solve.
+    ``start`` alone when ``starts`` is None.  ``aux0(f0)`` is the aux start
+    for weights with objective values ``f0`` (0 when ``aux0`` is None);
+    ``check(sol)`` may reject a raw solve.
     """
 
     def solve_one(w0):
+        f0 = None if aux0 is None else p.objective_values(w0)
+        aux_start = 0.0 if f0 is None else aux0(f0)
         problem, finish = _scaled_problem(
-            p, w0, goals, aux=(sense, aux0(w0)), equality=equality
+            p, w0, goals, aux=(sense, aux_start), equality=equality, f0=f0
         )
         sol = nlp.solve(problem)
         if check is not None:
@@ -570,8 +597,8 @@ def solve_nbi(p: PortfolioMop, nbi: NbiParams, *, starts=None) -> nlp.ScalarSolu
     ]
     start = nbi.beta @ nbi.anchors.weights
 
-    def s_start(w0):
-        return _ray_start(p.objective_values(w0), hull, nbi.nbar)
+    def s_start(f0):
+        return _ray_start(f0, hull, nbi.nbar)
 
     return _solve_aux(
         p, goals, sense=-1.0, equality=True, start=start, starts=starts, aux0=s_start
@@ -598,8 +625,7 @@ def solve_sp(
         _Goal(i, -1.0, float(sp.a[i]), coef=float(sp.r[i])) for i in range(m)
     ]
 
-    def t_start(w0):
-        f0 = p.objective_values(w0)
+    def t_start(f0):
         if modified:
             return _ray_start(f0, sp.a, sp.r)
         cands = [
@@ -759,14 +785,15 @@ def _pgp_problem(p: PortfolioMop, z_stars, exponents, x0) -> nlp.NlpProblem:
         base = max(d, 1e-16)
         return e * (e - 1.0) * base ** (e - 2.0)
 
+    budget_grad = _budget_gradient(total, n)
+
     def rows(z):
         w, d1, d3 = z[:n], z[n], z[n + 1]
         f = p.objective_values(w)
-        budget, budget_grad = _budget_row(z, n)
         variance = _unit_variance_rows(p, z)
         values = [
             _pow(d1, alpha) + _pow(d3, beta),
-            budget,
+            _budget_row(z, n),
             mean_sense * float(f[mean_index]) + d1 - z1_star,
             variance.values[0],
             skew_sense * float(f[skew_index]) + d3 - z3_star,

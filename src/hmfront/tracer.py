@@ -43,7 +43,7 @@ import numpy as np
 from . import nlp
 from .errors import CorrectorStallError, ParameterError, SolverError
 from .fronts import FrontApproximation, FrontPoint
-from .problem import PortfolioMop, _budget_row
+from .problem import PortfolioMop, _budget_gradient, _budget_row
 from .scalarization import compute_anchors
 from .util import parallel_map, project_to_simplex, sum_zero_basis
 
@@ -259,14 +259,14 @@ def _corrector_problem(mop: SmoothMop, x, grads, hessians, delta):
     fixed = np.zeros((1 + budget + m, total))
     fixed[0, -1] = 1.0
     if budget:
-        fixed[1] = _budget_row(np.zeros(total), n, 0.0)[1]
+        fixed[1] = _budget_gradient(total, n)
     fixed[1 + budget :, -1] = [c_t / s_j for _, _, s_j in models]
 
     def rows(z):
         s = z[:n]
         values = [float(z[-1])]
         if budget:
-            values.append(_budget_row(z, n, 0.0)[0])
+            values.append(_budget_row(z, n, 0.0))
         values += [
             float(c_t * z[-1] - gj @ s - 0.5 * (s @ hj @ s)) / s_j for gj, hj, s_j in models
         ]

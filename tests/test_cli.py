@@ -76,8 +76,15 @@ def test_front_runs_with_scipy_unimportable(tmp_path):
         # numpy 2 loads numpy.random lazily, for about 5 MB; the epsilon
         # driver and the quality reference draw no random numbers
         ("numpy.random", _epsilon_and_quality_runs),
+        # numpy.median imports numpy.ma on first use, about 13 ms of every
+        # epsilon run; the epsilon driver takes its median without it
+        ("numpy.ma", _epsilon_and_quality_runs),
     ],
-    ids=["cli-import-no-scipy", "epsilon-and-quality-no-numpy-random"],
+    ids=[
+        "cli-import-no-scipy",
+        "epsilon-and-quality-no-numpy-random",
+        "epsilon-and-quality-no-numpy-ma",
+    ],
 )
 def test_run_leaves_package_unloaded(tmp_path, package, runs):
     loaded = "sorted(m for m in sys.modules if m == %r or m.startswith(%r))" % (

@@ -367,3 +367,15 @@ def test_run_adaptive_epsilon_driver(convex_mop):
     assert arch.attempted >= 25  # grid plus refinement attempts
     pts = arch.image()
     assert brute_nondominated_mask(pts, tol=1e-7).all()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+    )
+)
+def test_median_of_gaps_equals_numpy_median(gaps):
+    # the default refinement step is the median nearest-neighbour gap
+    values = np.array(gaps)
+    assert em._median(values) == float(np.median(values))

@@ -223,6 +223,40 @@ def test_infeasible_detection():
     assert sol.status is SolveStatus.INFEASIBLE
 
 
+def test_nan_constraint_row_is_violated_not_satisfied():
+    # min x'x subject to x0 - 1 >= 0, a row that is NaN for x0 <= 1.5: the
+    # first full step lands at (1, 0), where the row is NaN.  Counted as
+    # satisfied, that point ended the solve as "converged" with violation 0
+    def rows(x):
+        g = x[0] - 1.0 if x[0] > 1.5 else float("nan")
+        return RowBlock(
+            np.array([float(x @ x), g]),
+            lambda: np.array([2.0 * x, [1.0, 0.0]]),
+            lambda w: w[0] * 2.0 * np.eye(2),
+        )
+
+    sol = solve(NlpProblem(rows=rows, x0=np.array([3.0, 2.0]), n_ineq=1))
+    assert sol.status is not SolveStatus.CONVERGED
+    assert sol.x[0] > 1.5 and sol.constraint_violation == 0.0
+
+
+@pytest.mark.parametrize(
+    "values, p",
+    [
+        ([0.0, np.nan, 2.0], 2),  # a NaN equality row, first or last
+        ([0.0, 2.0, np.nan], 2),
+        ([0.0, 0.5, np.nan], 1),  # a NaN inequality row
+        ([0.0, 0.5, np.inf], 1),  # an infinite inequality row, of either sign
+        ([0.0, 0.5, -np.inf], 1),
+        ([0.0, np.inf, 0.5], 1),  # an infinite equality row
+    ],
+)
+def test_non_finite_row_counts_as_violated_by_inf(values, p):
+    block = RowBlock(np.array(values), lambda: None, lambda c: None)
+    it = nlp.Iterate(np.zeros(1), block, p)
+    assert it.violation == np.inf and it.l1_violation == np.inf
+
+
 def _recording_minimize(monkeypatch):
     """Record the iteration count of every SQP run (restoration excluded)."""
     sqp_iters = []

@@ -1,7 +1,10 @@
 """Row blocks: derivatives against finite differences, and moment reads per
 SQP iteration."""
 
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,3 +151,133 @@ def test_epsilon_cell_reads_moments_at_most_four_times_per_sqp_iteration(
     )
     assert sol.converged and iterations[0] > 0
     assert calls[0] <= 4 * iterations[0]
+
+
+def _epsilon_cell(p):
+    """A solve of the first cell of the 6 x 6 epsilon grid, from equal weights."""
+    grid = em.build_grid(p, (6, 6))
+    return lambda: em._solve_cell(
+        p, grid.centers[0], grid.constrained, grid.minimized, equal_weights(p.n)
+    )
+
+
+def _corrector_subproblem(p):
+    """A solve of the tracer's first corrector subproblem at equal weights."""
+    mop = tr.as_smooth_mop(p)
+    x = equal_weights(p.n)
+    problem, _, _ = tr._corrector_problem(mop, x, mop.jacobian(x), mop.hessians(x), 0.25)
+    return lambda: nlp.solve(problem)
+
+
+@pytest.mark.parametrize("subproblem", [_epsilon_cell, _corrector_subproblem])
+def test_sqp_reads_the_jacobian_once_per_iterate(convex_mop, monkeypatch, subproblem):
+    # the SQP reads the Jacobian at its start and at every accepted iterate,
+    # and the Hessian at most as often (a run that stops on the last QP's
+    # multipliers reads the Jacobian alone); trial points need values only
+    runs = []
+    minimize = nlp.minimize
+
+    def counting_minimize(rows, x0, **kwargs):
+        reads = {"jacobian": 0, "hessian": 0}
+
+        def counted(x):
+            block = rows(x)
+
+            def jacobian():
+                reads["jacobian"] += 1
+                return block.jacobian
+
+            def hessian(c):
+                reads["hessian"] += 1
+                return block.hessian(c)
+
+            return nlp.RowBlock(block.values, jacobian, hessian)
+
+        res = minimize(counted, x0, **kwargs)
+        runs.append((res.nit, reads))
+        return res
+
+    solve = subproblem(convex_mop)
+    monkeypatch.setattr(nlp, "minimize", counting_minimize)
+    assert solve().converged
+    assert runs and all(nit > 0 for nit, _ in runs)
+    for nit, reads in runs:
+        assert reads["jacobian"] == nit + 1
+        assert reads["hessian"] <= nit + 1
+
+
+def _calls_from_hmfront(fn):
+    """``fn()`` and the number of calls hmfront's own code made during it:
+    C functions called from an hmfront frame, and Python functions whose
+    caller is an hmfront frame.  What numpy does inside a call is not
+    counted, so the count does not depend on numpy's internals."""
+    count = [0]
+
+    def from_hmfront(frame):
+        return frame is not None and frame.f_globals.get("__name__", "").startswith("hmfront")
+
+    def profile(frame, event, arg):
+        if event == "c_call" and from_hmfront(frame):
+            count[0] += 1
+        elif event == "call" and from_hmfront(frame.f_back):
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, count[0]
+
+
+# calls per SQP iteration measured on the two subproblems below, whole
+# solves included (problem assembly, restoration and result mapping)
+_CALLS_PER_ITERATION = {"_epsilon_cell": 174, "_corrector_subproblem": 105}
+
+
+@pytest.mark.parametrize("subproblem", [_epsilon_cell, _corrector_subproblem])
+def test_sqp_call_budget_per_iteration(convex_mop, monkeypatch, subproblem):
+    # a budget for the solver's own Python: at most a quarter above the
+    # measured count, so that a change that adds work to every iteration
+    # shows here before it shows in the benchmark
+    iterations = [0]
+    minimize = nlp.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        iterations[0] += res.nit
+        return res
+
+    solve = subproblem(convex_mop)
+    monkeypatch.setattr(nlp, "minimize", counting_minimize)
+    sol, calls = _calls_from_hmfront(solve)
+    assert sol.converged and iterations[0] > 0
+    assert calls <= 1.25 * _CALLS_PER_ITERATION[subproblem.__name__] * iterations[0]
+
+
+def _nbi_ray(p):
+    """A solve of the NBI ray through the centre of the anchor hull."""
+    anchors = sc.compute_anchors(p)
+    nbi = sc.nbi_params(anchors, np.full(p.m, 1.0 / p.m))
+    return lambda: sc.solve_nbi(p, nbi, starts=[equal_weights(p.n)])
+
+
+@pytest.mark.parametrize("subproblem", [_epsilon_cell, _nbi_ray])
+def test_scaled_subproblem_reads_each_moment_once_per_point(
+    convex_mop, monkeypatch, subproblem
+):
+    # the reads made while a subproblem is set up (the Jacobian for the
+    # scales, the values for an aux start) serve the SQP's first iterate,
+    # and the values at the solution serve the mapping back to raw units
+    reads = []
+    evaluate = PortfolioMop._evaluate
+
+    def recording_evaluate(self, w, kind):
+        reads.append((np.asarray(w, dtype=float).tobytes(), kind))
+        return evaluate(self, w, kind)
+
+    solve = subproblem(convex_mop)
+    monkeypatch.setattr(PortfolioMop, "_evaluate", recording_evaluate)
+    assert solve().converged
+    assert reads and len(reads) == len(set(reads))
