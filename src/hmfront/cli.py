@@ -473,10 +473,7 @@ METHODS: dict[str, Method] = {
         {"n1": int, "n2": int, "alpha": float, "k": int, "rounds": int}, _run_epsilon
     ),
     "pgp": Method({"alpha": float, "beta": float}, _run_pgp),
-    "tracer": Method(
-        {"tau": float, "n_starts": int, "max_points": int, "corrector_tol": float},
-        _run_tracer,
-    ),
+    "tracer": Method({"tau": float, "n_starts": int, "max_points": int}, _run_tracer),
     "utility": Method({"lam": float, "n_starts": int}, _run_utility),
     "utility_iterative": Method(
         {"lambda_start": float, "lambda_stop": float, "lambda_step": float},

@@ -44,6 +44,7 @@ from . import nlp
 from .errors import CorrectorStallError, ParameterError, SolverError
 from .fronts import FrontApproximation, FrontPoint
 from .problem import PortfolioMop, _budget_gradient, _budget_row
+from .quality import distances
 from .scalarization import compute_anchors
 from .util import parallel_map, project_to_simplex, sum_zero_basis
 
@@ -114,7 +115,6 @@ class TracerConfig:
     tau: Optional[float] = None
     n_starts: int = 8
     max_points: int = 150
-    corrector_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.tau is not None and not self.tau > 0:
@@ -123,8 +123,6 @@ class TracerConfig:
             raise ParameterError("n_starts must be >= 1")
         if self.max_points < 1:
             raise ParameterError("max_points must be >= 1")
-        if not self.corrector_tol > 0:
-            raise ParameterError("corrector_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,11 +204,11 @@ def corrector(point: np.ndarray, problem, tol: float = 1e-8) -> KktPoint:
             mop, x, grads, hessians, delta
         )
         if t_scaled >= -tol and not tr_active:
-            return _make_kkt_point(mop, x, alphas, t_raw)
+            return _make_kkt_point(mop, x, grads, hessians, alphas, t_raw)
         if t_scaled >= -tol and tr_active:
             delta *= 0.5
             if delta < 1e-10:
-                return _make_kkt_point(mop, x, alphas, t_raw)
+                return _make_kkt_point(mop, x, grads, hessians, alphas, t_raw)
             continue
         f_now = mop.F(x)
         gamma = 1.0
@@ -321,9 +319,8 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
     return s, t_raw, t_scaled, alphas, bool(at_tr.any())
 
 
-def _make_kkt_point(mop: SmoothMop, x, alphas, t_star) -> KktPoint:
-    grads = mop.jacobian(x)
-    hessians = mop.hessians(x)
+def _make_kkt_point(mop: SmoothMop, x, grads, hessians, alphas, t_star) -> KktPoint:
+    """The KKT point at ``x`` from the Jacobian and Hessians read there."""
     w_alpha = np.einsum("i,ijk->jk", alphas, hessians)
     active = tuple(
         int(i)
@@ -442,25 +439,31 @@ def predictor(
     return steps
 
 
-def _dedup_insert(archive, images, cand: KktPoint, radius: float) -> bool:
-    """Insert unless an archived point with the same active facet lies within
-    the dedup radius.  A nearby point on a *different* facet is kept: it is
-    the portal through which tracing continues when a weight hits its bound
-    (facet restart), and rejecting it would stall the continuation at every
-    kink of the front."""
-    for pt, img in zip(archive, images):
-        if (
-            float(np.linalg.norm(cand.image - img)) < radius
-            and pt.active_lower == cand.active_lower
-        ):
-            return False
-    archive.append(cand)
-    images.append(cand.image)
-    return True
-
-
 def _canonical_order(points: list[KktPoint]) -> list[KktPoint]:
     return sorted(points, key=lambda pt: tuple(pt.image))
+
+
+def _merge(
+    archive: list[KktPoint], candidates, radius: float, limit: int, portals: bool = True
+) -> list[KktPoint]:
+    """Append the candidates that keep their spacing to ``archive`` (the rule
+    is stated in :func:`trace`), until it holds ``limit`` points; returns the
+    appended ones.  Without ``portals`` every nearby kept point blocks."""
+    base = len(archive)
+    pool = archive + _canonical_order(candidates)
+    images = np.array([pt.image for pt in pool])
+    kept = np.arange(len(pool)) < base
+    for i in range(base, len(pool)):
+        if len(archive) >= limit:
+            break
+        cand = pool[i]
+        near = distances(images[i : i + 1], images[:i])[0] < radius
+        blockers = np.flatnonzero(near & kept[:i])
+        if any(not portals or pool[j].active_lower == cand.active_lower for j in blockers):
+            continue
+        kept[i] = True
+        archive.append(cand)
+    return archive[base:]
 
 
 def trace(
@@ -473,10 +476,18 @@ def trace(
 
     Seeds ``n_starts`` Dirichlet portfolios, corrects each to the KKT
     manifold, then expands every archive point through its tangent frame in
-    predictor-corrector waves.  Candidates within tau/2 of an archived image
-    are dropped (canonical image ordering first, so the outcome does not
-    depend on merge order), and the run stops at ``max_points`` or when no
-    direction yields a new point.
+    predictor-corrector waves, and stops at ``max_points`` or when no
+    direction yields a new point.  The front comes back in descending mean.
+
+    Merge rule: the corrected seeds, then each wave's candidates, join the
+    archive in canonical image order, so the outcome does not depend on the
+    order they were computed in.  A candidate is dropped when an archived
+    image with the same active facet lies within tau/2.  A nearby point on a
+    *different* facet is kept: it is the portal through which tracing
+    continues when a weight hits its bound, and rejecting it would stall the
+    continuation at every kink of the front.  Once the expansion is done the
+    portals are no longer needed, so the archive is thinned, again in
+    canonical order, to a set whose images are all at least tau/2 apart.
     """
     cfg = cfg or TracerConfig()
     if not isinstance(problem, PortfolioMop):
@@ -502,68 +513,44 @@ def trace(
 
     def correct_seed(w):
         try:
-            return corrector(w, mop, cfg.corrector_tol)
+            return corrector(w, mop)
         except SolverError:
             return None
+
+    def expand(pt: KktPoint):
+        out = []
+        try:
+            frame = tangent_frame(pt)
+        except SolverError:
+            return out
+        for step in predictor(pt, frame, cfg, mop):
+            try:
+                out.append(corrector(step.point, mop))
+            except SolverError:
+                continue
+        return out
 
     corrected = [pt for pt in parallel_map(correct_seed, seeds) if pt is not None]
     if not corrected:
         raise SolverError("no seed portfolio could be corrected to the KKT manifold")
     archive: list[KktPoint] = []
-    images: list[np.ndarray] = []
-    for pt in _canonical_order(corrected):
-        if len(archive) >= cfg.max_points:
-            break
-        _dedup_insert(archive, images, pt, tau / 2.0)
-    frontier = list(archive)
+    frontier = _merge(archive, corrected, tau / 2.0, cfg.max_points)
     while frontier and len(archive) < cfg.max_points:
-        wave, frontier = frontier, []
-
-        def expand(pt: KktPoint):
-            out = []
-            try:
-                frame = tangent_frame(pt)
-            except SolverError:
-                return out
-            for step in predictor(pt, frame, cfg, mop):
-                try:
-                    out.append(corrector(step.point, mop, cfg.corrector_tol))
-                except SolverError:
-                    continue
-            return out
-
-        candidates: list[KktPoint] = []
-        for group in parallel_map(expand, wave):
-            candidates.extend(group)
-        for cand in _canonical_order(candidates):
-            if len(archive) >= cfg.max_points:
-                break
-            if _dedup_insert(archive, images, cand, tau / 2.0):
-                frontier.append(cand)
-    # facet portals may have admitted twins closer than tau/2; with the
-    # expansion finished they are no longer needed, so thin to a clean
-    # tau/2-separated set in canonical order
-    thinned: list[KktPoint] = []
-    thin_images: list[np.ndarray] = []
-    for pt in _canonical_order(archive):
-        if all(float(np.linalg.norm(pt.image - img)) >= tau / 2.0 for img in thin_images):
-            thinned.append(pt)
-            thin_images.append(pt.image)
-    archive = thinned
-    archive.sort(key=lambda pt: float(pt.image[0]))
-    points = [
-        FrontPoint.at(
-            problem,
-            pt.x,
-            {"t_star": pt.t_star, "kkt_residual": pt.kkt_residual},
-            {"alpha_%d" % (i + 1): float(a) for i, a in enumerate(pt.alpha)},
-        )
-        for pt in archive
-    ]
-    return FrontApproximation(
+        candidates = [pt for group in parallel_map(expand, frontier) for pt in group]
+        frontier = _merge(archive, candidates, tau / 2.0, cfg.max_points)
+    archive = _merge([], archive, tau / 2.0, len(archive), portals=False)
+    front = FrontApproximation(
         method="tracer",
         objectives=problem.objectives,
-        points=points,
+        points=[
+            FrontPoint.at(
+                problem,
+                pt.x,
+                {"t_star": pt.t_star, "kkt_residual": pt.kkt_residual},
+                {"alpha_%d" % (i + 1): float(a) for i, a in enumerate(pt.alpha)},
+            )
+            for pt in archive
+        ],
         metadata={
             "tau": float(tau),
             "n_starts": cfg.n_starts,
@@ -571,3 +558,5 @@ def trace(
             "seed": seed,
         },
     )
+    front.sort_by_mean_descending()
+    return front

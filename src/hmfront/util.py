@@ -19,6 +19,10 @@ def project_to_simplex(v: np.ndarray, lower: float = 0.0) -> np.ndarray:
     css = np.cumsum(s)
     ks = np.arange(1, n + 1)
     cond = s * ks > (css - total)
+    if not cond.any():
+        # k = 1 qualifies in exact arithmetic, but past about 2**53 its test
+        # rounds to false; the projection is then the vertex of the largest entry
+        return np.where(np.arange(n) == np.argmax(u), total, 0.0) + lower
     rho = int(np.nonzero(cond)[0][-1])
     theta = (css[rho] - total) / (rho + 1.0)
     return np.maximum(u - theta, 0.0) + lower

@@ -484,7 +484,6 @@ def _no_solve(*args, **kwargs):
         ("nbi", "divisions=0"),
         ("nbi", "divisions=-1"),
         ("sf", "n_references=-2"),
-        ("tracer", "corrector_tol=-1"),
         ("epsilon", "rounds=-1"),
         ("epsilon", "k=0"),
         ("epsilon", "alpha=-1"),
@@ -504,6 +503,27 @@ def test_out_of_range_method_param_exits_2(tmp_path, capsys, monkeypatch, method
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Warning" not in err
+
+
+def test_corrector_tol_is_an_unknown_tracer_param_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # the corrector's tolerance is fixed; the tracer takes no setting for it
+    monkeypatch.setattr(nlp, "solve", _no_solve)
+    out = tmp_path / "f"
+    argv = ["front", *SYN, "--method", "tracer", "--param", "corrector_tol=1e-9"]
+    assert run([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert "unknown parameter 'corrector_tol' for method tracer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tracer_with_a_huge_tau_writes_a_front(tmp_path):
+    # predictor steps of about 1e13 leave the simplex far behind, and their
+    # projection back onto it must still be a point of the simplex
+    out = tmp_path / "f"
+    argv = ["front", *SYN, "--method", "tracer", "--param", "tau=1e13", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert (out / "front.csv").exists() and (out / "front.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -632,7 +652,6 @@ def test_ray_lattice_is_bounded_before_any_solve(
         ("tracer", "tau=inf"),
         ("epsilon", "alpha=inf"),
         ("pgp", "alpha=inf"),
-        ("tracer", "corrector_tol=inf"),
     ],
 )
 def test_non_finite_float_param_exits_2_before_any_solve(

@@ -2,6 +2,7 @@
 SQP iteration."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,3 +282,32 @@ def test_scaled_subproblem_reads_each_moment_once_per_point(
     monkeypatch.setattr(PortfolioMop, "_evaluate", recording_evaluate)
     assert solve().converged
     assert reads and len(reads) == len(set(reads))
+
+
+def test_corrector_reads_moments_once_per_iteration(mv_mop, monkeypatch):
+    # one Jacobian and one Hessian read per iteration, at the point whose
+    # subproblem it solves; the KKT point reuses the last iteration's reads
+    mop = tr.as_smooth_mop(mv_mop)
+    reads = {"jacobian": 0, "hessians": 0}
+
+    def counted(name):
+        read = getattr(mop, name)
+
+        def counting_read(x):
+            reads[name] += 1
+            return read(x)
+
+        return counting_read
+
+    subproblems = [0]
+    solve = nlp.solve
+
+    def counting_solve(problem):
+        subproblems[0] += 1
+        return solve(problem)
+
+    monkeypatch.setattr(nlp, "solve", counting_solve)
+    counting = replace(mop, jacobian=counted("jacobian"), hessians=counted("hessians"))
+    tr.corrector(np.array([0.01, 0.01, 0.98]), counting)
+    assert subproblems[0] > 1
+    assert reads == {"jacobian": subproblems[0], "hessians": subproblems[0]}

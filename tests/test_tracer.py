@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hmfront import ParameterError
+from hmfront import ParameterError, PortfolioMop, compute_moments
 from hmfront import tracer as tr
+from hmfront.util import project_to_simplex
 from oracles import min_variance_at_mean, simplex_sweep, strictly_dominates_any
 
 
@@ -197,3 +198,21 @@ def test_trace_points_critical_and_sorted(convex_mop):
     assert means == sorted(means, reverse=True)
     for pt in front.points:
         assert pt.params["t_star"] >= -1e-8
+
+
+def test_trace_orders_its_front_by_descending_mean(convex_returns):
+    # the order the CLI writes, whatever the order of the objectives
+    mop = PortfolioMop(
+        moments=compute_moments(convex_returns), objectives=("variance", "mean", "skewness")
+    )
+    front = tr.trace(mop, tr.TracerConfig(n_starts=4, max_points=50), seed=0)
+    means = [pt.mean for pt in front.points]
+    assert len(means) > 1
+    assert means == sorted(means, reverse=True)
+
+
+def test_project_to_simplex_past_2_pow_53():
+    # the k = 1 test of the sort-based projection holds in exact arithmetic
+    # but rounds to false when an entry is this large
+    out = project_to_simplex(np.array([1e17, 0.0, -1e17]))
+    assert np.array_equal(out, [1.0, 0.0, 0.0])
