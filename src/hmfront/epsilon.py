@@ -22,13 +22,23 @@ the rest of the row would return that cell's point again, so those cells
 are counted as converged duplicates (``FrontArchive.skipped``) without a
 solve.  This is the bypass of AUGMECON (Mavrotas 2009).
 
+Down a column it is eps_1 that grows, and a column bypass on the multiplier
+alone is not safe on this non-convex problem: a cell solved from its left
+neighbour can reach another local solution than the cell above it.  So a
+cell is replayed from an earlier cell of its column only where the solve is
+proven the same: the earlier cell's eps_1 row took no part in its solve
+(``ScalarSolution.inert_rows``) and both start from the same weights.  A
+replayed cell is recorded as if it had been solved: it counts in
+``attempted``, not in ``skipped``, and every output is unchanged.
+
 Refinement around an archived entry places (2k+1)^2 - 1 new epsilon points
 spaced ``alpha / (1 + mu_i^2)`` along axis i, where mu_i is the archived
 Lagrange multiplier of the corresponding epsilon row: strongly binding
 constraints shrink the local spacing so the image-space spacing stays near
 ``alpha``.  The interactive "pick a point" step is replaced by a batch
 policy that repeatedly refines the entry with the widest nearest-neighbour
-image gap.
+image gap.  A refinement that repeats the archive's last one (same centre,
+spacing and radius) records that one's solves again.
 
 Grid cells are weakly efficient only; dominated points can appear on
 non-convex instances, so the archive exposes both raw and dominance-filtered
@@ -48,7 +58,7 @@ from .errors import ParameterError, SolverError
 from .problem import PortfolioMop
 from .quality import nearest_gaps
 from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
-from .util import equal_weights, parallel_map, simplex_vertices
+from .util import equal_weights, simplex_vertices
 
 # default grid counts (N1, N2) of run_adaptive_epsilon
 GRID_N = (50, 50)
@@ -113,6 +123,8 @@ class FrontArchive:
     failed_count: int = 0
     skipped: int = 0
     _keys: set = field(default_factory=set)
+    # the last refinement's centre, alpha, k and (eps, solution) per cell
+    _last_refinement: Optional[tuple] = None
 
     def image(self) -> np.ndarray:
         if not self.entries:
@@ -249,6 +261,35 @@ def _solve_cell(
     return finish(nlp.solve(problem))
 
 
+def _cell_solver(p: PortfolioMop, grid: EpsilonGrid):
+    """The cell solve of one sweep, ``solve(eps, x0)``, which replays a cell
+    whose solve is known instead of solving it.
+
+    A cell's ``eps_1`` row is ``(eps_1 - F_1(x)) / s_1``, with ``s_1`` read
+    at ``x0``: a larger ``eps_1`` raises its value at every point and leaves
+    its gradient and Hessian as they are.  When the row was inert in a solve
+    (``ScalarSolution.inert_rows[0]``, see :func:`nlp.minimize`), a cell with
+    the same ``eps_2`` float, an ``eps_1`` no smaller and a start ``x0`` of
+    the same bytes therefore gives the same solve to the last bit.  The
+    sweep keeps, per ``eps_2``, the last solve whose ``eps_1`` row was inert,
+    with its ``eps_1`` and the bytes of its ``x0``, and returns that solution
+    for every such cell.
+    """
+    memo = {}  # eps_2 bytes -> (eps_1, x0 bytes, solution)
+
+    def solve(eps: np.ndarray, x0: np.ndarray) -> nlp.ScalarSolution:
+        column, start = eps[1].tobytes(), x0.tobytes()
+        known = memo.get(column)
+        if known is not None and known[0] <= eps[0] and known[1] == start:
+            return known[2]
+        sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0)
+        if sol.inert_rows[0]:
+            memo[column] = (float(eps[0]), start, sol)
+        return sol
+
+    return solve
+
+
 def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
     """Solve the grid cells; archive converged entries with multipliers.
 
@@ -262,27 +303,27 @@ def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
     each later cell would be warm-started from it.  The later cells are
     counted in ``attempted`` and ``skipped`` as converged duplicates,
     without a solve.
+
+    Down a column ``eps_1`` only grows, and a cell whose solve the cell above
+    it (or one further up) proves identical is replayed from it
+    (:func:`_cell_solver`).  A replayed cell is recorded exactly as if it
+    had been solved: it counts in ``attempted`` and not in ``skipped``, and
+    the archive is the same.
     """
     n1, n2 = grid.N
     archive = FrontArchive(problem=p, grid=grid)
-
-    def solve_row(l1: int):
-        out = []
+    solve = _cell_solver(p, grid)
+    for l1 in range(n1):
         x0 = equal_weights(p.n)
         for l2 in range(n2):
             eps = grid.centers[l1 * n2 + l2]
-            sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0)
-            out.append((eps, sol))
+            sol = solve(eps, x0)
+            archive.record(eps, sol)
             if sol.converged:
                 if sol.ineq_multipliers[1] == 0.0:
+                    archive.record_skipped(n2 - 1 - l2)
                     break
                 x0 = sol.x
-        return out
-
-    for row in parallel_map(solve_row, range(n1)):
-        for eps, sol in row:
-            archive.record(eps, sol)
-        archive.record_skipped(n2 - len(row))
     archive.sort()
     return archive
 
@@ -308,18 +349,26 @@ def refine(archive: FrontArchive, req: RefinementRequest) -> FrontArchive:
     New epsilon points come from :func:`refinement_lattice`; the centre cell
     itself is excluded.  All-infeasible (or all-duplicate) neighbourhoods
     leave the archive unchanged and emit a warning.
+
+    Every cell starts from the centre's weights, and the lattice runs down
+    each ``eps_2`` column in increasing ``eps_1``, so a cell is replayed
+    where :func:`_cell_solver` proves its solve identical to one above it.
+    A request for the same centre, ``alpha`` and ``k`` as the archive's
+    last refinement has the same cells and the same solves, so those are
+    recorded again without a solve.  Replayed cells count in ``attempted``
+    as solved, not in ``skipped``, and the archive is the same.
     """
     entry = req.center
     if not any(e is entry or np.array_equal(e.eps, entry.eps) for e in archive.entries):
         raise ParameterError("refinement center is not an archive entry")
-    p = archive.problem
-    grid = archive.grid
-
-    def solve_offset(eps):
-        sol = _solve_cell(p, eps, grid.constrained, grid.minimized, entry.x)
-        return eps, sol
-
-    results = parallel_map(solve_offset, refinement_lattice(entry, req.alpha, req.k))
+    last = archive._last_refinement
+    if last is not None and last[0] is entry and last[1:3] == (req.alpha, req.k):
+        results = last[3]
+    else:
+        solve = _cell_solver(archive.problem, archive.grid)
+        lattice = refinement_lattice(entry, req.alpha, req.k)
+        results = [(eps, solve(eps, entry.x)) for eps in lattice]
+        archive._last_refinement = (entry, req.alpha, req.k, results)
     added = sum(archive.record(eps, sol) for eps, sol in results)
     if added == 0:
         warnings.warn("refinement produced no new feasible points", stacklevel=2)

@@ -66,7 +66,11 @@ is infeasible.  A solve has converged when its final point is stationary
 within ``_TOL_KKT`` (1e-8) and feasible within ``_TOL_FEAS`` (1e-9).  A
 solve takes no settings: these tolerances decide only its status and
 message, and no caller wants other values.  Solves are pure functions of
-their inputs, so identical problems produce bit-identical solutions.
+their inputs, so identical problems produce bit-identical solutions.  A
+solve also reports which inequality rows were inert, so that a caller can
+tell which looser problems it has solved already: raising an inert row's
+value at every point gives the same solve to the last bit (see
+:func:`minimize`).
 """
 
 from __future__ import annotations
@@ -201,6 +205,10 @@ class ScalarSolution:
     scalarization layer when the variable vector has portfolio structure.
     ``n_iter`` totals the SQP iterations of the solve: when feasibility
     restoration ran, it counts both SQP runs, not only the last.
+    ``inert_rows`` holds one bool per inequality row: whether the row took
+    no part in the solve (see :func:`minimize`), so that raising its value
+    at every point would give the same solve to the last bit.  It is
+    ``None`` for a solution that no SQP run produced.
     """
 
     x: np.ndarray
@@ -215,6 +223,7 @@ class ScalarSolution:
     comp_slackness: float
     n_iter: int
     message: str = ""
+    inert_rows: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     aux_value: Optional[float] = None
     objective_values: Optional[np.ndarray] = None
@@ -284,7 +293,8 @@ class SqpResult:
     ``row_multipliers`` their multipliers (nonnegative); ``eq_multipliers``
     refer to the equality constraints as written.  The multipliers come from
     the last QP, and the residuals are theirs at ``x`` (infinite when the
-    last step was a feasibility step).
+    last step was a feasibility step).  ``inert_rows`` marks each inequality
+    row that took no part in the run (see :func:`minimize`).
     """
 
     x: np.ndarray
@@ -297,6 +307,7 @@ class SqpResult:
     row_multipliers: np.ndarray
     kkt_residual: float  # stationarity of the multipliers at x
     comp_slackness: float  # largest |multiplier * row value| at x
+    inert_rows: np.ndarray
 
 
 def _kkt_solve(b, rows, rhs):
@@ -332,7 +343,7 @@ def _independent(stacked, p, rows) -> list:
     return kept
 
 
-def _qp(b, g, rows, rhs, p, start):
+def _qp(b, g, rows, rhs, p, start, low=None):
     """The dual active-set QP method of Goldfarb and Idnani (1983).
 
     Minimizes ``0.5 d'b d + g'd`` subject to ``rows[:p] d = rhs[:p]`` and
@@ -348,6 +359,11 @@ def _qp(b, g, rows, rhs, p, start):
     rows, then of the inequality rows ``active`` (nonnegative), so that ``g +
     b d = rows[:p]'u[:p] + rows[p:][active]'u[p:]``; or ``None`` when the
     constraints are inconsistent (or the iteration limit is reached).
+
+    The inequality rows outside the working set enter only through their
+    slacks ``rows[p:] d - rhs[p:]``, at each step the method tests and at
+    the step it returns.  ``low``, where given, is lowered in place to the
+    least slack each row had at any of them.
     """
     ae, be = rows[:p], rhs[:p]
     ai, bi = rows[p:], rhs[p:]
@@ -369,11 +385,15 @@ def _qp(b, g, rows, rhs, p, start):
         changed = False
         for _ in range(_QP_MAX_STEPS + 2 * ai.shape[0]):
             slack = ai @ d - bi
+            if low is not None:
+                np.minimum(low, slack, out=low)
             slack[active] = np.inf
             j = int(slack.argmin()) if slack.size else -1
             if j < 0 or slack[j] >= -_QP_TOL * (1.0 + abs(bi[j])):
                 if changed:  # a clean solve on the final working set
                     d, u = eqp()
+                    if low is not None:
+                        np.minimum(low, ai @ d - bi, out=low)
                 if _amax(ae @ d - be) > 1e-8 * (1.0 + _amax(be)):
                     return None  # dependent equality rows that disagree
                 u[p:] = np.maximum(u[p:], 0.0)
@@ -559,6 +579,21 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
     when the step falls below rounding, when no step decreases the merit,
     after ``_MAX_FEASIBILITY_STEPS`` feasibility steps in a row, or at the
     cap.  The scalar tests run on Python floats.
+
+    The run reports which inequality rows were inert (``inert_rows``).  A
+    row is inert when it never entered a working set (the first one, a QP's
+    start, a row the QP added, the last one); its value was ``>= 0`` at
+    every point the run evaluated (iterates, line-search trials,
+    second-order corrections); its linearized value ``a.d + v`` was ``>= 0``
+    under every step ``d`` the run computed (the Newton step, each step at
+    which the QP tests its rows, the step it returns); and the run took no
+    feasibility step, after which no row is inert.  Such a row reaches the
+    run only through comparisons of those values with 0 and through terms
+    ``max(-v, 0)`` of the violation, all 0.  Floating-point rounding is
+    monotone, so a row with the same gradient and Hessian whose value is no
+    smaller at every point passes every one of these tests again: the run
+    is the same to the last bit, iterates, multipliers, residuals and
+    message included.  A looser epsilon bound is such a row.
     """
     p, q = constraints or (0, 0)
     maxiter = int((options or {}).get("maxiter", _MAX_ITER))
@@ -588,6 +623,17 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
     # in place each iteration
     weights = np.empty(1 + p + q)
     weights[0] = 1.0
+    # the least value each candidate row took at an evaluated point and,
+    # linearized, under a step the run computed; -inf once the row is in a
+    # working set or the run takes a feasibility step
+    low = np.full(n_cand, math.inf)
+    low_ineq = low[:q]
+
+    def evaluate(x) -> Iterate:
+        """The iterate at ``x``, its inequality rows' values taken into ``low``."""
+        point = Iterate(x, rows(x), p)
+        np.minimum(low_ineq, point.rows.values[1 + p :], out=low_ineq)
+        return point
 
     def row_values(it: Iterate) -> np.ndarray:
         """The values of the stacked rows at the iterate ``it``."""
@@ -598,7 +644,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         return eq_rows + [p + j for j in working]
 
     x = x0.clip(lb, ub)
-    it = Iterate(x, rows(x), p)
+    it = evaluate(x)
     working = sel = lam = nu = None
     rho = 0.0
     nit = 0
@@ -627,6 +673,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             # held or penalized, kept independent
             if working is None:
                 working = (vals <= _ACTIVE_TOL).nonzero()[0].tolist()
+                low[working] = -math.inf
             sel = rows_of(working)
             if len(sel) > 1 and np.linalg.matrix_rank(stacked[sel]) < len(sel):
                 sel = _independent(stacked, p, sel[p:])
@@ -647,13 +694,16 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             # violated
             d, u = step
             slack = ai @ d + vals
+            np.minimum(low, slack, out=low)
             slack[working] = np.inf
             if _amin(u[p:]) >= 0.0 and _amin(slack) >= -_QP_TOL:
                 b, qp = w, (d, u, working)
         if qp is None:
             b, shift = _convexify(w, active, eye)
-            qp = _qp(b, grad, stacked, -values, p, working)
+            qp = _qp(b, grad, stacked, -values, p, working, low)
         if qp is not None:
+            # a row the QP added to its working set had a negative slack, so
+            # ``low`` already holds it below zero
             infeasible_steps = 0
             d, u, working = qp
             if working != predicted:
@@ -678,7 +728,9 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             nu[working] = u[p:]
             comp = _amax(u[p:] * vals[working])
         else:
-            # inconsistent linearization: the multipliers stay as they were
+            # inconsistent linearization: the multipliers stay as they were;
+            # the feasibility step reads every row's value
+            low.fill(-math.inf)
             qp = _penalty_qp(b, stacked, values, p, working)
             if qp is None:
                 message = "QP subproblem failed"
@@ -706,8 +758,10 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         # 18.32), relaxing towards it by Powell's rule as SLSQP does; raised
         # where needed so that d is a descent direction of the merit (eq.
         # 18.36), and well above that for a feasibility step
+        lin_ineq = values[p : p + q] + ai[:q] @ d
+        np.minimum(low_ineq, lin_ineq, out=low_ineq)
         lin = np.add.reduce(abs(values[:p] + ae @ d)) + np.add.reduce(
-            np.maximum(-(values[p : p + q] + ai[:q] @ d), 0.0)
+            np.maximum(-lin_ineq, 0.0)
         )
         pred = it.l1_violation - float(lin)
         gd = float(grad @ d)
@@ -729,7 +783,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             message = "no descent direction"
             break
         xt = (x + d).clip(lb, ub)
-        trial = Iterate(xt, rows(xt), p)
+        trial = evaluate(xt)
         merit = trial.fun + rho * trial.l1_violation
         accepted = trial if merit <= phi0 + _ARMIJO * slope else None
         if accepted is None and blind:
@@ -741,7 +795,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             # second-order correction: back onto the linearized working set
             fix = np.linalg.lstsq(active, row_values(trial)[sel], rcond=None)[0]
             xt = (x + d - fix).clip(lb, ub)
-            soc = Iterate(xt, rows(xt), p)
+            soc = evaluate(xt)
             if soc.fun + rho * soc.l1_violation <= phi0 + _ARMIJO * slope:
                 accepted = soc
         alpha = 1.0
@@ -750,7 +804,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             drop = merit - phi0 - slope * alpha
             alpha = min(0.5 * alpha, max(0.1 * alpha, -slope * alpha * alpha / (2.0 * drop)))
             xt = (x + alpha * d).clip(lb, ub)
-            trial = Iterate(xt, rows(xt), p)
+            trial = evaluate(xt)
             merit = trial.fun + rho * trial.l1_violation
             if merit <= phi0 + _ARMIJO * alpha * slope:
                 accepted = trial
@@ -772,6 +826,7 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         row_multipliers=nu[working],
         kkt_residual=kkt,
         comp_slackness=comp,
+        inert_rows=low_ineq >= 0.0,
     )
 
 
@@ -825,11 +880,14 @@ def solve(problem: NlpProblem) -> ScalarSolution:
     feasibility restoration where it ran; anything else is ``max_iter``.  A
     run that ends with a violation above ``_INFEASIBLE_TOL`` is followed by
     restoration from ``problem.x0`` and, if that reaches feasibility, by a
-    second run from the restored point.
+    second run from the restored point.  Restoration reads every row, so a
+    solve that ran it reports no inert row.
     """
     res = _run_sqp(problem, problem.x0)
     n_iter = res.nit
+    inert = res.inert_rows
     if res.violation > _INFEASIBLE_TOL:
+        inert = np.zeros(problem.n_ineq, dtype=bool)
         restored = _restore_feasibility(problem, problem.x0).x
         restored_viol = _violation(problem, restored)
         if restored_viol <= _INFEASIBLE_TOL:
@@ -850,6 +908,7 @@ def solve(problem: NlpProblem) -> ScalarSolution:
                 comp_slackness=float("nan"),
                 n_iter=n_iter,
                 message="restoration could not reach feasibility",
+                inert_rows=inert,
             )
 
     x, viol, kkt = res.x, res.violation, res.kkt_residual
@@ -886,6 +945,7 @@ def solve(problem: NlpProblem) -> ScalarSolution:
         comp_slackness=res.comp_slackness,
         n_iter=n_iter,
         message=message,
+        inert_rows=inert,
     )
 
 

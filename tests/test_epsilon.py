@@ -221,15 +221,17 @@ def _skewed_mop():
 def test_row_bypass_matches_full_sweep(convex_mop, monkeypatch, instance):
     p = convex_mop if instance == "convex" else _skewed_mop()
     grid = em.build_grid(p, (6, 6))
-    solves_per_row = {}
-    real_solve_cell = em._solve_cell
+    # the cells each row reaches, solved or replayed down a column: every
+    # one is recorded once
+    reached_per_row = {}
+    real_record = em.FrontArchive.record
 
-    def counting_solve_cell(p, eps, *args):
-        solves_per_row[float(eps[0])] = solves_per_row.get(float(eps[0]), 0) + 1
-        return real_solve_cell(p, eps, *args)
+    def counting_record(self, eps, sol):
+        reached_per_row[float(eps[0])] = reached_per_row.get(float(eps[0]), 0) + 1
+        return real_record(self, eps, sol)
 
     with monkeypatch.context() as m:
-        m.setattr(em, "_solve_cell", counting_solve_cell)
+        m.setattr(em.FrontArchive, "record", counting_record)
         bypass = em.solve_grid(p, grid)
     full, rows = full_sweep(p, grid)
 
@@ -248,11 +250,193 @@ def test_row_bypass_matches_full_sweep(convex_mop, monkeypatch, instance):
             (j for j, s in enumerate(sols) if s.converged and s.ineq_multipliers[1] == 0.0),
             n2 - 1,  # a row without such a cell is solved to its end
         )
-        assert solves_per_row[float(grid.centers[l1 * n2, 0])] == first_slack + 1
+        assert reached_per_row[float(grid.centers[l1 * n2, 0])] == first_slack + 1
         expected_skipped += n2 - 1 - first_slack
     assert bypass.skipped == expected_skipped > 0
     if instance == "skewed":
-        assert min(solves_per_row.values()) < n2 == max(solves_per_row.values())
+        assert min(reached_per_row.values()) < n2 == max(reached_per_row.values())
+
+
+def _memo_free(m):
+    """Solve every cell the sweeps reach: no replay down a column and no
+    repeated refinement."""
+
+    def cell_solver(p, grid):
+        def solve(eps, x0):
+            return em._solve_cell(p, eps, grid.constrained, grid.minimized, x0)
+
+        return solve
+
+    real_refine = em.refine
+
+    def refine(archive, req):
+        archive._last_refinement = None
+        return real_refine(archive, req)
+
+    m.setattr(em, "_cell_solver", cell_solver)
+    m.setattr(em, "refine", refine)
+
+
+def _counting_solves(m):
+    """Count the cell solves, one list entry per solve."""
+    calls = []
+    real = em._solve_cell
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    m.setattr(em, "_solve_cell", counting)
+    return calls
+
+
+def _assert_same_archive(a, b):
+    assert len(a.entries) == len(b.entries)
+    for x, y in zip(a.entries, b.entries):
+        for name in ("eps", "x", "multipliers", "image"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+    counts = ("attempted", "skipped", "infeasible_count", "failed_count")
+    assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
+
+
+@pytest.mark.parametrize("instance", ["convex", "skewed"])
+def test_grid_replay_matches_a_memo_free_sweep(convex_mop, instance):
+    p = convex_mop if instance == "convex" else _skewed_mop()
+    grid = em.build_grid(p, (6, 6))
+    with pytest.MonkeyPatch.context() as m:
+        solves = _counting_solves(m)
+        replayed = em.solve_grid(p, grid)
+    with pytest.MonkeyPatch.context() as m:
+        _memo_free(m)
+        full_solves = _counting_solves(m)
+        full = em.solve_grid(p, grid)
+    _assert_same_archive(replayed, full)
+    assert replayed.attempted == 36
+    # every cell the sweep reached was recorded, and at least one was replayed
+    assert len(solves) < len(full_solves) == replayed.attempted - replayed.skipped
+
+
+@pytest.mark.parametrize("instance", ["convex", "skewed"])
+def test_refine_replay_matches_a_memo_free_refinement(convex_mop, instance):
+    import warnings
+
+    p = convex_mop if instance == "convex" else _skewed_mop()
+    grid = em.build_grid(p, (6, 6))
+    replayed, full = em.solve_grid(p, grid), em.solve_grid(p, grid)
+    alpha = 0.25 * float(grid.L[0])
+    solves, full_solves = [], []
+    for i in range(len(replayed.entries)):
+        # the lattice of k = 2 has five cells down each of its columns
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as m:
+            warnings.simplefilter("ignore")
+            calls = _counting_solves(m)
+            em.refine(replayed, em.RefinementRequest(center=replayed.entries[i], alpha=alpha, k=2))
+            solves.append(len(calls))
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as m:
+            warnings.simplefilter("ignore")
+            _memo_free(m)
+            calls = _counting_solves(m)
+            em.refine(full, em.RefinementRequest(center=full.entries[i], alpha=alpha, k=2))
+            full_solves.append(len(calls))
+        _assert_same_archive(replayed, full)
+    assert full_solves == [24] * len(full_solves)
+    assert sum(solves) < sum(full_solves)
+
+
+def test_repeated_refinement_rounds_record_the_same_solves(convex_mop):
+    # at 50 x 50 on the acceptance instance the widest gap after round 3 is
+    # still round 3's centre, so rounds 4 and 5 refine it again with the
+    # same lattice
+    solves_per_round = []
+
+    def rounds_of(m):
+        calls = _counting_solves(m)
+        real_refine = em.refine
+
+        def refine(archive, req):
+            before = len(calls)
+            out = real_refine(archive, req)
+            solves_per_round.append(len(calls) - before)
+            return out
+
+        m.setattr(em, "refine", refine)
+
+    with pytest.MonkeyPatch.context() as m:
+        rounds_of(m)
+        replayed = em.run_adaptive_epsilon(convex_mop, (50, 50), rounds=5)
+    with pytest.MonkeyPatch.context() as m:
+        _memo_free(m)
+        rounds_of(m)
+        full = em.run_adaptive_epsilon(convex_mop, (50, 50), rounds=5)
+    _assert_same_archive(replayed, full)
+    assert replayed.attempted == 2500 + 5 * 8
+    assert solves_per_round[5:] == [8] * 5
+    assert solves_per_round[3:5] == [0, 0]
+
+
+def _assert_bit_identical(a: nlp.ScalarSolution, b: nlp.ScalarSolution) -> None:
+    for name in (
+        "x",
+        "value",
+        "eq_multipliers",
+        "ineq_multipliers",
+        "lb_multipliers",
+        "ub_multipliers",
+        "kkt_residual",
+        "constraint_violation",
+        "comp_slackness",
+        "weights",
+        "objective_values",
+        "inert_rows",
+    ):
+        u, v = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert u.dtype == v.dtype and u.shape == v.shape, name
+        assert u.tobytes() == v.tobytes(), name
+    assert (a.status, a.message, a.n_iter) == (b.status, b.message, b.n_iter)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**16),
+    level=st.floats(0.2, 0.9),
+    shift=st.floats(0.0, 2.0),
+)
+def test_inert_eps1_row_gives_the_same_solve_at_a_looser_bound(n, seed, level, shift):
+    p = PortfolioMop(moments=compute_moments(synthetic_returns(n, 200, seed, level)))
+    grid = em.build_grid(p, (3, 3))
+    ran = set()
+    real_penalty, real_restore = nlp._penalty_qp, nlp._restore_feasibility
+
+    def penalty(*args):
+        ran.add("feasibility step")
+        return real_penalty(*args)
+
+    def restore(*args):
+        ran.add("restoration")
+        return real_restore(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nlp, "_penalty_qp", penalty)
+        m.setattr(nlp, "_restore_feasibility", restore)
+        for l1 in range(3):
+            x0 = equal_weights(n)
+            for l2 in range(3):
+                eps = grid.centers[3 * l1 + l2]
+                ran.clear()
+                sol = em._solve_cell(p, eps, grid.constrained, grid.minimized, x0)
+                # a binding row, or any row of a solve that took a
+                # feasibility step or restored, took part in the solve
+                if sol.converged and sol.ineq_multipliers[0] > 0.0:
+                    assert not sol.inert_rows[0]
+                if ran:
+                    assert not sol.inert_rows.any()
+                if sol.inert_rows[0]:
+                    looser = np.array([np.nextafter(eps[0], np.inf) + shift * grid.L[0], eps[1]])
+                    again = em._solve_cell(p, looser, grid.constrained, grid.minimized, x0)
+                    _assert_bit_identical(sol, again)
+                if sol.converged:
+                    x0 = sol.x
 
 
 def test_refinement_zero_multiplier_exact_lattice(archive):

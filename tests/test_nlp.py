@@ -49,6 +49,7 @@ def test_textbook_inequality_multiplier():
     assert sol.status is SolveStatus.CONVERGED
     assert sol.x[0] == pytest.approx(1.0, abs=1e-10)
     assert sol.ineq_multipliers[0] == pytest.approx(2.0, abs=1e-8)
+    assert sol.inert_rows.tolist() == [False]  # a binding row takes part
 
 
 def test_minimum_variance_equal_weights_multiplier():
@@ -295,6 +296,131 @@ def test_n_iter_counts_both_sqp_runs_after_restoration(monkeypatch):
     assert len(sqp_iters) == 2
     assert sol.status is SolveStatus.CONVERGED
     assert sol.n_iter == sum(sqp_iters) > sqp_iters[-1]
+
+
+def _call_log(monkeypatch, name):
+    """Record each call of the ``nlp`` function ``name``."""
+    calls = []
+    real = getattr(nlp, name)
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nlp, name, spy)
+    return calls
+
+
+def _one_variable(objective, rows, x0, **bounds):
+    """min ``objective`` over one variable subject to inequality rows
+    ``g(x) >= 0``; each is ``(value, slope, curvature)`` as functions of x,
+    the objective too."""
+
+    def block(x):
+        t = float(x[0])
+        parts = [objective] + rows
+        return RowBlock(
+            np.array([f(t) for f, _, _ in parts]),
+            lambda: np.array([[df(t)] for _, df, _ in parts]),
+            lambda w: np.array([[sum(c * d2(t) for c, (_, _, d2) in zip(w, parts))]]),
+        )
+
+    return NlpProblem(rows=block, x0=np.array([x0]), n_ineq=len(rows), **bounds)
+
+
+def _cap(offset):
+    """The row ``offset - x >= 0``."""
+    return (lambda t: offset - t, lambda t: -1.0, lambda t: 0.0)
+
+
+def test_row_of_the_first_working_set_is_not_inert_and_a_slack_row_is():
+    # min (x - 2)^2 subject to x >= 0 and 10 - x >= 0, from x = 0: the first
+    # row starts the working set and leaves it with multiplier 0; the second
+    # stays above 0 throughout
+    square = (lambda t: (t - 2.0) ** 2, lambda t: 2.0 * (t - 2.0), lambda t: 2.0)
+    floor = (lambda t: t, lambda t: 1.0, lambda t: 0.0)
+    sol = solve(_one_variable(square, [floor, _cap(10.0)], 0.0))
+    assert sol.converged and np.array_equal(sol.ineq_multipliers, [0.0, 0.0])
+    assert sol.inert_rows.tolist() == [False, True]
+    # the inert row raised at every point gives the same solve
+    again = solve(_one_variable(square, [floor, _cap(15.0)], 0.0))
+    for name in ("x", "ineq_multipliers", "eq_multipliers", "lb_multipliers", "inert_rows"):
+        assert getattr(again, name).tobytes() == getattr(sol, name).tobytes()
+    assert (again.value, again.n_iter, again.message) == (sol.value, sol.n_iter, sol.message)
+    assert (again.kkt_residual, again.comp_slackness) == (sol.kkt_residual, sol.comp_slackness)
+
+
+def _two_curved_rows(raise_first, seen):
+    """min 0.5 x'Qx + c'x in a box subject to two concave quadratic rows
+    ``0.5 x'C_i x + a_i.x + b_i >= 0``, the first raised by ``raise_first``;
+    ``seen`` collects the first row's value at every evaluated point."""
+    q, c = np.diag([0.0, 0.5]), np.array([1.0, 0.75])
+    a, b = np.array([[-2.0, -1.0], [1.5, 0.0]]), np.array([2.0 + raise_first, 1.5])
+    curv = [np.diag([-2.25, -2.5]), np.diag([-2.0, -1.25])]
+
+    def rows(x):
+        g = [0.5 * x @ h @ x + ai @ x + bi for h, ai, bi in zip(curv, a, b)]
+        seen.append(g[0])
+        return RowBlock(
+            np.array([0.5 * x @ q @ x + c @ x] + g),
+            lambda: np.vstack([q @ x + c] + [h @ x + ai for h, ai in zip(curv, a)]),
+            lambda w: w[0] * q + w[1] * curv[0] + w[2] * curv[1],
+        )
+
+    box = dict(lb=np.array([-1.25, -1.75]), ub=np.array([0.5, 2.25]))
+    return NlpProblem(rows=rows, x0=np.zeros(2), n_ineq=2, **box)
+
+
+def test_row_below_zero_at_an_evaluated_point_is_not_inert():
+    # the first row ends with multiplier 0, but the run evaluated a point
+    # where it was below 0: that point's violation entered the merit, and
+    # the row raised by 1 gives another run (8 iterations, not 5)
+    seen, raised_seen = [], []
+    sol = solve(_two_curved_rows(0.0, seen))
+    raised = solve(_two_curved_rows(1.0, raised_seen))
+    assert sol.converged and sol.ineq_multipliers[0] == 0.0 and min(seen) < 0.0
+    assert sol.inert_rows.tolist() == [False, False]
+    assert raised.converged and min(raised_seen) > 0.0
+    assert raised.n_iter != sol.n_iter
+
+
+def test_no_row_is_inert_after_a_feasibility_step(monkeypatch):
+    # min x subject to x^2 - 0.5 >= 0 and 10 - x >= 0 within [0, 1], from
+    # x = 0.1: the linearized first row asks for x >= 2.55, past the upper
+    # bound, so the first QP is inconsistent and a feasibility step runs;
+    # the solve then converges at 1/sqrt(2) without restoration
+    penalty = _call_log(monkeypatch, "_penalty_qp")
+    restore = _call_log(monkeypatch, "_restore_feasibility")
+    line = (lambda t: t, lambda t: 1.0, lambda t: 0.0)
+    square = (lambda t: t * t - 0.5, lambda t: 2.0 * t, lambda t: 2.0)
+    prob = _one_variable(line, [square, _cap(10.0)], 0.1, lb=np.zeros(1), ub=np.ones(1))
+    sol = solve(prob)
+    assert penalty and not restore
+    assert sol.converged and sol.x[0] == pytest.approx(2.0 ** -0.5)
+    assert sol.inert_rows.tolist() == [False, False]
+
+
+def test_no_row_is_inert_after_restoration(monkeypatch):
+    # min x0 + 2 x1 on the circle x'x = 1 with the row 100 - x0 >= 0, which
+    # stays above 0: ten iterations cannot reach the circle from (30, -20),
+    # so the solve restores feasibility and runs again
+    def rows(x):
+        return RowBlock(
+            np.array([x[0] + 2.0 * x[1], float(x @ x - 1.0), 100.0 - x[0]]),
+            lambda: np.array([[1.0, 2.0], 2.0 * x, [-1.0, 0.0]]),
+            lambda w: w[1] * 2.0 * np.eye(2),
+        )
+
+    restore = _call_log(monkeypatch, "_restore_feasibility")
+    monkeypatch.setattr(nlp, "_MAX_ITER", 10)
+    sol = solve(NlpProblem(rows=rows, x0=np.array([30.0, -20.0]), n_eq=1, n_ineq=1))
+    assert restore and sol.converged
+    assert sol.inert_rows.tolist() == [False]
+    # without restoration the same row is inert
+    monkeypatch.setattr(nlp, "_MAX_ITER", 300)
+    sol = solve(NlpProblem(rows=rows, x0=np.array([30.0, -20.0]), n_eq=1, n_ineq=1))
+    assert len(restore) == 1 and sol.converged
+    assert sol.inert_rows.tolist() == [True]
 
 
 def test_iteration_cap_reports_max_iter_with_the_stopping_reason(monkeypatch):
