@@ -39,7 +39,6 @@ from .problem import (
     utility_optimize,
 )
 from .nlp import (
-    MultistartResult,
     NlpProblem,
     RowBlock,
     ScalarSolution,

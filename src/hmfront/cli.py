@@ -622,7 +622,7 @@ def _verify_cases(
     grid = eps_mod.build_grid(mop, (10, 10))
     for eps in grid.centers:
         cell = eps_mod._solve_cell(mop, eps, grid.constrained, grid.minimized, equal)
-        sp = eps_mod.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
+        sp = eps_mod.epsilon_as_sp(eps, minimized_index=grid.minimized)
         sp_starts = [cell.x, equal] if cell.converged else [equal]
         sp_sol = scalarization.solve_sp(mop, sp, starts=sp_starts)
         where = {"eps": [float(e) for e in eps]}

@@ -437,16 +437,21 @@ def run_adaptive_epsilon(
     return archive
 
 
-def epsilon_as_sp(eps, minimized_index: int = 2, m: int = 3) -> SpParams:
+def epsilon_as_sp(eps, minimized_index: int = 2) -> SpParams:
     """Express a grid cell as Pascoletti-Serafini parameters.
 
-    The reference takes the epsilon bounds on the constrained coordinates
-    and zero on the minimized one; the direction is the unit vector of the
-    minimized coordinate, so the SP optimum value equals the cell optimum.
+    ``eps`` bounds the ``eps.size`` constrained objectives, so the image
+    space has ``eps.size + 1`` coordinates.  The reference takes the epsilon
+    bounds on the constrained coordinates and zero on the minimized one; the
+    direction is the unit vector of the minimized coordinate, so the SP
+    optimum value equals the cell optimum.
     """
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != (m - 1,):
-        raise ParameterError("eps must have length %d" % (m - 1))
+    if eps.ndim != 1 or eps.size == 0:
+        raise ParameterError("eps must be a nonempty vector")
+    m = eps.size + 1
+    if not 0 <= minimized_index < m:
+        raise ParameterError("minimized_index must lie in 0..%d" % eps.size)
     a = np.insert(eps, minimized_index, 0.0)
     r = np.zeros(m)
     r[minimized_index] = 1.0

@@ -19,14 +19,15 @@ The local solve is :func:`minimize`, a small dense active-set SQP in numpy
 (Nocedal & Wright 2006, ch. 18).  Each iteration solves one QP whose Hessian
 is the Hessian of the Lagrangian, with an inertia correction where it is not
 positive definite on the QP's working set (skewness makes it indefinite).
-The QP works on one ordered list of rows, each an inequality ``g(x) >= 0``:
-the constraints ``("ineq", i)``, then the lower bounds ``("lo", k)`` (``x_k -
-lb_k >= 0``, gradient ``e_k``), then the upper bounds ``("hi", k)`` (``ub_k -
-x_k >= 0``, gradient ``-e_k``), with the equality rows always held.  It is
-solved by the dual active-set method of Goldfarb and Idnani, warm-started
-from the previous QP's working set, and its multipliers are the reported
-Lagrange multipliers.  Steps are accepted by backtracking on the l1 exact
-penalty merit.  A run stops once the stationarity residual of
+The QP works on one ordered list of candidate rows, each an inequality
+``g(x) >= 0``: the problem's inequality rows, then a row ``x_k - lb_k >= 0``
+(gradient ``e_k``) for each finite ``lb_k``, then a row ``ub_k - x_k >= 0``
+(gradient ``-e_k``) for each finite ``ub_k``, both in increasing ``k``, with
+the equality rows always held.  It is solved by the dual active-set method
+of Goldfarb and Idnani, warm-started from the previous QP's working set, and
+its multipliers are the reported Lagrange multipliers.  Steps are accepted
+by backtracking on the l1 exact penalty merit.  A run stops once the
+stationarity residual of
 
     L(x) = f(x) - sum_i mu_i g_i(x) + sum_j lambda_j h_j(x),  mu_i >= 0
 
@@ -91,7 +92,6 @@ __all__ = [
     "RowBlock",
     "SolveStatus",
     "ScalarSolution",
-    "MultistartResult",
     "best_converged",
     "solve",
     "solve_multistart",
@@ -234,29 +234,10 @@ class ScalarSolution:
         return self.status is SolveStatus.CONVERGED
 
 
-@dataclass(frozen=True)
-class MultistartResult:
-    best: ScalarSolution
-    solutions: tuple[ScalarSolution, ...]
-
-
 def _violation(problem: NlpProblem, x: np.ndarray) -> float:
     worst = Iterate(x, problem.rows(x), problem.n_eq).violation
     worst = max(worst, float(np.max(problem.lb - x, initial=0.0)))
     return max(worst, float(np.max(x - problem.ub, initial=0.0)))
-
-
-def _scatter(problem: NlpProblem, rows, values):
-    """Full inequality, lower-bound and upper-bound multiplier vectors from
-    the multipliers of ``rows`` (zero off the rows)."""
-    full = {
-        "ineq": np.zeros(problem.n_ineq),
-        "lo": np.zeros(problem.n),
-        "hi": np.zeros(problem.n),
-    }
-    for (kind, idx), v in zip(rows, values):
-        full[kind][idx] = v
-    return full["ineq"], full["lo"], full["hi"]
 
 
 class Iterate:
@@ -289,12 +270,14 @@ class Iterate:
 class SqpResult:
     """Outcome of one :func:`minimize` run.
 
-    ``rows`` is the final QP's working set of active-row candidates and
-    ``row_multipliers`` their multipliers (nonnegative); ``eq_multipliers``
-    refer to the equality constraints as written.  The multipliers come from
-    the last QP, and the residuals are theirs at ``x`` (infinite when the
-    last step was a feasibility step).  ``inert_rows`` marks each inequality
-    row that took no part in the run (see :func:`minimize`).
+    The multipliers are those of the final QP's working set: one per
+    inequality row, one per variable for its lower and for its upper bound
+    (nonnegative, 0 off the working set and for an infinite bound), and
+    ``eq_multipliers`` for the equality constraints as written.  They come
+    from the last QP that gave multipliers, and the residuals are theirs at
+    ``x`` (infinite when the last step was a feasibility step).
+    ``inert_rows`` marks each inequality row that took no part in the run
+    (see :func:`minimize`).
     """
 
     x: np.ndarray
@@ -303,8 +286,9 @@ class SqpResult:
     nit: int
     message: str
     eq_multipliers: np.ndarray
-    rows: list
-    row_multipliers: np.ndarray
+    ineq_multipliers: np.ndarray
+    lb_multipliers: np.ndarray
+    ub_multipliers: np.ndarray
     kkt_residual: float  # stationarity of the multipliers at x
     comp_slackness: float  # largest |multiplier * row value| at x
     inert_rows: np.ndarray
@@ -813,8 +797,13 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
             break
         it = accepted
         nit += 1
-    names = [("ineq", i) for i in range(q)]
-    names += [("lo", k) for k in lo.tolist()] + [("hi", k) for k in hi.tolist()]
+    # after a feasibility step nu still holds the last QP's multipliers, off
+    # the final working set too
+    final = np.zeros(n_cand)
+    final[working] = nu[working]
+    lb_mult, ub_mult = np.zeros(n), np.zeros(n)
+    lb_mult[lo] = final[q : q + lo.size]
+    ub_mult[hi] = final[q + lo.size :]
     return SqpResult(
         x=it.x,
         fun=it.fun,
@@ -822,8 +811,9 @@ def minimize(rows, x0, *, bounds, constraints=None, options=None):
         nit=nit,
         message=message,
         eq_multipliers=lam,
-        rows=[names[j] for j in working],
-        row_multipliers=nu[working],
+        ineq_multipliers=final[:q],
+        lb_multipliers=lb_mult,
+        ub_multipliers=ub_mult,
         kkt_residual=kkt,
         comp_slackness=comp,
         inert_rows=low_ineq >= 0.0,
@@ -880,65 +870,54 @@ def solve(problem: NlpProblem) -> ScalarSolution:
     feasibility restoration where it ran; anything else is ``max_iter``.  A
     run that ends with a violation above ``_INFEASIBLE_TOL`` is followed by
     restoration from ``problem.x0`` and, if that reaches feasibility, by a
-    second run from the restored point.  Restoration reads every row, so a
-    solve that ran it reports no inert row.
+    second run from the restored point; if it does not, the solve reports
+    the first run's point with the restored point's violation, no
+    multipliers and NaN residuals.  Restoration reads every row, so a solve
+    that ran it reports no inert row.  Inequality multipliers below 1e-15
+    are reported as 0.
     """
     res = _run_sqp(problem, problem.x0)
-    n_iter = res.nit
-    inert = res.inert_rows
-    if res.violation > _INFEASIBLE_TOL:
+    n_iter, inert, viol = res.nit, res.inert_rows, res.violation
+    message = None
+    if viol > _INFEASIBLE_TOL:
         inert = np.zeros(problem.n_ineq, dtype=bool)
         restored = _restore_feasibility(problem, problem.x0).x
-        restored_viol = _violation(problem, restored)
-        if restored_viol <= _INFEASIBLE_TOL:
+        viol = _violation(problem, restored)
+        if viol <= _INFEASIBLE_TOL:
             res = _run_sqp(problem, restored)
             n_iter += res.nit
+            viol = res.violation
         else:
             zeros = np.zeros(problem.n)
-            return ScalarSolution(
-                x=res.x,
-                value=res.fun,
+            res = replace(
+                res,
                 eq_multipliers=np.zeros(problem.n_eq),
                 ineq_multipliers=np.zeros(problem.n_ineq),
                 lb_multipliers=zeros,
                 ub_multipliers=zeros,
-                status=SolveStatus.INFEASIBLE,
-                kkt_residual=float("nan"),
-                constraint_violation=restored_viol,
-                comp_slackness=float("nan"),
-                n_iter=n_iter,
-                message="restoration could not reach feasibility",
-                inert_rows=inert,
+                kkt_residual=math.nan,
+                comp_slackness=math.nan,
             )
-
-    x, viol, kkt = res.x, res.violation, res.kkt_residual
-    # constraint multipliers below 1e-15 are reported as 0
-    nus = [
-        0.0 if kind == "ineq" and abs(v) < 1e-15 else float(v)
-        for (kind, _), v in zip(res.rows, res.row_multipliers)
-    ]
-    mu_full, nu_lo, nu_hi = _scatter(problem, res.rows, nus)
-
-    if viol <= _TOL_FEAS and kkt <= _TOL_KKT:
-        status = SolveStatus.CONVERGED
-        message = "converged"
+            message = "restoration could not reach feasibility"
+    kkt = res.kkt_residual
+    if message is not None:  # restoration failed
+        status = SolveStatus.INFEASIBLE
+    elif viol <= _TOL_FEAS and kkt <= _TOL_KKT:
+        status, message = SolveStatus.CONVERGED, "converged"
     elif viol > _INFEASIBLE_TOL:
         status = SolveStatus.INFEASIBLE
         message = "final point violates constraints: %.3e" % viol
     else:
         status = SolveStatus.MAX_ITER
-        message = "best iterate returned (kkt=%.3e, viol=%.3e): %s" % (
-            kkt,
-            viol,
-            res.message,
-        )
+        message = "best iterate returned (kkt=%.3e, viol=%.3e): %s" % (kkt, viol, res.message)
+    mu = res.ineq_multipliers
     return ScalarSolution(
-        x=x,
+        x=res.x,
         value=res.fun,
         eq_multipliers=res.eq_multipliers,
-        ineq_multipliers=mu_full,
-        lb_multipliers=nu_lo,
-        ub_multipliers=nu_hi,
+        ineq_multipliers=np.where(abs(mu) < 1e-15, 0.0, mu),
+        lb_multipliers=res.lb_multipliers,
+        ub_multipliers=res.ub_multipliers,
         status=status,
         kkt_residual=kkt,
         constraint_violation=viol,
@@ -967,10 +946,10 @@ def best_converged(solutions: Sequence[ScalarSolution]) -> Optional[ScalarSoluti
     return best
 
 
-def solve_multistart(problem: NlpProblem, starts: Sequence[np.ndarray]) -> MultistartResult:
-    """Independent local solves from each start, merged by
-    :func:`best_converged`; raises :class:`MultistartError` when no start
-    converged."""
+def solve_multistart(problem: NlpProblem, starts: Sequence[np.ndarray]) -> ScalarSolution:
+    """The solution :func:`best_converged` picks among one local solve from
+    each start; raises :class:`MultistartError`, with every start's status,
+    when no start converged."""
     starts = list(starts)
     if not starts:
         raise ParameterError("need at least one start")
@@ -980,4 +959,4 @@ def solve_multistart(problem: NlpProblem, starts: Sequence[np.ndarray]) -> Multi
     best = best_converged(solutions)
     if best is None:
         raise MultistartError([s.status.value for s in solutions])
-    return MultistartResult(best=best, solutions=solutions)
+    return best

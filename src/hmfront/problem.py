@@ -267,8 +267,7 @@ def utility_optimize(
         lambda x: utility_hessian(x, p, u),
         p.lower_bounds(),
     )
-    result = nlp.solve_multistart(problem, starts)
-    best = result.best
+    best = nlp.solve_multistart(problem, starts)
     return replace(
         best, weights=best.x.copy(), objective_values=p.objective_values(best.x)
     )

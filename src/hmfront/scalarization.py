@@ -148,10 +148,6 @@ class SpParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 
-    @property
-    def cone(self) -> str:
-        return "nonnegative-orthant"
-
 
 @dataclass(frozen=True)
 class NbiParams:
@@ -434,7 +430,7 @@ def minimize_objective(
     problem, finish = _scaled_problem(
         p, equal_weights(p.n), (), objective=(index, 1.0), extra_eq=extra_eq
     )
-    return finish(nlp.solve_multistart(problem, starts).best)
+    return finish(nlp.solve_multistart(problem, starts))
 
 
 def compute_anchors(p: PortfolioMop, *, seed: int = 0) -> AnchorSet:

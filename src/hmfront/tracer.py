@@ -189,8 +189,8 @@ def corrector(point: np.ndarray, problem, tol: float = 1e-8) -> KktPoint:
     accepted by backtracking until every objective decreases in proportion
     to the certificate t*.  Terminates when t* >= -tol with the trust region
     inactive.  Raises :class:`CorrectorStallError` when a negative
-    certificate persists but no acceptable step exists, or after
-    ``_CORRECTOR_MAX_ITER`` iterations.
+    certificate persists but no acceptable step exists, when a subproblem
+    solve does not converge, or after ``_CORRECTOR_MAX_ITER`` iterations.
     """
     mop = _coerce_mop(problem)
     n, m = mop.n, mop.m
@@ -301,11 +301,14 @@ def _corrector_subproblem(mop: SmoothMop, x, grads, hessians, delta):
 
     Returns the step s, the certificate pair (raw t*, scaled t*), the
     weights alpha from the model rows' multipliers and whether the trust
-    region is active.
+    region is active.  Raises :class:`CorrectorStallError` when the solve
+    did not converge.
     """
     n, m = mop.n, mop.m
     problem, row_scales, c_t = _corrector_problem(mop, x, grads, hessians, delta)
     sol = nlp.solve(problem)
+    if not sol.converged:
+        raise CorrectorStallError("corrector subproblem: %s" % sol.message)
     s = sol.x[:n]
     t_scaled = float(sol.x[-1])
     t_raw = c_t * t_scaled

@@ -140,7 +140,7 @@ def test_criterion_05_epsilon_equals_sp(convex_mop):
             cell = em._solve_cell(
                 convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
             )
-            sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
+            sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized)
             if cell.status is hf.SolveStatus.INFEASIBLE:
                 sp_sol = sc.solve_sp(convex_mop, sp)
                 assert sp_sol.status is hf.SolveStatus.INFEASIBLE

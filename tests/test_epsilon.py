@@ -506,14 +506,27 @@ def test_refinement_request_validation(archive):
 
 
 def test_epsilon_as_sp_substitution():
-    sp = em.epsilon_as_sp(np.array([0.2, 0.4]), minimized_index=2, m=3)
+    sp = em.epsilon_as_sp(np.array([0.2, 0.4]), minimized_index=2)
     assert np.array_equal(sp.a, np.array([0.2, 0.4, 0.0]))
     assert np.array_equal(sp.r, np.array([0.0, 0.0, 1.0]))
+    # the image space has one coordinate more than eps
+    sp = em.epsilon_as_sp(np.array([0.2, 0.4, 0.6]), minimized_index=0)
+    assert np.array_equal(sp.a, np.array([0.0, 0.2, 0.4, 0.6]))
+    assert np.array_equal(sp.r, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "eps, minimized_index",
+    [(0.2, 0), (np.zeros(0), 0), (np.zeros((2, 2)), 0), (np.zeros(2), 3), (np.zeros(2), -1)],
+)
+def test_epsilon_as_sp_rejects_bad_cells(eps, minimized_index):
+    with pytest.raises(ParameterError):
+        em.epsilon_as_sp(eps, minimized_index=minimized_index)
 
 
 def test_cell_value_equals_sp_value(convex_mop, grid, archive):
     for entry in archive.entries[:8]:
-        sp = em.epsilon_as_sp(entry.eps, minimized_index=grid.minimized, m=3)
+        sp = em.epsilon_as_sp(entry.eps, minimized_index=grid.minimized)
         sol = sc.solve_sp(convex_mop, sp, starts=[entry.x, equal_weights(3)])
         assert sol.converged
         assert abs(entry.image[grid.minimized] - sol.aux_value) < 1e-6
@@ -524,7 +537,7 @@ def test_infeasible_cell_maps_to_infeasible_sp(convex_mop, grid):
     cell = em._solve_cell(
         convex_mop, eps, grid.constrained, grid.minimized, equal_weights(3)
     )
-    sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized, m=3)
+    sp = em.epsilon_as_sp(eps, minimized_index=grid.minimized)
     sol = sc.solve_sp(convex_mop, sp)
     assert cell.status is SolveStatus.INFEASIBLE
     assert sol.status is SolveStatus.INFEASIBLE

@@ -203,6 +203,67 @@ def test_upper_and_lower_bound_multipliers():
     assert sol.lb_multipliers[3] == pytest.approx(lam - c[3], abs=1e-8)
 
 
+def test_each_multiplier_lands_at_its_own_index():
+    # min |x - c|^2 subject to x0 + x1 + 10 >= 0 (slack) and 1 - x0 >= 0
+    # (binding, multiplier 2), with finite lower bounds on x1, x2, x4 and
+    # finite upper bounds on x3, x4: x2 >= 0 binds (multiplier 2) and x3 <= 1
+    # binds (multiplier 4); the bound rows of the QP number 3 + 2, so no
+    # bound index is its variable's index
+    c = np.array([2.0, 0.5, -1.0, 3.0, 0.25])
+
+    def rows(x):
+        return RowBlock(
+            np.array([float((x - c) @ (x - c)), x[0] + x[1] + 10.0, 1.0 - x[0]]),
+            lambda: np.vstack([2.0 * (x - c), [1.0, 1.0, 0, 0, 0], [-1.0, 0, 0, 0, 0]]),
+            lambda w: w[0] * 2.0 * np.eye(5),
+        )
+
+    inf = np.inf
+    prob = NlpProblem(
+        rows=rows,
+        x0=np.array([0.0, 0.0, 0.5, 0.0, 0.0]),
+        n_ineq=2,
+        lb=np.array([-inf, -5.0, 0.0, -inf, -1.0]),
+        ub=np.array([inf, inf, inf, 1.0, 1.0]),
+    )
+    sol = solve(prob)
+    assert sol.status is SolveStatus.CONVERGED
+    assert np.allclose(sol.x, [1.0, 0.5, 0.0, 1.0, 0.25], atol=1e-10)
+    for got, index, value in [
+        (sol.ineq_multipliers, 1, 2.0),
+        (sol.lb_multipliers, 2, 2.0),
+        (sol.ub_multipliers, 3, 4.0),
+    ]:
+        assert got[index] == pytest.approx(value, abs=1e-8)
+        assert np.count_nonzero(got) == 1
+
+
+def test_multipliers_after_a_final_feasibility_step_are_the_working_sets():
+    # x = (a, c, z): min z subject to z >= 0, -exp(-a) >= 0, -1 - c^2 >= 0
+    # and z - 1 >= 0.  At x = 0 the first working set holds z >= 0 alone of
+    # the rows of z, with least-squares multiplier 1.  The row -1 - c^2 has
+    # gradient 0 at c = 0, so every QP is inconsistent and every step is a
+    # feasibility step: the first lifts z to 1, off z >= 0, and the others
+    # move a by about 1 each, until the run gives up.  The multipliers stay
+    # those of x = 0, but z >= 0 is no longer in the working set, so no
+    # multiplier is reported
+    def rows(x):
+        a, c, z = x
+        e = float(np.exp(-a))
+        return RowBlock(
+            np.array([z, z, -e, -1.0 - c * c, z - 1.0]),
+            lambda: np.array([[0, 0, 1.0], [0, 0, 1.0], [e, 0, 0], [0, -2.0 * c, 0], [0, 0, 1.0]]),
+            lambda w: np.diag([-w[2] * e, -2.0 * w[3], 0.0]),
+        )
+
+    res = nlp.minimize(rows, np.zeros(3), bounds=(None, None), constraints=(0, 4))
+    assert res.message == "linearization inconsistent"
+    assert res.nit == nlp._MAX_FEASIBILITY_STEPS
+    assert res.x[2] == 1.0
+    assert not res.ineq_multipliers.any()
+    assert not res.lb_multipliers.any() and not res.ub_multipliers.any()
+
+
 def _contradictory_bounds(fun, grad, curvature):
     """min ``fun`` (gradient ``grad``, constant second derivative
     ``curvature``) subject to x >= 2 and x <= 1 as inequality rows."""
@@ -502,9 +563,32 @@ def test_multistart_convex_agreement(rng):
     c = rng.normal(size=3)
     prob = _quadratic_problem(Q, c, np.full(3, 1 / 3))
     starts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.full(3, 1 / 3)]
-    result = solve_multistart(prob, starts)
-    vals = [s.value for s in result.solutions if s.status is SolveStatus.CONVERGED]
+    solutions = [solve(replace(prob, x0=s)) for s in starts]
+    vals = [s.value for s in solutions if s.status is SolveStatus.CONVERGED]
     assert max(vals) - min(vals) < 1e-6
+    best, picked = solve_multistart(prob, starts), nlp.best_converged(solutions)
+    assert best.value == picked.value and np.array_equal(best.x, picked.x)
+
+
+def test_multistart_solves_every_start_once(monkeypatch, rng):
+    a = rng.normal(size=(3, 3))
+    Q = a @ a.T + np.eye(3)
+    c = rng.normal(size=3)
+    prob = _quadratic_problem(Q, c, np.full(3, 1 / 3))
+    starts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.full(3, 1 / 3)]
+    seen, solutions = [], []
+    real = nlp.solve
+
+    def recording_solve(problem):
+        seen.append(problem.x0)
+        solutions.append(real(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(nlp, "solve", recording_solve)
+    best = solve_multistart(prob, starts)
+    assert len(seen) == len(starts)
+    assert all(np.array_equal(x0, s) for x0, s in zip(seen, starts))
+    assert best is nlp.best_converged(solutions)
 
 
 def test_multistart_bimodal_finds_both_basins():
@@ -524,10 +608,10 @@ def test_multistart_bimodal_finds_both_basins():
         )
 
     prob = NlpProblem(rows=rows, x0=np.array([0.0]))
-    result = solve_multistart(prob, [np.array([-1.5]), np.array([2.5])])
-    locals_x = sorted(round(float(s.x[0]), 3) for s in result.solutions)
+    starts = [np.array([-1.5]), np.array([2.5])]
+    locals_x = sorted(round(float(solve(replace(prob, x0=s)).x[0]), 3) for s in starts)
     assert locals_x == [-1.0, 2.0]
-    assert result.best.x[0] == pytest.approx(-1.0, abs=1e-6)
+    assert solve_multistart(prob, starts).x[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_multistart_single_start_equals_solve(rng):
@@ -537,8 +621,8 @@ def test_multistart_single_start_equals_solve(rng):
     prob = _quadratic_problem(Q, c, np.full(3, 1 / 3))
     single = solve(prob)
     multi = solve_multistart(prob, [np.full(3, 1 / 3)])
-    assert np.array_equal(single.x, multi.best.x)
-    assert single.value == multi.best.value
+    assert np.array_equal(single.x, multi.x)
+    assert single.value == multi.value
 
 
 def test_multistart_all_fail_raises():

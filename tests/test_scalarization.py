@@ -40,8 +40,7 @@ def test_sf_params_validation():
 def test_sp_params_validation():
     with pytest.raises(ParameterError):
         sc.SpParams(a=np.zeros(3), r=np.zeros(3))
-    sp = sc.SpParams(a=np.zeros(3), r=np.array([0.0, 0.0, 1.0]))
-    assert sp.cone == "nonnegative-orthant"
+    sc.SpParams(a=np.zeros(3), r=np.array([0.0, 0.0, 1.0]))
 
 
 def test_anchor_images_are_individual_minima(convex_mop, anchors):

@@ -1,9 +1,11 @@
 """Predictor-corrector continuation: corrector, tangents, full traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hmfront import ParameterError, PortfolioMop, compute_moments
+from hmfront import CorrectorStallError, ParameterError, PortfolioMop, SolveStatus, compute_moments
 from hmfront import tracer as tr
 from hmfront.util import project_to_simplex
 from oracles import min_variance_at_mean, simplex_sweep, strictly_dominates_any
@@ -38,6 +40,18 @@ def test_corrector_projects_onto_segment():
     proj = np.array([0.5, 0.5])  # analytic projection onto the diagonal
     assert np.max(np.abs(pt.x - proj)) < 1e-8
     assert pt.kkt_residual < 1e-8
+
+
+def test_corrector_raises_when_its_subproblem_does_not_converge(monkeypatch):
+    solve = tr.nlp.solve
+
+    def capped_solve(problem):
+        return replace(solve(problem), status=SolveStatus.MAX_ITER, message="capped")
+
+    monkeypatch.setattr(tr.nlp, "solve", capped_solve)
+    mop = two_quadratics([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(CorrectorStallError, match="capped"):
+        tr.corrector(np.array([0.8, 0.2]), mop, 1e-10)
 
 
 def test_corrector_dominated_portfolio_becomes_nondominated(convex_mop, rng):
