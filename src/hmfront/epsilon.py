@@ -31,6 +31,26 @@ proven the same: the earlier cell's eps_1 row took no part in its solve
 replayed cell is recorded as if it had been solved: it counts in
 ``attempted``, not in ``skipped``, and every output is unchanged.
 
+An infeasible cell is proven infeasible without a solve where it can be.
+Write F_a, F_b for the two bounded objectives (``grid.constrained``, bounded
+by eps_1 and eps_2).  Both are convex, so for any point x^ and any lam >= 0
+the function h = F_b + lam * F_a is convex, and at every simplex point w
+
+    h(w) >= h(x^) + grad h(x^)'(w - x^) >= h(x^) - gap,
+    gap = grad h(x^)'x^ - min_k grad h(x^)_k,
+
+because grad h(x^)'w is an average of the entries of grad h(x^).  A simplex
+point with F_a(w) <= e_a therefore has F_b(w) >= h(x^) - gap - lam * e_a: a
+supporting line of the (F_a, F_b) frontier, valid for every e_a (the duality
+gap of Frank and Wolfe; Jaggi 2013).  The grid sweep solves one line per row
+whose first cell no converged cell proves feasible: the convex problem min
+F_b s.t. F_a <= eps_1 of that row, with lam its multiplier.  A cell whose
+eps_2 lies below a line by more than :func:`nlp.solve`'s verdict tolerates
+is one that solve would report infeasible, so it is recorded as infeasible
+without an SQP run (:func:`_cell_solver`), and every output is unchanged.
+AUGMECON2 (Mavrotas and Florios 2013) skips cells on the same kind of
+argument.
+
 Refinement around an archived entry places (2k+1)^2 - 1 new epsilon points
 spaced ``alpha / (1 + mu_i^2)`` along axis i, where mu_i is the archived
 Lagrange multiplier of the corresponding epsilon row: strongly binding
@@ -47,6 +67,7 @@ views.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,9 +76,9 @@ import numpy as np
 
 from . import nlp
 from .errors import ParameterError, SolverError
-from .problem import PortfolioMop
+from .problem import OBJECTIVE_DEGREES, PortfolioMop
 from .quality import nearest_gaps
-from .scalarization import SpParams, _Goal, _scaled_problem, minimize_objective
+from .scalarization import SpParams, _Goal, _grad_scales, _scaled_problem, minimize_objective
 from .util import equal_weights, simplex_vertices
 
 # default grid counts (N1, N2) of run_adaptive_epsilon
@@ -65,6 +86,9 @@ GRID_N = (50, 50)
 # most cells one run_adaptive_epsilon may schedule, grid and refinements
 # together: a 500 x 500 grid
 _MAX_CELLS = 250_000
+# rounding allowance of the infeasibility certificate, relative to the size
+# of the terms its bound sums (see _cell_solver)
+_ROUNDING = 1e-12
 
 __all__ = [
     "EpsilonGrid",
@@ -90,6 +114,10 @@ class EpsilonGrid:
     centers: np.ndarray  # (N1*N2, 2), row-major in (l1, l2)
     constrained: tuple[int, int]
     minimized: int
+    # the supporting lines of the bounded pair's frontier that the last
+    # solve_grid on this grid solved, each (offset, slope, size); refine
+    # tests its cells against them (see _cell_solver)
+    lines: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -261,9 +289,87 @@ def _solve_cell(
     return finish(nlp.solve(problem))
 
 
+def _support_line(
+    p: PortfolioMop, grid: EpsilonGrid, e_a: float, x0: np.ndarray
+) -> tuple[Optional[tuple], np.ndarray]:
+    """One supporting line of the bounded pair's frontier, from the convex
+    solve min F_b s.t. F_a <= ``e_a`` over the simplex started at ``x0``.
+
+    Returns the line ``(offset, slope, size)`` and the solve's point: every
+    simplex point with F_a(w) <= e has F_b(w) >= offset - slope * e (see the
+    module docstring), and ``size`` sums the magnitudes of the terms that
+    make up ``offset``.  The line holds whatever the solve's outcome, with
+    x^ its point and lam its multiplier (0 if negative); it is ``None``
+    where it is not finite, so that it can never prove a cell infeasible.
+    """
+    a, b = grid.constrained
+    problem, finish = _scaled_problem(p, x0, [_Goal(a, -1.0, e_a)], objective=(b, 1.0))
+    sol = finish(nlp.solve(problem))
+    x = sol.x
+    slope = max(float(sol.ineq_multipliers[0]), 0.0)
+    f, jac = sol.objective_values, p.objective_jacobian(x)
+    grad = jac[b] + slope * jac[a]
+    at_x, least = float(grad @ x), float(grad.min())
+    offset = float(f[b]) + slope * float(f[a]) - (at_x - least)
+    size = abs(float(f[b])) + slope * abs(float(f[a])) + float(abs(grad) @ abs(x)) + abs(least)
+    return ((offset, slope, size) if math.isfinite(offset + size) else None), x
+
+
+def _stretch(value: float, degree: int) -> tuple[float, float]:
+    """``value * t**degree`` at both ends of the budget row's tolerance,
+    ``t = 1 -+ nlp._INFEASIBLE_TOL``: the extremes over that range."""
+    tol = nlp._INFEASIBLE_TOL
+    return value * (1.0 - tol) ** degree, value * (1.0 + tol) ** degree
+
+
+def _certified(p: PortfolioMop, grid: EpsilonGrid, eps: np.ndarray, x0: np.ndarray) -> bool:
+    """Whether a line of ``grid.lines`` proves that :func:`_solve_cell`
+    would report the cell ``eps``, started at ``x0``, infeasible (see
+    :func:`_cell_solver` for the proof and its margin)."""
+    lines = grid.lines
+    e_a, e_b = float(eps[0]), float(eps[1])
+    # the margin only lowers a line's bound and raises eps_2, so a line that
+    # does not clear eps_2 without it proves nothing
+    if not lines or max(c - lam * e_a for c, lam, _ in lines) <= e_b:
+        return False
+    a, b = grid.constrained
+    d_a, d_b = OBJECTIVE_DEGREES[p.objectives[a]], OBJECTIVE_DEGREES[p.objectives[b]]
+    tol = nlp._INFEASIBLE_TOL
+    scales = _grad_scales(p.objective_jacobian(x0))
+    a_top = max(_stretch(e_a + tol * float(scales[a]), -d_a))
+    b_top = e_b + tol * float(scales[b])
+    for c, lam, size in lines:
+        bound = min(_stretch(c - lam * a_top, d_b))
+        if bound - b_top > _ROUNDING * (size + lam * abs(a_top) + abs(b_top)):
+            return True
+    return False
+
+
+def _certified_infeasible(p: PortfolioMop, x0: np.ndarray) -> nlp.ScalarSolution:
+    """The result of a cell proven infeasible without an SQP run: ``x`` is
+    its start, value and residuals are NaN, no multiplier and no row inert."""
+    n = p.n
+    return nlp.ScalarSolution(
+        x=x0.copy(),
+        value=math.nan,
+        eq_multipliers=np.zeros(1),
+        ineq_multipliers=np.zeros(2),
+        lb_multipliers=np.zeros(n),
+        ub_multipliers=np.zeros(n),
+        status=nlp.SolveStatus.INFEASIBLE,
+        kkt_residual=math.nan,
+        constraint_violation=math.nan,
+        comp_slackness=math.nan,
+        n_iter=0,
+        message="proven infeasible by a supporting line of the bounded pair's frontier",
+        inert_rows=np.zeros(2, dtype=bool),
+    )
+
+
 def _cell_solver(p: PortfolioMop, grid: EpsilonGrid):
     """The cell solve of one sweep, ``solve(eps, x0)``, which replays a cell
-    whose solve is known instead of solving it.
+    whose solve is known, and proves a cell infeasible where it can, instead
+    of solving it.
 
     A cell's ``eps_1`` row is ``(eps_1 - F_1(x)) / s_1``, with ``s_1`` read
     at ``x0``: a larger ``eps_1`` raises its value at every point and leaves
@@ -274,6 +380,29 @@ def _cell_solver(p: PortfolioMop, grid: EpsilonGrid):
     sweep keeps, per ``eps_2``, the last solve whose ``eps_1`` row was inert,
     with its ``eps_1`` and the bytes of its ``x0``, and returns that solution
     for every such cell.
+
+    A cell that is not replayed is tested against the supporting lines of
+    ``grid.lines`` (:func:`_support_line`).  A line ``(c, lam)`` says that
+    every simplex point u with F_a(u) <= e has F_b(u) >= c - lam * e: with
+    h = F_b + lam * F_a convex and x^ the line's point, h(u) >= h(x^) +
+    grad h(x^)'(u - x^) >= h(x^) - gap = c, since grad h(x^)'u >= min_k grad
+    h(x^)_k on the simplex.  :func:`nlp.solve` reports a cell infeasible
+    unless it reaches a point x >= 0 whose rows are violated by at most
+    ``nlp._INFEASIBLE_TOL`` (tol): the budget row, |sum(x) - 1| <= tol, and
+    the goal rows, F_i(x) <= eps_i + tol * s_i, with the row scales ``s_i``
+    of :func:`_scaled_problem` read at ``x0``.  Such an x is t * u with u on
+    the simplex and t in [1 - tol, 1 + tol], and F_i(x) = t**d_i * F_i(u),
+    with d_i the degree of F_i (:data:`~hmfront.problem.OBJECTIVE_DEGREES`).
+    So F_a(u) <= A, the largest of (eps_1 + tol * s_a) / t**d_a over t;
+    then F_b(u) >= c - lam * A, and F_b(x) >= B, the least of t**d_b * (c -
+    lam * A) over t.  Where B exceeds eps_2 + tol * s_b, by more than
+    ``_ROUNDING`` times the size of the terms summed, no such x exists: the
+    cell's SQP run and its restoration both end above tol, and the solve
+    reports it infeasible.  The cell is then returned as infeasible without
+    an SQP run (:func:`_certified_infeasible`).  Where the line falls below
+    ``eps_2`` before the margin is taken, nothing is read; a cell that a
+    converged cell proves feasible always ends there, up to the
+    tolerance of that solve.
     """
     memo = {}  # eps_2 bytes -> (eps_1, x0 bytes, solution)
 
@@ -282,6 +411,8 @@ def _cell_solver(p: PortfolioMop, grid: EpsilonGrid):
         known = memo.get(column)
         if known is not None and known[0] <= eps[0] and known[1] == start:
             return known[2]
+        if _certified(p, grid, eps, x0):
+            return _certified_infeasible(p, x0)
         sol = _solve_cell(p, eps, grid.constrained, grid.minimized, x0)
         if sol.inert_rows[0]:
             memo[column] = (float(eps[0]), start, sol)
@@ -309,17 +440,33 @@ def solve_grid(p: PortfolioMop, grid: EpsilonGrid) -> FrontArchive:
     (:func:`_cell_solver`).  A replayed cell is recorded exactly as if it
     had been solved: it counts in ``attempted`` and not in ``skipped``, and
     the archive is the same.
+
+    Before a row whose first cell no converged cell proves feasible, the
+    sweep solves a supporting line at the row's ``eps_1``
+    (:func:`_support_line`), each started from the previous line's point,
+    into ``grid.lines``, which it empties first.  Once a row's first cell
+    converged, the first cell of every later row (a larger ``eps_1``, the
+    same ``eps_2``) is feasible.  A cell the lines prove infeasible is
+    recorded as infeasible without a solve (:func:`_cell_solver`).
     """
     n1, n2 = grid.N
     archive = FrontArchive(problem=p, grid=grid)
     solve = _cell_solver(p, grid)
+    grid.lines.clear()
+    x_line = equal_weights(p.n)
+    first_feasible = False  # whether a row's first cell converged
     for l1 in range(n1):
         x0 = equal_weights(p.n)
+        if not first_feasible:
+            line, x_line = _support_line(p, grid, float(grid.centers[l1 * n2, 0]), x_line)
+            if line is not None:
+                grid.lines.append(line)
         for l2 in range(n2):
             eps = grid.centers[l1 * n2 + l2]
             sol = solve(eps, x0)
             archive.record(eps, sol)
             if sol.converged:
+                first_feasible = first_feasible or l2 == 0
                 if sol.ineq_multipliers[1] == 0.0:
                     archive.record_skipped(n2 - 1 - l2)
                     break

@@ -222,6 +222,10 @@ def compute_moments(returns: ReturnsMatrix) -> MomentSet:
 
     All central moments use divisor T.  The flattened tensor layouts match
     the Kronecker contractions used by :func:`portfolio_stats`.
+
+    The cokurtosis sum ``sum_t x_ti x_tj x_tk x_tl`` is one matrix product
+    ``z'z`` of the T x n^2 pair products ``z_t(ij) = x_ti x_tj``: where T n^2
+    exceeds n^4, ``einsum`` finds no such product and loops in plain numpy.
     """
     if returns.T < 2:
         raise InsufficientDataError("need at least 2 observations")
@@ -232,7 +236,8 @@ def compute_moments(returns: ReturnsMatrix) -> MomentSet:
     sigma = x.T @ x / t_count
     sigma = 0.5 * (sigma + sigma.T)
     t3 = np.einsum("ti,tj,tk->ijk", x, x, x, optimize=True) / t_count
-    t4 = np.einsum("ti,tj,tk,tl->ijkl", x, x, x, x, optimize=True) / t_count
+    z = (x[:, :, None] * x[:, None, :]).reshape(t_count, n * n)
+    t4 = (z.T @ z).reshape(n, n, n, n) / t_count
     m3 = _symmetrize(t3).reshape(n, n * n)
     m4 = _symmetrize(t4).reshape(n, n ** 3)
     return MomentSet(mu=mu, sigma=sigma, m3=m3, m4=m4, T=t_count, n=n)

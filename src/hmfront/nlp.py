@@ -871,10 +871,10 @@ def solve(problem: NlpProblem) -> ScalarSolution:
     run that ends with a violation above ``_INFEASIBLE_TOL`` is followed by
     restoration from ``problem.x0`` and, if that reaches feasibility, by a
     second run from the restored point; if it does not, the solve reports
-    the first run's point with the restored point's violation, no
-    multipliers and NaN residuals.  Restoration reads every row, so a solve
-    that ran it reports no inert row.  Inequality multipliers below 1e-15
-    are reported as 0.
+    the first run's point with its own violation, no multipliers and NaN
+    residuals.  Restoration reads every row, so a solve that ran it
+    reports no inert row.  Inequality multipliers below 1e-15 are reported
+    as 0.
     """
     res = _run_sqp(problem, problem.x0)
     n_iter, inert, viol = res.nit, res.inert_rows, res.violation
@@ -882,8 +882,7 @@ def solve(problem: NlpProblem) -> ScalarSolution:
     if viol > _INFEASIBLE_TOL:
         inert = np.zeros(problem.n_ineq, dtype=bool)
         restored = _restore_feasibility(problem, problem.x0).x
-        viol = _violation(problem, restored)
-        if viol <= _INFEASIBLE_TOL:
+        if _violation(problem, restored) <= _INFEASIBLE_TOL:
             res = _run_sqp(problem, restored)
             n_iter += res.nit
             viol = res.violation

@@ -55,6 +55,9 @@ OBJECTIVE_SENSES = {"mean": -1.0, "variance": 1.0, "skewness": -1.0, "kurtosis":
 # variance and kurtosis are means of (c_t'w)^2 and (c_t'w)^4 over the centered
 # returns c_t.  Each has its maximum at a vertex and its minimum from one solve.
 CONVEX_OBJECTIVES = frozenset({"mean", "variance", "kurtosis"})
+# the degree d to which each objective is homogeneous in w: F(t w) = t**d F(w)
+# for every t > 0, read off the moments' orders
+OBJECTIVE_DEGREES = {"mean": 1, "variance": 2, "skewness": 3, "kurtosis": 4}
 
 
 class _MemoSlot(threading.local):

@@ -15,7 +15,7 @@ from hmfront import (
 )
 from hmfront import epsilon as em
 from hmfront import scalarization as sc
-from hmfront.problem import OBJECTIVE_SENSES
+from hmfront.problem import OBJECTIVE_DEGREES, OBJECTIVE_SENSES
 from hmfront.util import equal_weights
 from oracles import (
     brute_nondominated_mask,
@@ -437,6 +437,99 @@ def test_inert_eps1_row_gives_the_same_solve_at_a_looser_bound(n, seed, level, s
                     _assert_bit_identical(sol, again)
                 if sol.converged:
                     x0 = sol.x
+
+
+def _recording_certificates(m):
+    """Record the (eps, x0) of every cell the supporting lines prove
+    infeasible."""
+    certified = []
+    real = em._certified
+
+    def recording(p, grid, eps, x0):
+        proven = real(p, grid, eps, x0)
+        if proven:
+            certified.append((eps.copy(), x0.copy()))
+        return proven
+
+    m.setattr(em, "_certified", recording)
+    return certified
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**16),
+    level=st.floats(0.2, 0.9),
+    n1=st.integers(2, 12),
+    n2=st.integers(2, 12),
+    rounds=st.integers(0, 2),
+)
+def test_certified_cells_match_a_run_that_solves_them(n, seed, level, n1, n2, rounds):
+    p = PortfolioMop(moments=compute_moments(synthetic_returns(n, 200, seed, level)))
+    with pytest.MonkeyPatch.context() as m:
+        certified = _recording_certificates(m)
+        fast = em.run_adaptive_epsilon(p, (n1, n2), rounds=rounds)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(em, "_certified", lambda *args: False)
+        full = em.run_adaptive_epsilon(p, (n1, n2), rounds=rounds)
+    _assert_same_archive(fast, full)
+    grid = fast.grid
+    for eps, x0 in certified:
+        sol = em._solve_cell(p, eps, grid.constrained, grid.minimized, x0)
+        assert sol.status is SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("instance", [(3, 400, 28, 0.4), (6, 400, 5, 0.6), (10, 400, 3, 0.8)])
+def test_no_simplex_point_lies_below_a_supporting_line(instance):
+    p = PortfolioMop(moments=compute_moments(synthetic_returns(*instance)))
+    grid = em.build_grid(p, (12, 12))
+    em.solve_grid(p, grid)
+    lines = grid.lines
+    assert lines
+    n = p.n
+    samples = np.vstack([np.eye(n), np.random.default_rng(1).dirichlet(np.ones(n), 4000)])
+    images = np.array([p.objective_values(w) for w in samples])
+    a, b = grid.constrained
+    met = 0
+    for e_a in grid.centers[:: grid.N[1], 0]:
+        meets = images[:, a] <= e_a
+        met += int(meets.sum())
+        for c, lam, size in lines:
+            below = images[meets, b] - (c - lam * e_a)
+            assert below.min(initial=np.inf) >= -em._ROUNDING * size
+    assert met > 0
+
+
+@pytest.mark.parametrize("instance", [(6, 400, 5, 0.6), (10, 400, 3, 0.8)])
+def test_certificate_stops_within_the_tolerance_of_the_frontier(instance):
+    p = PortfolioMop(moments=compute_moments(synthetic_returns(*instance)))
+    grid = em.build_grid(p, (12, 12))
+    em.solve_grid(p, grid)
+    a, b = grid.constrained
+    tol = nlp._INFEASIBLE_TOL
+    degree = [OBJECTIVE_DEGREES[name] for name in p.objectives]
+    rows = grid.centers[:: grid.N[1], 0][: len(grid.lines)]
+    assert len(rows) > 1
+    for e_a in rows:
+        # the line's point, scaled off the budget row where that lowers F_b +
+        # lam * F_a, violates every row of this cell by 0.99 of the
+        # tolerance, so the solve may accept it
+        (_, lam, _), x_hat = em._support_line(p, grid, float(e_a), equal_weights(p.n))
+        f_hat = p.objective_values(x_hat)
+        slope = degree[b] * f_hat[b] + lam * degree[a] * f_hat[a]
+        x = (1.0 - 0.99 * tol * np.sign(slope)) * x_hat
+        f, s = p.objective_values(x), sc._grad_scales(p.objective_jacobian(x_hat))
+        near = np.array([f[a] - 0.99 * tol * s[a], f[b] - 0.99 * tol * s[b]])
+        goals = [sc._Goal(i, -1.0, float(e)) for i, e in zip(grid.constrained, near)]
+        problem, _ = sc._scaled_problem(p, x_hat, goals, objective=(grid.minimized, 1.0))
+        assert nlp._violation(problem, x) <= tol
+        assert not em._certified(p, grid, near, x_hat)
+        # a thousandth of the eps_2 range lower, the line proves the cell
+        # infeasible, and the solve agrees
+        below = np.array([e_a, f[b] - 1e-3 * (grid.eps_max[1] - grid.eps_min[1])])
+        assert em._certified(p, grid, below, x_hat)
+        sol = em._solve_cell(p, below, grid.constrained, grid.minimized, x_hat)
+        assert sol.status is SolveStatus.INFEASIBLE
 
 
 def test_refinement_zero_multiplier_exact_lattice(archive):

@@ -102,6 +102,19 @@ def test_tensor_index_symmetries_exact():
         assert np.array_equal(t4, np.transpose(t4, perm))
 
 
+@pytest.mark.parametrize("n", [3, 10, 25])
+def test_cokurtosis_product_matches_the_einsum_definition(n):
+    # T n^2 > n^4 below n = 20 at T = 400, where einsum finds no matrix
+    # product; n = 25 is past that switch
+    r = synthetic_returns(n, 400, 3, 0.8)
+    m4 = compute_moments(r).m4_tensor()
+    x = r.observations - r.observations.mean(axis=0)
+    want = np.einsum("ti,tj,tk,tl->ijkl", x, x, x, x, optimize=True) / r.T
+    assert np.max(abs(m4 - want)) <= 1e-14 * np.max(abs(want))
+    for perm in ((0, 1, 3, 2), (1, 0, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1)):
+        assert np.array_equal(m4, np.transpose(m4, perm))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetrize_gathers_each_canonical_entry(n):
     # the gather of the former per-order helpers, written out for orders 3 and 4

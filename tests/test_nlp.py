@@ -517,6 +517,28 @@ def test_point_left_infeasible_after_restoration_is_infeasible(monkeypatch):
     assert sol.message.startswith("final point violates constraints")
 
 
+def test_failed_restoration_reports_the_violation_at_the_reported_point(monkeypatch):
+    # x1^2 + x2^2 >= 3 has no point in the unit box; with no SQP iteration
+    # the first run ends at x0, while restoration reaches the corner (1, 1)
+    def rows(x):
+        return RowBlock(
+            np.array([float(x[0]), float(x @ x - 3.0)]),
+            lambda: np.vstack([[1.0, 0.0], 2.0 * x]),
+            lambda w: w[1] * 2.0 * np.eye(2),
+        )
+
+    problem = NlpProblem(
+        rows=rows, x0=np.array([0.1, 0.2]), n_ineq=1, lb=np.zeros(2), ub=np.ones(2)
+    )
+    monkeypatch.setattr(nlp, "_MAX_ITER", 0)
+    sol = solve(problem)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.message == "restoration could not reach feasibility"
+    assert np.array_equal(sol.x, problem.x0)
+    assert sol.constraint_violation == nlp._violation(problem, sol.x) == 2.95
+    assert nlp._violation(problem, np.ones(2)) == 1.0
+
+
 def test_missed_nbi_ray_fails_fast(monkeypatch, convex_mop):
     # a ray of the acceptance NBI lattice that misses the image set; both of
     # its starts used to run to the 300-iteration cap before restoration
